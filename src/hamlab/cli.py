@@ -33,6 +33,7 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     ResourceLimitError,
+    power_exceeds,
 )
 from .graph import GraphParams, VertexSet, induced_max_degree
 
@@ -126,13 +127,23 @@ def _env_default(name: str, fallback: int) -> int:
         raise UsageError(f"environment variable {name}={raw!r} is not an integer")
 
 
+def _config_int(config: dict, key: str) -> int:
+    try:
+        return int(config[key])
+    except (TypeError, ValueError):
+        raise UsageError(f"config key {key} = {config[key]!r} is not an integer")
+
+
 def _resolve_caps(args) -> dict:
     config = _load_json(args.config) if getattr(args, "config", None) else {}
+    if not isinstance(config, dict):
+        raise UsageError(f"config {args.config} is not a JSON object")
+
     def pick(flag_value, config_key, env_name, fallback):
         if flag_value is not None:
             return flag_value
         if config_key in config:
-            return int(config[config_key])
+            return _config_int(config, config_key)
         return _env_default(env_name, fallback)
 
     # subset/function searches blow up exponentially in the vertex count, so
@@ -152,7 +163,7 @@ def _resolve_caps(args) -> dict:
                           ENV_CAP_FUNCTIONS, DEFAULT_CAP_FUNCTIONS),
     }
     if getattr(args, "seed", None) is None and "seed" in config:
-        args.seed = int(config["seed"])
+        args.seed = _config_int(config, "seed")
     if getattr(args, "format", None) is None:
         args.format = config.get("format")
     for name, value in caps.items():
@@ -347,7 +358,7 @@ def _cmd_bounds(args, caps) -> int:
 def _cmd_fn(args, caps) -> int:
     cap = caps["vertices"]
     if args.subcommand == "tribes":
-        f = fn_mod.tribes(args.s)
+        f = fn_mod.tribes(args.s, cap=cap)
         _write_json(f.to_doc(), args.out)
         if args.verify:
             return _verify_tribes_family(f, expected_degree=args.s ** 2, expected_sensitivity=args.s, cap=cap)
@@ -541,7 +552,7 @@ def _cmd_report(args, caps) -> int:
         for n in args.n_range:
             for d in args.d_range:
                 row = {"m": m, "n": n, "d": d}
-                if m ** n > cap:
+                if power_exceeds(m, n, cap):
                     row.update(
                         paper_bound=None, achieved_imbalance=None,
                         measured_imbalance=None, measured_max_degree=None,

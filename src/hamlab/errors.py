@@ -19,8 +19,20 @@ class BoundNotApplicableError(ValueError):
     """A bound formula was evaluated outside its valid range."""
 
 
-def check_enumeration(count: int, cap: int, what: str = "vertices") -> None:
-    if count > cap:
+def power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """Whether base**exponent > limit, for base, exponent >= 0.
+
+    Bit lengths decide first, so the power is only computed when it has at
+    most about twice the bits of the limit; a huge exponent never hangs.
+    """
+    if base > 1 and exponent * (base.bit_length() - 1) > max(limit, 0).bit_length():
+        return True
+    return base ** exponent > limit
+
+
+def check_enumeration(base: int, exponent: int, cap: int, what: str = "vertices") -> None:
+    """Raise before enumerating base**exponent items past the cap."""
+    if power_exceeds(base, exponent, cap):
         raise ResourceLimitError(
-            f"enumerating {count} {what} exceeds the configured cap of {cap}"
+            f"enumerating {base}^{exponent} {what} exceeds the configured cap of {cap}"
         )

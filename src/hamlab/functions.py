@@ -23,7 +23,9 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     check_enumeration,
+    power_exceeds,
 )
+from .graph import GraphParams, _same_label_degree_extreme, unrank
 
 Point = tuple[Fraction, ...]
 Exponents = tuple[int, ...]
@@ -63,18 +65,16 @@ class FiniteFunction:
             raise InvalidInputError("domain values must be nonempty and pairwise distinct")
         if not codomain or len(set(codomain)) != len(codomain):
             raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
-        if len(self.values) != len(domain) ** self.arity:
-            raise InvalidInputError(
-                f"value table length {len(self.values)} != "
-                f"{len(domain)}^{self.arity}"
-            )
-        for v in self.values:
-            if not 0 <= v < len(codomain):
-                raise InvalidInputError(f"value index {v} outside the codomain")
+        m, length = len(domain), len(self.values)
+        if power_exceeds(m, self.arity, length) or length != m ** self.arity:
+            raise InvalidInputError(f"value table length {length} != {m}^{self.arity}")
+        if not 0 <= min(self.values) <= max(self.values) < len(codomain):
+            bad = next(v for v in self.values if not 0 <= v < len(codomain))
+            raise InvalidInputError(f"value index {bad} outside the codomain")
 
     @property
     def point_count(self) -> int:
-        return len(self.domain) ** self.arity
+        return len(self.values)
 
     def points(self) -> Iterator[Point]:
         """All domain points in rank order."""
@@ -274,7 +274,7 @@ def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynom
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
-    check_enumeration(f.point_count, cap, "grid points")
+    check_enumeration(len(f.domain), f.arity, cap, "grid points")
     values = [f.codomain[v] for v in f.values]
     return GridPolynomial(f.arity, _grid_terms(values, [f.domain] * f.arity))
 
@@ -304,24 +304,16 @@ def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
 
 def sensitivity(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, Point]:
     """Maximum local sensitivity and the first point (in rank order)
-    attaining it."""
-    check_enumeration(f.point_count, cap, "grid points")
+    attaining it.
+
+    A point's local sensitivity is its (m-1)*n neighbours minus those with
+    its own value, so the first point of least same-value degree attains it.
+    """
     m = len(f.domain)
-    strides = [m ** (f.arity - 1 - j) for j in range(f.arity)]
-    best = -1
-    witness: tuple[int, ...] = ()
-    for flat, idxs in enumerate(itertools.product(range(m), repeat=f.arity)):
-        own = f.values[flat]
-        count = 0
-        for j in range(f.arity):
-            start = flat - idxs[j] * strides[j]
-            for t in range(m):
-                if t != idxs[j] and f.values[start + t * strides[j]] != own:
-                    count += 1
-        if count > best:
-            best = count
-            witness = idxs
-    return best, tuple(f.domain[i] for i in witness)
+    check_enumeration(m, f.arity, cap, "grid points")
+    params = GraphParams(m, f.arity)
+    same, first = _same_label_degree_extreme(f.values, params, largest=False)
+    return params.regular_degree - same, tuple(f.domain[i] for i in unrank(first, params))
 
 
 def indicator_decomposition(f: FiniteFunction) -> list[FiniteFunction]:
@@ -486,16 +478,18 @@ def verify_sensitivity_bound(
     return SensitivityBoundReport(s, d, m, holds, ratio, witness)
 
 
-def tribes(tribe_count: int) -> FiniteFunction:
+def tribes(tribe_count: int, cap: int = DEFAULT_VERTEX_CAP) -> FiniteFunction:
     """Boolean OR of ``tribe_count`` disjoint ANDs over consecutive blocks of
     ``tribe_count`` bits, with every input outside the first block
     complemented so the all-ones point carries the maximum local sensitivity.
 
-    Degree tribe_count^2, sensitivity tribe_count.
+    Degree tribe_count^2, sensitivity tribe_count.  The 2^(tribe_count^2)
+    points are checked against ``cap`` before any is enumerated.
     """
     if tribe_count < 1:
         raise InvalidInputError(f"need at least one tribe, got {tribe_count}")
     width = tribe_count * tribe_count
+    check_enumeration(2, width, cap, "grid points")
     table = []
     for bits in itertools.product((0, 1), repeat=width):
         hit = False
@@ -527,9 +521,9 @@ def lifted_tribes(
     marked = Fraction(marked)
     if marked not in dom:
         raise InvalidInputError(f"marked value {marked} outside the domain")
-    base = tribes(tribe_count)
-    width = base.arity
-    check_enumeration(len(dom) ** width, cap, "grid points")
+    width = tribe_count * tribe_count
+    check_enumeration(len(dom), width, cap, "grid points")
+    base = tribes(tribe_count, cap=cap)
     flags = [1 if v == marked else 0 for v in dom]
     table = []
     for idxs in itertools.product(range(len(dom)), repeat=width):

@@ -9,10 +9,12 @@ for m=4, n=3; all file formats rely on this encoding.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
-from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, check_enumeration
+from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, check_enumeration, power_exceeds
 
 Digits = tuple[int, ...]
 
@@ -35,10 +37,6 @@ class GraphParams:
     @property
     def regular_degree(self) -> int:
         return (self.m - 1) * self.n
-
-    def place_values(self) -> tuple[int, ...]:
-        # leftmost digit most significant
-        return tuple(self.m ** (self.n - 1 - i) for i in range(self.n))
 
 
 def validate_vertex(digits: Digits, params: GraphParams) -> None:
@@ -99,10 +97,14 @@ class VertexSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ranks", frozenset(self.ranks))
-        count = self.params.vertex_count
-        for r in self.ranks:
-            if not 0 <= r < count:
-                raise InvalidInputError(f"member rank {r} outside 0..{count - 1}")
+        if not self.ranks:
+            return
+        m, n = self.params.m, self.params.n
+        low, high = min(self.ranks), max(self.ranks)
+        # a rank below m^n is valid without ever computing m^n for huge n
+        if low < 0 or not power_exceeds(m, n, high):
+            bad = low if low < 0 else high
+            raise InvalidInputError(f"member rank {bad} outside the {m}^{n} vertex ranks")
 
     @property
     def size(self) -> int:
@@ -124,28 +126,105 @@ class VertexSet:
         return cls(params, ranks)
 
 
+# _BIT_CHARS[b] maps a byte to b"1" when its bit b is set, else to b"0"
+_BIT_CHARS = tuple(
+    bytes(0x31 if value >> bit & 1 else 0x30 for value in range(256)) for bit in range(8)
+)
+# _PACK_CODES[k] is an array type code whose items hold k+1 bytes
+_PACK_CODES = tuple(next(c for c in "BHILQ" if array(c).itemsize > k) for k in range(8))
+
+
+def _label_planes(labels: Sequence[int]) -> list[int]:
+    """Bit planes of a labelling: bit r of plane p is bit p of labels[r]."""
+    bits = max(labels).bit_length()
+    packed = array(_PACK_CODES[max(bits - 1, 0) // 8], labels)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    raw = packed.tobytes()
+    width = packed.itemsize
+    # reversed so that the last character, the int's lowest bit, is rank 0
+    return [
+        int(raw[p // 8::width].translate(_BIT_CHARS[p % 8])[::-1], 2) for p in range(bits)
+    ]
+
+
+def _same_label_degree_extreme(
+    labels: Sequence[int],
+    params: GraphParams,
+    largest: bool = True,
+    among: Optional[int] = None,
+) -> tuple[int, int]:
+    """Extreme same-label degree of a labelling, and the first rank attaining it.
+
+    ``labels[r]`` is a non-negative integer label of the vertex of rank r; a
+    vertex's same-label degree counts its neighbours that carry its label.
+    Returns the maximum (the minimum when ``largest`` is false) over all
+    vertices, or over the vertices labelled ``among`` when it is given (it
+    must label at least one), with the lowest rank attaining it.
+
+    Bit-parallel and exact: vertex rank r is bit r of Python ints.  For each
+    axis with stride s and each shift t in 1..m-1, the vertices whose digit
+    on the axis is below m-t and whose label equals the label t*s ranks
+    further on form one mask; the mask and its copy shifted up by t*s are
+    added into a bit-sliced counter, whose plane j holds bit j of every
+    vertex's degree.
+    """
+    m, n, total = params.m, params.n, params.vertex_count
+    full = (1 << total) - 1
+    planes = _label_planes(labels)
+    counter: list[int] = []
+    for axis in range(n):
+        stride = m ** (n - 1 - axis)
+        # ranks whose digit on this axis is 0: one run per period, doubled
+        zero, period = (1 << stride) - 1, m * stride
+        while period < total:
+            zero |= zero << period
+            period <<= 1
+        zero &= full
+        below = 0
+        for t in range(m - 1, 0, -1):
+            below |= zero << (m - 1 - t) * stride  # digit below m - t
+            shift = t * stride
+            differ = 0
+            for plane in planes:
+                differ |= plane ^ (plane >> shift)
+            same = below & ~differ
+            for carry in (same, same << shift):  # ripple-carry add
+                for j, bits in enumerate(counter):
+                    counter[j] = bits ^ carry
+                    carry &= bits
+                    if not carry:
+                        break
+                if carry:
+                    counter.append(carry)
+    candidates = full
+    if among is not None:
+        for p, plane in enumerate(planes):
+            candidates &= plane if among >> p & 1 else ~plane
+    # walk the counter planes from the top, keeping the vertices still tied
+    value = 0
+    for j in range(len(counter) - 1, -1, -1):
+        keep = candidates & (counter[j] if largest else ~counter[j])
+        if keep:
+            candidates = keep
+        if bool(keep) == largest:
+            value |= 1 << j
+    return value, (candidates & -candidates).bit_length() - 1
+
+
 def induced_max_degree(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Maximum number of in-set neighbors over the members of the set.
 
     0 for empty or singleton sets.
     """
     params = vset.params
-    check_enumeration(params.vertex_count, cap)
+    check_enumeration(params.m, params.n, cap)
     if vset.size <= 1:
         return 0
-    places = params.place_values()
-    best = 0
-    for r in sorted(vset.ranks):
-        digits = unrank(r, params)
-        deg = 0
-        for i in range(params.n):
-            base = r - digits[i] * places[i]
-            for b in range(params.m):
-                if b != digits[i] and base + b * places[i] in vset.ranks:
-                    deg += 1
-        if deg > best:
-            best = deg
-    return best
+    member = bytearray(params.vertex_count)
+    for r in vset.ranks:
+        member[r] = 1
+    return _same_label_degree_extreme(member, params, among=1)[0]
 
 
 def independence_number(params: GraphParams) -> int:

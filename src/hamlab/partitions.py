@@ -8,6 +8,8 @@ sizes from the balanced size m^(n-1).
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,8 +18,16 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     check_enumeration,
+    power_exceeds,
 )
-from .graph import Digits, GraphParams, VertexSet, iter_vertices
+from .graph import (
+    Digits,
+    GraphParams,
+    VertexSet,
+    iter_vertices,
+    _same_label_degree_extreme,
+    unrank,
+)
 
 
 @dataclass(frozen=True)
@@ -29,14 +39,13 @@ class Partition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", tuple(self.assignment))
-        if len(self.assignment) != self.params.vertex_count:
-            raise InvalidInputError(
-                f"assignment length {len(self.assignment)} != vertex count "
-                f"{self.params.vertex_count}"
-            )
-        for a in self.assignment:
-            if not 0 <= a < self.params.m:
-                raise InvalidInputError(f"part index {a} outside 0..{self.params.m - 1}")
+        m, n = self.params.m, self.params.n
+        length = len(self.assignment)
+        if power_exceeds(m, n, length) or length != m ** n:
+            raise InvalidInputError(f"assignment length {length} != vertex count {m}^{n}")
+        if not 0 <= min(self.assignment) <= max(self.assignment) < m:
+            bad = next(a for a in self.assignment if not 0 <= a < m)
+            raise InvalidInputError(f"part index {bad} outside 0..{m - 1}")
 
     def to_doc(self) -> dict:
         return {"m": self.params.m, "n": self.params.n, "assignment": list(self.assignment)}
@@ -106,7 +115,7 @@ def degree_one_partition(m: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Parti
     if n == 1:
         return complete_graph_partition(m, 1)
     params = GraphParams(m, n)
-    check_enumeration(params.vertex_count, cap)
+    check_enumeration(m, n, cap)
     assignment = tuple(degree_one_part_index(v, m) for v in iter_vertices(params))
     return Partition(params, assignment)
 
@@ -144,19 +153,16 @@ def block_sum_map(params_hi: GraphParams, params_lo: GraphParams) -> list[int]:
     coordinate-block summation map (block sums reduced mod m)."""
     m = params_hi.m
     blocks = coordinate_blocks(params_hi.n, params_lo.n)
-    block_of = [0] * params_hi.n
+    # a rank of the larger graph concatenates its blocks' digits, so its
+    # image is the sum of one contribution per block, taken in rank order
+    image = [0]
     for j, blk in enumerate(blocks):
-        for i in blk:
-            block_of[i] = j
-    image = []
-    for digits in iter_vertices(params_hi):
-        sums = [0] * params_lo.n
-        for i, d in enumerate(digits):
-            sums[block_of[i]] += d
-        r = 0
-        for s in sums:
-            r = r * m + s % m
-        image.append(r)
+        place = m ** (params_lo.n - 1 - j)
+        contrib = [
+            sum(digits) % m * place
+            for digits in itertools.product(range(m), repeat=len(blk))
+        ]
+        image = [a + c for a in image for c in contrib]
     return image
 
 
@@ -175,7 +181,7 @@ def lift_partition(
     if n < n_base:
         raise InvalidInputError(f"cannot lift from n'={n_base} to smaller n={n}")
     target = GraphParams(m, n)
-    check_enumeration(target.vertex_count, cap)
+    check_enumeration(m, n, cap)
     widest = -(-n // n_base)
     base_degree = partition_metrics(base, cap=cap).max_degree
     if base_degree * widest > degree_cap:
@@ -184,7 +190,7 @@ def lift_partition(
             f"above the cap {degree_cap}"
         )
     image = block_sum_map(target, base.params)
-    assignment = tuple(base.assignment[r] for r in image)
+    assignment = tuple(map(base.assignment.__getitem__, image))
     return Partition(target, assignment)
 
 
@@ -223,28 +229,14 @@ def partition_metrics(part: Partition, cap: int = DEFAULT_VERTEX_CAP) -> Partiti
     """Exact maximum degree, imbalance, and part sizes, with a witness vertex
     attaining the maximum degree (first such vertex in rank order)."""
     params = part.params
-    check_enumeration(params.vertex_count, cap)
     m, n = params.m, params.n
-    places = params.place_values()
-    sizes = [0] * m
-    for a in part.assignment:
-        sizes[a] += 1
-    best = -1
-    witness: Optional[Digits] = None
-    for r, digits in enumerate(iter_vertices(params)):
-        own = part.assignment[r]
-        deg = 0
-        for i in range(n):
-            base = r - digits[i] * places[i]
-            for b in range(m):
-                if b != digits[i] and part.assignment[base + b * places[i]] == own:
-                    deg += 1
-        if deg > best:
-            best = deg
-            witness = digits
+    check_enumeration(m, n, cap)
+    best, first = _same_label_degree_extreme(part.assignment, params)
+    counts = Counter(part.assignment)
+    sizes = tuple(counts[a] for a in range(m))
     balanced = m ** (n - 1)
     imbalance = sum(abs(s - balanced) for s in sizes)
-    return PartitionMetrics(best, imbalance, tuple(sizes), witness)
+    return PartitionMetrics(best, imbalance, sizes, unrank(first, params))
 
 
 def part_vertex_set(part: Partition, index: int) -> VertexSet:

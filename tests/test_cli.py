@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, headers, caps."""
 
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,41 @@ def test_config_file_defaults(tmp_path, capsys):
                 "--config", config_path]) == 1
     assert run(["construct", "degree1", "--m", 6, "--n", 4,
                 "--config", config_path, "--cap-vertices", 2000]) == 0
+
+
+def test_malformed_config_exits_one(tmp_path, capsys):
+    config_path = tmp_path / "caps.json"
+    for doc in ({"capVertices": "abc"}, {"seed": [1]}, [100]):
+        config_path.write_text(json.dumps(doc))
+        assert run(["construct", "degree1", "--m", 3, "--n", 2,
+                    "--config", config_path]) == 1
+        assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,argv", [
+    ({"m": 3, "n": 99_999_999, "ranks": [0, 1]}, ["metrics"]),
+    ({"m": 3, "n": 99_999_999, "assignment": [0, 1]}, ["metrics"]),
+    ({"A": [0, 1, 2], "B": [0, 1], "n": 99_999_999, "values": [0, 1]},
+     ["fn", "sensitivity"]),
+])
+def test_huge_inputs_exit_one_before_exponentiating(tmp_path, capsys, doc, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run(argv + [path, "--cap-vertices", 100]) == 1
+    assert time.perf_counter() - start < 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_tribes_and_grid_respect_the_vertex_cap(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["fn", "tribes", "--s", 6, "--cap-vertices", 1000]) == 1
+    assert "cap" in capsys.readouterr().err
+    grid_path = tmp_path / "grid.csv"
+    assert run(["report", "grid", "--m-range", "3", "--n-range", 99_999_999,
+                "--d-range", "1", "--format", "csv", "--out", grid_path]) == 0
+    assert grid_path.read_text().splitlines()[1].endswith("SKIPPED")
+    assert time.perf_counter() - start < 2
 
 
 def test_corrupted_partition_file_exits_one(tmp_path, capsys):

@@ -129,6 +129,29 @@ def test_sensitivity_lifted_tribes_witness_is_all_marked():
     assert witness == (0, 0, 0, 0)
 
 
+def test_sensitivity_codomain_beyond_one_byte():
+    # values 0, 1, 256 and 257 agree in their low byte two by two
+    codomain = tuple(range(600))
+    values = [256 * (r % 3 == 0) + (r // 5) % 2 for r in range(3 ** 5)]
+    f = FiniteFunction((0, 1, 2), codomain, 5, values)
+    points = list(f.points())
+    local = [local_sensitivity(f, p) for p in points]
+    assert sensitivity(f) == (max(local), points[local.index(max(local))])
+
+
+def test_finite_function_rejects_huge_arity_without_computing_the_grid():
+    with pytest.raises(InvalidInputError):
+        FiniteFunction((0, 1, 2), ZERO_ONE, 99_999_999, (0, 1))
+
+
+def test_tribes_checks_cap_before_enumerating():
+    with pytest.raises(ResourceLimitError):
+        tribes(6, cap=1000)
+    with pytest.raises(ResourceLimitError):
+        lifted_tribes((0, 1, 2), 0, 6, cap=1000)
+    assert tribes(2, cap=16).arity == 4
+
+
 def test_local_sensitivity_validates_point():
     f = tribes(1)
     with pytest.raises(InvalidInputError):

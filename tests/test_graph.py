@@ -156,6 +156,14 @@ def test_vertex_set_roundtrip():
 def test_vertex_set_rejects_bad_ranks():
     with pytest.raises(InvalidInputError):
         VertexSet(GraphParams(2, 2), frozenset([4]))
+    with pytest.raises(InvalidInputError):
+        VertexSet(GraphParams(2, 2), frozenset([-1]))
+
+
+def test_huge_vertex_set_fails_the_cap_without_computing_m_to_the_n():
+    vset = VertexSet(GraphParams(3, 99_999_999), frozenset([0, 1]))
+    with pytest.raises(ResourceLimitError):
+        induced_max_degree(vset, cap=100)
 
 
 def test_graph_params_validation():

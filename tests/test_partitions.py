@@ -293,6 +293,25 @@ def test_partition_metrics_single_part_extreme():
     assert metrics.witness == (0, 0)
 
 
+def test_partition_metrics_labels_beyond_one_byte():
+    # a 300 x 300 Latin square gives every vertex degree 0; vertex (150, 150)
+    # then takes label 270, shared with its neighbours (150, 120) and
+    # (120, 150), and 270 is above what a byte holds
+    m = 300
+    assignment = [(a + b) % m for a in range(m) for b in range(m)]
+    assignment[150 * m + 150] = 270
+    metrics = partition_metrics(Partition(GraphParams(m, 2), assignment))
+    assert metrics.max_degree == 2
+    assert metrics.witness == (150, 150)
+    assert metrics.part_sizes[0] == 299 and metrics.part_sizes[270] == 301
+    assert metrics.imbalance == 2
+
+
+def test_partition_rejects_huge_n_without_computing_m_to_the_n():
+    with pytest.raises(InvalidInputError):
+        Partition(GraphParams(3, 99_999_999), (0, 1))
+
+
 def test_partition_roundtrip_and_validation():
     partition = degree_one_partition(3, 2)
     doc = partition.to_doc()
