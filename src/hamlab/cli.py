@@ -211,7 +211,7 @@ def _cmd_construct(args, caps) -> int:
     if args.subcommand == "degree1":
         partition = part_mod.degree_one_partition(args.m, args.n, cap=cap)
     elif args.subcommand == "complete":
-        partition = part_mod.complete_graph_partition(args.m, args.d)
+        partition = part_mod.complete_graph_partition(args.m, args.d, cap=cap)
     elif args.subcommand == "lift":
         base = _load_partition(args.base)
         partition = part_mod.lift_partition(base, args.n, degree_cap=args.d, cap=cap)
@@ -402,10 +402,8 @@ def _cmd_fn(args, caps) -> int:
         _write_json(doc, args.out)
     elif args.subcommand == "restrict":
         witness = fn_mod.boolean_restriction_witness(f, cap=cap)
-        g = witness.boolean_function
-        g_degree = fn_mod.degree(g, cap=cap)
-        g_sensitivity, _ = fn_mod.sensitivity(g, cap=cap)
         f_sensitivity, _ = fn_mod.sensitivity(f, cap=cap)
+        g_degree, g_sensitivity, holds = witness.check(f_sensitivity, cap=cap)
         doc = witness.to_doc()
         doc["degree"] = g_degree
         doc["sensitivity"] = g_sensitivity
@@ -414,11 +412,7 @@ def _cmd_fn(args, caps) -> int:
             f"restricted sensitivity {g_sensitivity}"
         )
         _write_json(doc, args.out)
-        if (
-            g_degree < witness.target_support
-            or g_sensitivity > f_sensitivity
-            or g_sensitivity * g_sensitivity < witness.target_support
-        ):
+        if not holds:
             raise VerificationFailure("restriction certificate failed its guarantees")
     else:  # verify
         report = fn_mod.verify_sensitivity_bound(f, cap=cap)

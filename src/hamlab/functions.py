@@ -11,8 +11,10 @@ Boolean function that certifies the sensitivity/degree inequality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -207,76 +209,94 @@ class GridPolynomial:
         return cls(arity, terms)
 
 
-def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # multiply a coefficient list (ascending powers) by (x - root)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] -= c * root
-        out[i + 1] += c
-    return out
+@functools.lru_cache(maxsize=64)
+def _scaled_lagrange(nodes: tuple[Fraction, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Lagrange matrix of ``nodes`` in integers, and its positive scale.
 
-
-def _lagrange_matrix(nodes: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Rows indexed by power, columns by node: column i holds the coefficients
-    of the basis polynomial that is 1 at node i and 0 at the others."""
-    size = len(nodes)
+    Row k, column i holds scale times the x^k coefficient of the basis
+    polynomial that is 1 at node i and 0 at the others; the scale is the LCM
+    of those coefficients' denominators.
+    """
     columns = []
     for i, node in enumerate(nodes):
-        num = [Fraction(1)]
-        denom = Fraction(1)
+        column = [Fraction(1)]
         for j, other in enumerate(nodes):
-            if j != i:
-                num = _poly_mul_linear(num, other)
-                denom *= node - other
-        columns.append([c / denom for c in num])
-    return [[columns[i][k] for i in range(size)] for k in range(size)]
+            if j != i:  # multiply by (x - other) / (node - other)
+                column = [(raised - other * kept) / (node - other)
+                          for raised, kept in zip([0] + column, column + [0])]
+        columns.append(column)
+    scale = math.lcm(*(c.denominator for column in columns for c in column))
+    return tuple(zip(*([int(c * scale) for c in column] for column in columns))), scale
 
 
-def _grid_terms(
-    values: Sequence[Fraction], axes: Sequence[Sequence[Fraction]]
-) -> dict[Exponents, Fraction]:
-    """Coefficients of the unique polynomial matching ``values`` on the
-    product grid of the per-axis node lists, with per-axis degree below the
-    axis length.  Values are laid out big-endian over the axes."""
-    sizes = [len(a) for a in axes]
-    tensor = [Fraction(v) for v in values]
-    total = len(tensor)
-    matrices: dict[tuple[Fraction, ...], list[list[Fraction]]] = {}
-    stride = total
-    for nodes in axes:
-        size = len(nodes)
-        stride //= size
-        key = tuple(nodes)
-        matrix = matrices.get(key)
-        if matrix is None:
-            matrix = _lagrange_matrix(list(nodes))
-            matrices[key] = matrix
-        block = stride * size
-        for start in range(0, total, block):
-            for offset in range(stride):
-                base = start + offset
-                column = [tensor[base + t * stride] for t in range(size)]
-                for k in range(size):
-                    row = matrix[k]
-                    acc = Fraction(0)
-                    for t in range(size):
-                        if column[t]:
-                            acc += row[t] * column[t]
-                    tensor[base + k * stride] = acc
-    terms = {}
-    for flat, exps in enumerate(itertools.product(*(range(s) for s in sizes))):
-        if tensor[flat]:
-            terms[exps] = tensor[flat]
-    return terms
+@functools.lru_cache(maxsize=256)
+def _scaled_restriction(nodes: tuple[Fraction, ...], s: int, t: int) -> tuple:
+    """Integer 2 x len(nodes) matrix that takes the coefficients along one
+    axis to those of its interpolant on nodes s and t, under one positive
+    scale: the axis is evaluated at the two nodes, then interpolated there."""
+    pair = (nodes[s], nodes[t])
+    lift = math.lcm(*(x.denominator for x in pair)) ** (len(nodes) - 1)
+    powers = [[int(x ** e * lift) for e in range(len(nodes))] for x in pair]
+    return tuple(
+        tuple(a * pa + b * pb for pa, pb in zip(*powers)) for a, b in _scaled_lagrange(pair)[0]
+    )
+
+
+_sum_maps = functools.partial(map, operator.add)
+
+
+def _transform_leading_axis(tensor: Sequence[int], size: int, rows) -> list[int]:
+    """Apply the integer matrix ``rows`` (len(rows) x size) along the leading
+    axis of a big-endian tensor and move that axis last, so that n calls
+    over an n-axis tensor bring the axes back into their original order."""
+    rest = len(tensor) // size
+    fibers = [tensor[t * rest:(t + 1) * rest] for t in range(size)]
+    out = []
+    for row in rows:
+        scaled = [map(c.__mul__, fiber) for c, fiber in zip(row, fibers) if c]
+        out.append(functools.reduce(_sum_maps, scaled) if scaled else itertools.repeat(0, rest))
+    return list(itertools.chain.from_iterable(zip(*out)))
+
+
+def _grid_tensor(table: Sequence[int], nodes: tuple[Fraction, ...], arity: int) -> list[int]:
+    """Coefficients, times the scale ``_scaled_lagrange(nodes)[1] ** arity``,
+    of the unique polynomial matching the integer ``table`` on the grid
+    nodes^arity with per-variable degree below len(nodes); entry i belongs
+    to the monomial whose exponent vector is the big-endian index i."""
+    rows = _scaled_lagrange(nodes)[0]
+    for _ in range(arity):
+        table = _transform_leading_axis(table, len(nodes), rows)
+    return table
+
+
+def _integer_codomain(codomain: Sequence[Fraction]) -> tuple[list[int], int]:
+    # the codomain times the LCM of its denominators, and that LCM
+    scale = math.lcm(*(c.denominator for c in codomain))
+    return [c.numerator * (scale // c.denominator) for c in codomain], scale
+
+
+def _digit_counts(sizes: Sequence[int], weight: Callable[[int], int]) -> list[int]:
+    # sum of weight(digit) over the digits of every big-endian index
+    counts = [0]
+    for size in sizes:
+        weights = [weight(e) for e in range(size)]
+        counts = [a + w for a in counts for w in weights]
+    return counts
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
-    check_enumeration(len(f.domain), f.arity, cap, "grid points")
-    values = [f.codomain[v] for v in f.values]
-    return GridPolynomial(f.arity, _grid_terms(values, [f.domain] * f.arity))
+    m = len(f.domain)
+    check_enumeration(m, f.arity, cap, "grid points")
+    lifted, scale = _integer_codomain(f.codomain)
+    tensor = _grid_tensor(list(map(lifted.__getitem__, f.values)), f.domain, f.arity)
+    scale *= _scaled_lagrange(f.domain)[1] ** f.arity
+    exponents = itertools.product(range(m), repeat=f.arity)
+    return GridPolynomial(
+        f.arity, {exps: Fraction(c, scale) for exps, c in zip(exponents, tensor) if c}
+    )
 
 
 def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -358,25 +378,21 @@ class RestrictionWitness:
             "g": self.boolean_function.to_doc(),
         }
 
-
-def _restrict_axis(
-    values: list[Fraction], sizes: list[int], axis: int, keep: tuple[int, int]
-) -> list[Fraction]:
-    # keep the sub-table where the axis takes the given domain indices
-    stride = 1
-    for s in sizes[axis + 1:]:
-        stride *= s
-    block = stride * sizes[axis]
-    out: list[Fraction] = []
-    for start in range(0, len(values), block):
-        for t in keep:
-            lo = start + t * stride
-            out.extend(values[lo:lo + stride])
-    return out
-
-
-def _max_support(terms: dict[Exponents, Fraction]) -> int:
-    return max((sum(1 for e in exps if e) for exps in terms), default=0)
+    def check(self, f_sensitivity: int, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, int, bool]:
+        """Degree and sensitivity of the Boolean function, and whether the
+        certificate holds: degree at least the target support, sensitivity at
+        most ``f_sensitivity`` (that of the restricted function f), and
+        sensitivity squared at least the target, as the Boolean sensitivity
+        theorem demands."""
+        g = self.boolean_function
+        g_degree = degree(g, cap=cap)
+        g_sensitivity, _ = sensitivity(g, cap=cap)
+        holds = (
+            g_degree >= self.target_support
+            and g_sensitivity <= f_sensitivity
+            and g_sensitivity * g_sensitivity >= self.target_support
+        )
+        return g_degree, g_sensitivity, holds
 
 
 def boolean_restriction_witness(
@@ -391,55 +407,61 @@ def boolean_restriction_witness(
     monomial on at least D coordinates is retained.  Such a pair always
     exists; running out of pairs would contradict the degree/support
     invariant and raises a contract violation.
+
+    Each indicator is interpolated once.  Their tensors share one scale, so
+    their codomain-weighted sum is f's tensor under a positive scale, and
+    restricting a coordinate to a pair is one 2 x m integer matrix applied to
+    that axis of the chosen indicator's tensor.
     """
-    m = len(f.domain)
+    m, n = len(f.domain), f.arity
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
-    total_degree = degree(f, cap=cap)
+    check_enumeration(m, n, cap, "grid points")
+    indicators = [
+        _grid_tensor(list(map(b.__eq__, f.values)), f.domain, n) for b in range(len(f.codomain))
+    ]
+    lifted, _ = _integer_codomain(f.codomain)
+    weighted = [map(c.__mul__, tensor) for c, tensor in zip(lifted, indicators) if c]
+    degrees = _digit_counts([m] * n, int)
+    combined = functools.reduce(_sum_maps, weighted) if weighted else ()
+    total_degree = max(itertools.compress(degrees, combined), default=0)
     if total_degree < 1:
         raise InvalidInputError("constant functions admit no restriction certificate")
-    components = indicator_decomposition(f)
-    component_degrees = [degree(c, cap=cap) for c in components]
-    pick = max(range(len(components)), key=lambda i: component_degrees[i])
+    component_degrees = [max(itertools.compress(degrees, t), default=0) for t in indicators]
+    pick = max(range(len(indicators)), key=component_degrees.__getitem__)
     target = -(-total_degree // (m - 1))
 
-    values = [components[pick].codomain[v] for v in components[pick].values]
-    axes: list[list[Fraction]] = [list(f.domain) for _ in range(f.arity)]
-    sizes = [m] * f.arity
-    if _max_support(_grid_terms(values, axes)) < target:
+    tensor = indicators[pick]
+    if max(itertools.compress(_digit_counts([m] * n, bool), tensor), default=0) < target:
         raise ContractViolationError(
             "chosen indicator exposes no monomial on the target support"
         )
-
-    retained: list[tuple[Fraction, Fraction]] = []
-    for coord in range(f.arity):
-        if sizes[coord] <= 2:
-            retained.append((axes[coord][0], axes[coord][1]))
-            continue
-        found = False
-        for s, t in itertools.combinations(range(sizes[coord]), 2):
-            candidate_values = _restrict_axis(values, sizes, coord, (s, t))
-            candidate_axes = (
-                axes[:coord] + [[axes[coord][s], axes[coord][t]]] + axes[coord + 1:]
-            )
-            if _max_support(_grid_terms(candidate_values, candidate_axes)) >= target:
-                values = candidate_values
-                axes = candidate_axes
-                sizes[coord] = 2
-                retained.append((axes[coord][0], axes[coord][1]))
-                found = True
+    pairs = [(0, 1)] * n
+    sizes = [m] * n  # the tensor's axes, leading axis first
+    for coord in range(n if m > 2 else 0):
+        sizes = sizes[1:] + [2]
+        support = _digit_counts(sizes, bool)
+        for s, t in itertools.combinations(range(m), 2):
+            candidate = _transform_leading_axis(tensor, m, _scaled_restriction(f.domain, s, t))
+            if max(itertools.compress(support, candidate), default=0) >= target:
+                tensor, pairs[coord] = candidate, (s, t)
                 break
-        if not found:
+        else:
             raise ContractViolationError(
                 f"no two-value restriction of coordinate {coord} preserves "
                 f"support {target}"
             )
 
+    ranks = [0]
+    for pair in pairs:
+        ranks = [r * m + i for r in ranks for i in pair]
     zero_one = (Fraction(0), Fraction(1))
-    table = tuple(int(v) for v in values)
-    boolean = FiniteFunction(zero_one, zero_one, f.arity, table)
+    table = tuple(1 if f.values[r] == pick else 0 for r in ranks)
     return RestrictionWitness(
-        f.codomain[pick], tuple(retained), target, boolean
+        f.codomain[pick],
+        tuple((f.domain[s], f.domain[t]) for s, t in pairs),
+        target,
+        FiniteFunction(zero_one, zero_one, n, table),
     )
 
 

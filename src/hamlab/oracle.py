@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInputError, ResourceLimitError
-from .functions import (
-    FiniteFunction,
-    boolean_restriction_witness,
-    degree,
-    sensitivity,
-    verify_sensitivity_bound,
-)
+from .errors import InvalidInputError, ResourceLimitError, check_enumeration, power_exceeds
+from .functions import FiniteFunction, boolean_restriction_witness, verify_sensitivity_bound
 from .graph import GraphParams, VertexSet, neighbors, rank, unrank
 from .partitions import Partition, PartitionMetrics
 
@@ -63,9 +57,8 @@ def min_max_degree_subsets(
     which the test suite verifies against the unpruned search.
     """
     params = GraphParams(m, n)
+    check_enumeration(m, n, budget.max_vertices)
     count = params.vertex_count
-    if count > budget.max_vertices:
-        raise ResourceLimitError(f"graph has {count} vertices, budget allows {budget.max_vertices}")
     if not 0 <= k <= count:
         raise InvalidInputError(f"need 0 <= k <= {count}, got k={k}")
     if k == 0:
@@ -102,6 +95,8 @@ def min_max_degree_subsets(
 def sigma_exact(m: int, n: int, budget: SearchBudget = SearchBudget()) -> int:
     """Graph sensitivity: minimum induced maximum degree over all subsets one
     larger than the independence number m^(n-1)."""
+    GraphParams(m, n)  # validates m and n before the budget and the power
+    check_enumeration(m, n, budget.max_vertices)
     return min_max_degree_subsets(m, n, m ** (n - 1) + 1, budget=budget)[0]
 
 
@@ -146,16 +141,14 @@ def exhaustive_function_check(
     domain = tuple(Fraction(v) for v in domain)
     codomain = tuple(Fraction(v) for v in codomain)
     m, k = len(domain), len(codomain)
+    if arity < 1:
+        raise InvalidInputError(f"need arity >= 1, got {arity}")
+    check_enumeration(m, arity, budget.max_vertices, "grid points")
     point_count = m ** arity
-    if point_count > budget.max_vertices:
-        raise ResourceLimitError(
-            f"grid has {point_count} points, budget allows {budget.max_vertices}"
-        )
-    total = k ** point_count
     if samples is None:
-        if total > budget.max_functions:
+        if power_exceeds(k, point_count, budget.max_functions):
             raise ResourceLimitError(
-                f"{total} functions exceed the budget {budget.max_functions}; "
+                f"{k}^{point_count} functions exceed the budget {budget.max_functions}; "
                 "use sampling with an explicit seed"
             )
         tables = _all_tables(k, point_count)
@@ -176,16 +169,8 @@ def exhaustive_function_check(
         bound = verify_sensitivity_bound(f)
         ok = bound.holds
         if bound.degree >= 1:
-            witness = boolean_restriction_witness(f)
-            g = witness.boolean_function
-            g_sensitivity, _ = sensitivity(g)
-            g_degree = degree(g)
-            if g_degree < witness.target_support:
-                ok = False
-            if g_sensitivity > bound.sensitivity:
-                ok = False
-            if g_sensitivity * g_sensitivity < witness.target_support:
-                ok = False  # would contradict the Boolean base case
+            _, _, certified = boolean_restriction_witness(f).check(bound.sensitivity)
+            ok = ok and certified
             ratio_key = Fraction(
                 bound.sensitivity * bound.sensitivity * (m - 1), bound.degree
             )

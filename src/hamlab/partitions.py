@@ -113,22 +113,24 @@ def degree_one_partition(m: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Parti
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
     if n == 1:
-        return complete_graph_partition(m, 1)
+        return complete_graph_partition(m, 1, cap=cap)
     params = GraphParams(m, n)
     check_enumeration(m, n, cap)
     assignment = tuple(degree_one_part_index(v, m) for v in iter_vertices(params))
     return Partition(params, assignment)
 
 
-def complete_graph_partition(m: int, d: int) -> Partition:
+def complete_graph_partition(m: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
     """Partition of the m-vertex complete graph into blocks of size at most
     d+1: full blocks first, then the remainder block, then empty parts.
 
     Achieves maximum degree at most d and imbalance exactly 2*floor(d*m/(d+1)).
+    The m vertices are checked against ``cap`` before any is assigned.
     """
     if not 0 <= d <= m:
         raise InvalidInputError(f"need 0 <= d <= m, got d={d}, m={m}")
     params = GraphParams(m, 1)
+    check_enumeration(m, 1, cap)
     assignment = tuple(v // (d + 1) for v in range(m))
     return Partition(params, assignment)
 
@@ -219,7 +221,7 @@ def theorem_partition(
         q = d // n
         # the complete-graph lemma needs its degree parameter <= m; beyond
         # that the single-part layout is already optimal for this family
-        base = complete_graph_partition(m, min(q, m))
+        base = complete_graph_partition(m, min(q, m), cap=cap)
         lifted = lift_partition(base, n, degree_cap=d, cap=cap)
         achieved = m ** (n - 1) * 2 * (m * q // (q + 1))
     return lifted, achieved
@@ -262,7 +264,7 @@ def low_degree_subgraph(m: int, n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -
         base = degree_one_partition(m, -(-n // d), cap=cap)
         part_index = 1
     else:
-        base = complete_graph_partition(m, d // n)
+        base = complete_graph_partition(m, d // n, cap=cap)
         part_index = 0
     lifted = lift_partition(base, n, degree_cap=d, cap=cap)
     return part_vertex_set(lifted, part_index)

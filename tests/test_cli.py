@@ -209,6 +209,22 @@ def test_huge_inputs_exit_one_before_exponentiating(tmp_path, capsys, doc, argv)
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "sigma", "--m", 3, "--n", 99_999_999],
+    ["oracle", "subsets", "--m", 3, "--n", 99_999_999, "--k", 2],
+    ["oracle", "functions", "--m", 3, "--b", 2, "--n", 99_999_999],
+    ["oracle", "functions", "--m", 3, "--b", 2, "--n", 99_999_999,
+     "--samples", 1, "--seed", 1],
+    ["oracle", "functions", "--m", 3, "--b", 3, "--n", 17, "--cap-vertices", 200_000_000],
+    ["construct", "complete", "--m", 300_000_000, "--d", 1],
+])
+def test_huge_oracle_and_complete_graph_runs_exit_one(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 2
+    assert "exceed" in capsys.readouterr().err
+
+
 def test_tribes_and_grid_respect_the_vertex_cap(tmp_path, capsys):
     start = time.perf_counter()
     assert run(["fn", "tribes", "--s", 6, "--cap-vertices", 1000]) == 1

@@ -63,6 +63,22 @@ def test_budget_enforced_before_enumeration():
         min_max_degree_subsets(3, 2, 4, budget=SearchBudget(max_subsets=10))
 
 
+def test_budgets_checked_before_exponentiating():
+    huge = 99_999_999
+    with pytest.raises(ResourceLimitError):
+        sigma_exact(3, huge)
+    with pytest.raises(ResourceLimitError):
+        min_max_degree_subsets(3, huge, 2)
+    with pytest.raises(ResourceLimitError):
+        exhaustive_function_check((0, 1, 2), huge, (0, 1), samples=1, seed=1)
+    with pytest.raises(ResourceLimitError):  # 3^(3^17) functions
+        exhaustive_function_check(
+            (0, 1, 2), 17, (0, 1, 2), budget=SearchBudget(max_vertices=200_000_000)
+        )
+    with pytest.raises(InvalidInputError):
+        exhaustive_function_check((0, 1, 2), -1, (0, 1), samples=1, seed=1)
+
+
 def test_sigma_exact_values():
     assert sigma_exact(2, 2) == 2
     assert sigma_exact(2, 3) == 2

@@ -7,6 +7,7 @@ from hamlab import (
     GraphParams,
     InvalidInputError,
     Partition,
+    ResourceLimitError,
     block_sum_map,
     complete_graph_partition,
     coordinate_blocks,
@@ -152,6 +153,14 @@ def test_complete_graph_rejects_bad_degree():
         complete_graph_partition(4, 5)
     with pytest.raises(InvalidInputError):
         complete_graph_partition(4, -1)
+
+
+def test_complete_graph_checks_cap_before_assigning():
+    with pytest.raises(ResourceLimitError):
+        complete_graph_partition(300_000_000, 1)
+    with pytest.raises(ResourceLimitError):
+        complete_graph_partition(9, 2, cap=8)
+    assert complete_graph_partition(9, 2, cap=9).params.vertex_count == 9
 
 
 def test_coordinate_blocks_near_equal_larger_first():

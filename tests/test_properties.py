@@ -1,16 +1,20 @@
 """Randomized invariants over the core operations."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamlab import (
     FiniteFunction,
     GraphParams,
+    InvalidInputError,
     Partition,
     VertexSet,
     block_sum_map,
+    boolean_restriction_witness,
     brute_force_metrics,
     coordinate_blocks,
     degree,
@@ -178,3 +182,140 @@ def test_block_sum_map_matches_digit_sums(m, n, data):
         for r in range(hi.vertex_count)
     ]
     assert block_sum_map(hi, lo) == expected
+
+
+# exact algebra against independent references: sympy's univariate
+# interpolation for the coefficients, and the Fraction re-interpolation of
+# every candidate restriction for the witness
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _random_function(data):
+    m = data.draw(st.integers(min_value=2, max_value=5), label="m")
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    domain = data.draw(st.lists(rationals, min_size=m, max_size=m, unique=True))
+    codomain = data.draw(st.lists(rationals, min_size=2, max_size=4, unique=True))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    values = [rng.randrange(len(codomain)) for _ in range(m ** n)]
+    return FiniteFunction(domain, codomain, n, values)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_terms(sympy, f):
+    xs = sympy.symbols(f"x0:{f.arity}")
+    nodes = [sympy.Rational(a.numerator, a.denominator) for a in f.domain]
+    bases = [
+        [
+            sympy.Poly(
+                sympy.interpolate([(a, int(k == i)) for k, a in enumerate(nodes)], x),
+                *xs, domain="QQ",
+            )
+            for i in range(len(nodes))
+        ]
+        for x in xs
+    ]
+    total = sympy.Poly(0, *xs, domain="QQ")
+    grid = itertools.product(range(len(nodes)), repeat=f.arity)
+    for idxs, v in zip(grid, f.values):
+        value = f.codomain[v]
+        if value:
+            term = sympy.Poly(sympy.Rational(value.numerator, value.denominator), *xs,
+                              domain="QQ")
+            for j, i in enumerate(idxs):
+                term *= bases[j][i]
+            total += term
+    return {exps: Fraction(int(c.p), int(c.q)) for exps, c in total.terms() if c}
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_interpolate_matches_sympy(sympy, data):
+    f = _random_function(data)
+    assert interpolate(f).terms == _sympy_terms(sympy, f)
+
+
+def _naive_terms(values, axes):
+    # per-axis Lagrange transform of a Fraction value table
+    tensor = [Fraction(v) for v in values]
+    stride = len(tensor)
+    for nodes in axes:
+        size = len(nodes)
+        stride //= size
+        basis = []
+        for i, a in enumerate(nodes):
+            coeffs = [Fraction(1)]
+            for k, b in enumerate(nodes):
+                if k != i:  # multiply by (x - b) / (a - b)
+                    coeffs = [(hi - b * lo) / (a - b)
+                              for hi, lo in zip([0] + coeffs, coeffs + [0])]
+            basis.append(coeffs)
+        for start in range(0, len(tensor), stride * size):
+            for offset in range(stride):
+                column = [tensor[start + offset + t * stride] for t in range(size)]
+                for k in range(size):
+                    tensor[start + offset + k * stride] = sum(
+                        basis[t][k] * column[t] for t in range(size)
+                    )
+    grid = itertools.product(*(range(len(nodes)) for nodes in axes))
+    return [exps for exps, c in zip(grid, tensor) if c]
+
+
+def _naive_witness(f):
+    """The restriction walk, re-interpolating every candidate sub-table."""
+    m, n = len(f.domain), f.arity
+    axes = [list(f.domain)] * n
+    total = max(map(sum, _naive_terms([f.codomain[v] for v in f.values], axes)), default=0)
+    if total < 1:
+        return None
+    components = [[int(v == b) for v in f.values] for b in range(len(f.codomain))]
+    degrees = [max(map(sum, _naive_terms(c, axes)), default=0) for c in components]
+    pick = degrees.index(max(degrees))
+    target = -(-total // (m - 1))
+    values, pairs = components[pick], []
+    for coord in range(n):
+        if m == 2:
+            pairs.append((f.domain[0], f.domain[1]))
+            continue
+        stride = m ** (n - 1 - coord)
+        for s, t in itertools.combinations(range(m), 2):
+            kept = [values[start + i * stride:start + (i + 1) * stride]
+                    for start in range(0, len(values), m * stride) for i in (s, t)]
+            candidate = list(itertools.chain.from_iterable(kept))
+            trial = axes[:coord] + [[f.domain[s], f.domain[t]]] + axes[coord + 1:]
+            support = max((sum(1 for e in exps if e) for exps in _naive_terms(candidate, trial)),
+                          default=0)
+            if support >= target:
+                values, axes = candidate, trial
+                pairs.append((f.domain[s], f.domain[t]))
+                break
+    return f.codomain[pick], tuple(pairs), target, tuple(values)
+
+
+def _witness_summary(f):
+    try:
+        w = boolean_restriction_witness(f)
+    except InvalidInputError:
+        return None
+    return w.range_value, w.retained_pairs, w.target_support, w.boolean_function.values
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_restriction_witness_matches_naive_walk(data):
+    f = _random_function(data)
+    assert _witness_summary(f) == _naive_witness(f)
+
+
+def test_restriction_witness_when_the_last_indicator_carries_the_top_degree():
+    # value 1 on x1 = 0 (degree 2), 0 at (1, 1), 3 elsewhere: the indicators
+    # of 0 and 3 share the top degree 4, and the zero weight leaves f's
+    # degree to the last indicator alone
+    f = FiniteFunction((0, 1, 2), (1, 0, 3), 2, (0, 0, 0, 2, 1, 2, 2, 2, 2))
+    assert degree(f) == 4
+    summary = _witness_summary(f)
+    assert summary[0] == 0 and summary[2] == 2
+    assert summary == _naive_witness(f)
