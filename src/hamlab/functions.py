@@ -436,7 +436,7 @@ def boolean_restriction_witness(
         raise ContractViolationError(
             "chosen indicator exposes no monomial on the target support"
         )
-    pairs = [(0, 1)] * n
+    pairs = [(0, 1)] * n  # kept as they are when the domain has two values
     sizes = [m] * n  # the tensor's axes, leading axis first
     for coord in range(n if m > 2 else 0):
         sizes = sizes[1:] + [2]
