@@ -10,6 +10,7 @@ from .bounds import (
     construction_degree_upper_bound,
     domination_threshold,
     markov_degree_lower_bound,
+    sigma_closed_form,
     subgraph_stats,
     theorem_imbalance_bound,
 )

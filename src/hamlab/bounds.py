@@ -136,6 +136,18 @@ def domination_threshold(m: int, n: int) -> tuple[Fraction, int]:
     return m ** n - gamma_bound, (m - 1) * n
 
 
+def sigma_closed_form(m: int, n: int) -> Optional[int]:
+    """Graph sensitivity of the Hamming graph on (m, n), the value
+    ``oracle sigma`` is checked against: ceil(sqrt(n)) for m = 2 (Huang's
+    lower bound, met by the Chung-Furedi-Graham-Seymour construction), 1 for
+    m >= 3; None where no closed form is known."""
+    if m == 2:
+        return math.isqrt(n - 1) + 1 if n > 0 else 0
+    if m >= 3:
+        return 1
+    return None
+
+
 @dataclass(frozen=True)
 class SubgraphStats:
     """Measured size and induced maximum degree of one vertex set."""

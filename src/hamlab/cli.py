@@ -25,6 +25,7 @@ from .encoding import (
     rational_to_token,
     value_token,
     write_csv,
+    write_json,
     write_records,
 )
 from .errors import (
@@ -96,12 +97,11 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(doc, path: Optional[str]) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        write_json(doc, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write_json(doc, handle)
 
 
 def _emit_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str, path: Optional[str]) -> None:
@@ -204,6 +204,16 @@ def _load_function(path: str) -> fn_mod.FiniteFunction:
     return fn_mod.FiniteFunction.from_doc(_load_json(path))
 
 
+def _load_measured(path: str):
+    """A partition or a vertex-set file, told apart by its keys."""
+    doc = _load_json(path)
+    if isinstance(doc, dict) and "assignment" in doc:
+        return part_mod.Partition.from_doc(doc)
+    if isinstance(doc, dict) and "ranks" in doc:
+        return VertexSet.from_doc(doc)
+    raise UsageError(f"{path} is neither a partition nor a vertex-set document")
+
+
 # ---------------------------------------------------------------- construct
 
 def _cmd_construct(args, caps) -> int:
@@ -280,10 +290,9 @@ def _verify_construction(args, partition, metrics, cap) -> None:
 # ------------------------------------------------------------------ metrics
 
 def _cmd_metrics(args, caps) -> int:
-    doc = _load_json(args.path)
-    if "assignment" in doc:
-        partition = part_mod.Partition.from_doc(doc)
-        metrics = part_mod.partition_metrics(partition, cap=caps["vertices"])
+    loaded = _load_measured(args.path)
+    if isinstance(loaded, part_mod.Partition):
+        metrics = part_mod.partition_metrics(loaded, cap=caps["vertices"])
         print(
             f"max degree {metrics.max_degree}, imbalance {metrics.imbalance}, "
             f"part sizes {list(metrics.part_sizes)}"
@@ -291,13 +300,10 @@ def _cmd_metrics(args, caps) -> int:
         if args.verbose and metrics.witness is not None:
             print(f"degree witness: {list(metrics.witness)}")
         _write_json(metrics.to_doc(), args.out)
-    elif "ranks" in doc:
-        vset = VertexSet.from_doc(doc)
-        measured = induced_max_degree(vset, cap=caps["vertices"])
-        print(f"size {vset.size}, max degree {measured}")
-        _write_json({"size": vset.size, "maxDegree": measured}, args.out)
     else:
-        raise UsageError(f"{args.path} is neither a partition nor a vertex-set document")
+        measured = induced_max_degree(loaded, cap=caps["vertices"])
+        print(f"size {loaded.size}, max degree {measured}")
+        _write_json({"size": loaded.size, "maxDegree": measured}, args.out)
     return 0
 
 
@@ -332,19 +338,15 @@ def _cmd_bounds(args, caps) -> int:
         reports.append(bounds_mod.BoundsReport(
             "domination-degree", args.m, args.n, "full-degree", implied))
     else:  # check
-        doc = _load_json(args.path)
-        if "assignment" in doc:
-            partition = part_mod.Partition.from_doc(doc)
-            metrics = part_mod.partition_metrics(partition, cap=caps["vertices"])
+        loaded = _load_measured(args.path)
+        if isinstance(loaded, part_mod.Partition):
+            metrics = part_mod.partition_metrics(loaded, cap=caps["vertices"])
             reports = bounds_mod.consistency_check(
-                metrics, m=partition.params.m, n=partition.params.n
+                metrics, m=loaded.params.m, n=loaded.params.n
             )
-        elif "ranks" in doc:
-            vset = VertexSet.from_doc(doc)
-            stats = bounds_mod.subgraph_stats(vset, cap=caps["vertices"])
-            reports = bounds_mod.consistency_check(stats)
         else:
-            raise UsageError(f"{args.path} is neither a partition nor a vertex-set document")
+            stats = bounds_mod.subgraph_stats(loaded, cap=caps["vertices"])
+            reports = bounds_mod.consistency_check(stats)
 
     rows = [r.to_record() for r in reports]
     _emit_rows(rows, bounds_mod.REPORT_FIELDS, args.format or "records", args.out)
@@ -448,14 +450,6 @@ def _verify_tribes_family(f, expected_degree, expected_sensitivity, cap) -> int:
 
 # ------------------------------------------------------------------- oracle
 
-def _sigma_closed_form(m: int, n: int) -> Optional[int]:
-    if m == 2:
-        return math.isqrt(n - 1) + 1 if n > 0 else 0
-    if m >= 3:
-        return 1
-    return None
-
-
 def _cmd_oracle(args, caps) -> int:
     budget = oracle_mod.SearchBudget(
         max_vertices=caps["vertices"],
@@ -465,7 +459,7 @@ def _cmd_oracle(args, caps) -> int:
     if args.subcommand == "sigma":
         value = oracle_mod.sigma_exact(args.m, args.n, budget=budget)
         print(f"sigma = {value}")
-        expected = _sigma_closed_form(args.m, args.n)
+        expected = bounds_mod.sigma_closed_form(args.m, args.n)
         if args.format in ("records", "csv"):
             report = bounds_mod.BoundsReport(
                 "sigma", args.m, args.n, f"k={args.m ** (args.n - 1) + 1}",

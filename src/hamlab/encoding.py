@@ -1,10 +1,13 @@
-"""Rational value tokens and report emission shared by the file formats."""
+"""Rational and integer value tokens, JSON artifacts and report emission
+shared by the file formats."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, TextIO
 
 from .errors import InvalidInputError
@@ -30,6 +33,23 @@ def rational_from_token(token) -> Fraction:
     raise InvalidInputError(f"expected integer or 'p/q' string, got {token!r}")
 
 
+def int_token(token) -> int:
+    """An integer field of a file: an exact int, never a bool, float or
+    string."""
+    if type(token) is not int:
+        raise InvalidInputError(f"expected an integer, got {token!r}")
+    return token
+
+
+def int_tokens(tokens) -> tuple[int, ...]:
+    """An array of integers from a file, checked by one scan of its item
+    types."""
+    if not set(map(type, tokens)) <= {int}:
+        bad = next(t for t in tokens if type(t) is not int)
+        raise InvalidInputError(f"expected integers, got {bad!r}")
+    return tuple(tokens)
+
+
 def value_token(value):
     """Serialize ints, Fractions, and floats for records and CSV cells."""
     if isinstance(value, Fraction):
@@ -46,6 +66,87 @@ def write_records(rows: Iterable[dict], stream: TextIO) -> None:
     for row in rows:
         stream.write(json.dumps(row, sort_keys=True))
         stream.write("\n")
+
+
+# the text of a scalar, for the exact types whose text needs no encoder
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+# item types a flat JSON array may hold; exact types, so subclasses of them
+# take the item-by-item path
+_SCALAR_TYPES = frozenset(_SCALAR_TEXT) | {float}
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """C encoder whose item separator starts a new line at ``depth``
+    indentation steps; without ``indent`` the stdlib keeps its C encoder."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _key_token(key) -> str:
+    # non-string keys become the text of their JSON value, as in the stdlib
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = _flat_encoder(0).encode(key)
+    return encode_basestring_ascii(key)
+
+
+def _json_chunks(doc, depth: int, out: list[str]) -> None:
+    """Append to ``out`` the 2-space indented encoding of ``doc``, whose
+    opening line sits ``depth`` indentation steps in."""
+    text = _SCALAR_TEXT.get(type(doc))
+    if text is not None:
+        out.append(text(doc))
+        return
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(doc, dict):
+        if not doc:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(doc.items()):
+            out += (sep, _key_token(key), ": ")
+            _json_chunks(value, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "}")
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            out.append("[]")
+        elif set(map(type, doc)) <= _SCALAR_TYPES:
+            # one C-encoder call lays out every item on its own line
+            flat = _flat_encoder(depth + 1).encode(doc)
+            out += ("[", inner, flat[1:-1], "\n" + "  " * depth + "]")
+        else:
+            sep = "[" + inner
+            for item in doc:
+                out.append(sep)
+                _json_chunks(item, depth + 1, out)
+                sep = "," + inner
+            out.append("\n" + "  " * depth + "]")
+    else:  # floats, subclasses of the scalar types, and what the stdlib rejects
+        out.append(_flat_encoder(0).encode(doc))
+
+
+def write_json(doc, stream: TextIO) -> None:
+    """One JSON artifact: sorted keys, 2-space indentation and one scalar per
+    line, byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+    newline.
+
+    Arrays of scalars go through the C encoder in one call each, where
+    ``indent`` would make the stdlib fall back to its pure-Python encoder.
+    The whole document is encoded before anything is written.
+    """
+    out: list[str] = []
+    _json_chunks(doc, 0, out)
+    out.append("\n")
+    stream.writelines(out)
 
 
 def write_csv(rows: Iterable[dict], fieldnames: Sequence[str], stream: TextIO) -> None:

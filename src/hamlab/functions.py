@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .encoding import rational_from_token, rational_to_token
+from .encoding import int_token, int_tokens, rational_from_token, rational_to_token
 from .errors import (
     DEFAULT_VERTEX_CAP,
     ContractViolationError,
@@ -136,8 +136,8 @@ class FiniteFunction:
         try:
             domain = tuple(rational_from_token(v) for v in doc["A"])
             codomain = tuple(rational_from_token(v) for v in doc["B"])
-            arity = int(doc["n"])
-            values = tuple(int(v) for v in doc["values"])
+            arity = int_token(doc["n"])
+            values = int_tokens(doc["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed function document: {exc}") from exc
         return cls(domain, codomain, arity, values)
@@ -195,13 +195,13 @@ class GridPolynomial:
     @classmethod
     def from_doc(cls, doc: list, arity: Optional[int] = None) -> "GridPolynomial":
         terms = {}
-        for entry in doc:
-            try:
-                exps = tuple(int(e) for e in entry["exponents"])
+        try:
+            for entry in doc:
+                exps = int_tokens(entry["exponents"])
                 coeff = rational_from_token(entry["coefficient"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InvalidInputError(f"malformed polynomial document: {exc}") from exc
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+                terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed polynomial document: {exc}") from exc
         if arity is None:
             if not terms:
                 raise InvalidInputError("cannot infer arity of an empty polynomial document")
@@ -284,24 +284,34 @@ def _digit_counts(sizes: Sequence[int], weight: Callable[[int], int]) -> list[in
     return counts
 
 
+def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[list[int], int]:
+    """The coefficient tensor of f's interpolant in integers (see
+    ``_grid_tensor``), and the positive scale it carries."""
+    check_enumeration(len(f.domain), f.arity, cap, "grid points")
+    lifted, scale = _integer_codomain(f.codomain)
+    tensor = _grid_tensor(list(map(lifted.__getitem__, f.values)), f.domain, f.arity)
+    return tensor, scale * _scaled_lagrange(f.domain)[1] ** f.arity
+
+
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
-    m = len(f.domain)
-    check_enumeration(m, f.arity, cap, "grid points")
-    lifted, scale = _integer_codomain(f.codomain)
-    tensor = _grid_tensor(list(map(lifted.__getitem__, f.values)), f.domain, f.arity)
-    scale *= _scaled_lagrange(f.domain)[1] ** f.arity
-    exponents = itertools.product(range(m), repeat=f.arity)
+    tensor, scale = _scaled_tensor(f, cap)
+    exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
     return GridPolynomial(
         f.arity, {exps: Fraction(c, scale) for exps, c in zip(exponents, tensor) if c}
     )
 
 
 def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """Total degree of the interpolating polynomial; 0 for constants."""
-    return interpolate(f, cap=cap).degree()
+    """Total degree of the interpolating polynomial; 0 for constants.
+
+    Read off the integer tensor: the largest exponent sum of a nonzero
+    entry, with no rational polynomial built."""
+    tensor, _ = _scaled_tensor(f, cap)
+    return max(itertools.compress(_digit_counts([len(f.domain)] * f.arity, int), tensor),
+               default=0)
 
 
 def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:

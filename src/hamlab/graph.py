@@ -14,6 +14,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .encoding import int_token, int_tokens
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, check_enumeration, power_exceeds
 
 Digits = tuple[int, ...]
@@ -119,8 +120,8 @@ class VertexSet:
     @classmethod
     def from_doc(cls, doc: dict) -> "VertexSet":
         try:
-            params = GraphParams(int(doc["m"]), int(doc["n"]))
-            ranks = frozenset(int(r) for r in doc["ranks"])
+            params = GraphParams(int_token(doc["m"]), int_token(doc["n"]))
+            ranks = frozenset(int_tokens(doc["ranks"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed vertex-set document: {exc}") from exc
         return cls(params, ranks)

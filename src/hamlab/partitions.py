@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from .encoding import int_token, int_tokens
 from .errors import (
     DEFAULT_VERTEX_CAP,
     ContractViolationError,
@@ -53,8 +54,8 @@ class Partition:
     @classmethod
     def from_doc(cls, doc: dict) -> "Partition":
         try:
-            params = GraphParams(int(doc["m"]), int(doc["n"]))
-            assignment = tuple(int(a) for a in doc["assignment"])
+            params = GraphParams(int_token(doc["m"]), int_token(doc["n"]))
+            assignment = int_tokens(doc["assignment"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed partition document: {exc}") from exc
         return cls(params, assignment)
@@ -245,7 +246,8 @@ def part_vertex_set(part: Partition, index: int) -> VertexSet:
     """The vertex set of one part."""
     if not 0 <= index < part.params.m:
         raise InvalidInputError(f"part index {index} outside 0..{part.params.m - 1}")
-    ranks = frozenset(r for r, a in enumerate(part.assignment) if a == index)
+    a = part.assignment
+    ranks = frozenset(itertools.compress(range(len(a)), map(index.__eq__, a)))
     return VertexSet(part.params, ranks)
 
 

@@ -19,6 +19,7 @@ from hamlab import (
     domination_threshold,
     low_degree_subgraph,
     markov_degree_lower_bound,
+    sigma_closed_form,
     subgraph_stats,
     theorem_imbalance_bound,
 )
@@ -161,3 +162,11 @@ def test_report_emission_formats():
     write_csv(rows, REPORT_FIELDS, csv_out)
     header = csv_out.getvalue().splitlines()[0]
     assert header == "bound,m,n,d_or_eps,value,measured,verdict"
+
+
+def test_sigma_closed_form():
+    assert [sigma_closed_form(2, n) for n in range(1, 11)] == [
+        math.ceil(math.sqrt(n)) for n in range(1, 11)
+    ]
+    assert sigma_closed_form(3, 4) == sigma_closed_form(7, 1) == 1
+    assert sigma_closed_form(1, 3) is None

@@ -264,3 +264,32 @@ def test_header_reports_seed_and_caps(capsys):
     out = capsys.readouterr().out
     assert "# seed: 9" in out
     assert "# caps: vertices=32" in out
+
+
+@pytest.mark.parametrize("command,doc", [
+    (["metrics"], {"m": 3, "n": 1, "assignment": [0.9, 1.5, True]}),
+    (["metrics"], {"m": 3, "n": 1, "assignment": [0, 1, "2"]}),
+    (["metrics"], {"m": 3.0, "n": 1, "assignment": [0, 1, 2]}),
+    (["metrics"], {"m": 3, "n": True, "assignment": [0, 1, 2]}),
+    (["metrics"], {"m": 3, "n": 2, "ranks": [0.5, "3", True]}),
+    (["metrics"], {"m": 3, "n": "2", "ranks": [0, 3]}),
+    (["fn", "degree"], {"A": [0, 1], "B": [0, 1], "n": 1, "values": [0, 1.0]}),
+    (["fn", "degree"], {"A": [0, 1], "B": [0, 1], "n": 1, "values": [False, True]}),
+    (["fn", "degree"], {"A": [0, 1], "B": [0, 1], "n": "1", "values": [0, 1]}),
+    (["fn", "degree"], {"A": [0, 1], "B": [0, 1], "n": 1.0, "values": [0, 1]}),
+])
+def test_integer_fields_reject_floats_bools_and_strings(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(command + [path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"assignment"'])
+def test_non_object_documents_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for command in (["metrics"], ["bounds", "check"]):
+        assert run(command + [path]) == 1
+        assert "neither a partition nor a vertex-set" in capsys.readouterr().err

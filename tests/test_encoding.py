@@ -1,0 +1,84 @@
+"""The JSON artifact writer: byte-identical to the stdlib's indented dump."""
+
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hamlab.cli import main
+from hamlab.encoding import write_json
+
+
+def encoded(doc) -> str:
+    stream = io.StringIO()
+    write_json(doc, stream)
+    return stream.getvalue()
+
+
+def reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+)
+flat_int_lists = st.lists(st.integers(-5, 10 ** 6), min_size=40, max_size=200)
+json_trees = st.recursive(
+    scalars | flat_int_lists,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+        st.lists(st.dictionaries(st.text(max_size=3), children, max_size=3), max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(doc=json_trees)
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_indented_dumps(doc):
+    assert encoded(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}, [[]]]},
+    (1, (2, 3), [()]), [True, False, None], [float("inf"), float("-inf"), -0.0, 1e300],
+    [float("nan")], "é \"quoted\" \\ \n ☃", {"ü": ["ß", "\U0001f600"]},
+    {"b": 1, "a": {"d": [1, "x"], "c": None}}, [1, "two", 3.0, None, [4]],
+    {1: "int", 2: "keys"}, {1.5: 0}, {True: 0}, {None: 0}, 7, -0.0, None, "",
+])
+def test_writer_edge_cases(doc):
+    assert encoded(doc) == reference(doc)
+
+
+def test_writer_rejects_what_the_stdlib_rejects():
+    with pytest.raises(TypeError):
+        encoded({"a": object()})
+    with pytest.raises(TypeError):
+        encoded({(1, 2): 0})
+
+
+def test_cli_artifacts_reencode_to_their_own_bytes(tmp_path, capsys):
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    part, vset, fn = tmp_path / "t.part", tmp_path / "s.vset", tmp_path / "f.json"
+    run("construct", "theorem1", "--m", 3, "--d", 2, "--n", 5, "--out", part)
+    run("construct", "subgraph", "--m", 3, "--n", 4, "--d", 2, "--out", vset)
+    run("fn", "lifted-tribes", "--m", 3, "--a", 0, "--s", 2, "--out", fn)
+    artifacts = [part, vset, fn]
+    for source, argv in ((part, ["metrics"]), (vset, ["metrics"]),
+                         (fn, ["fn", "interpolate"]), (fn, ["fn", "restrict"])):
+        out = tmp_path / f"{len(artifacts)}.json"
+        run(*argv, source, "--out", out)
+        artifacts.append(out)
+    for path in artifacts:
+        text = path.read_text(encoding="utf-8")
+        assert reference(json.loads(text)) == text, path.name
+
+    # stdout carries the same bytes as the --out file, after the header lines
+    capsys.readouterr()
+    run("metrics", part)
+    assert capsys.readouterr().out.endswith(artifacts[3].read_text(encoding="utf-8"))

@@ -314,6 +314,12 @@ def test_polynomial_doc_sorted_by_degree_then_exponents():
     assert GridPolynomial.from_doc(doc).terms == poly.terms
 
 
+@pytest.mark.parametrize("exponents", [[0, 1.0], [True, 0], ["1", 0]])
+def test_polynomial_doc_rejects_non_integer_exponents(exponents):
+    with pytest.raises(InvalidInputError):
+        GridPolynomial.from_doc([{"exponents": exponents, "coefficient": 1}])
+
+
 def test_polynomial_drops_zero_coefficients():
     poly = GridPolynomial(1, {(0,): Fraction(0), (1,): Fraction(2)})
     assert poly.terms == {(1,): Fraction(2)}

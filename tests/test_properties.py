@@ -319,3 +319,20 @@ def test_restriction_witness_when_the_last_indicator_carries_the_top_degree():
     summary = _witness_summary(f)
     assert summary[0] == 0 and summary[2] == 2
     assert summary == _naive_witness(f)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_degree_matches_interpolated_polynomial(data):
+    f = _random_function(data)
+    # the same table with the coordinates outside ``kept`` pinned to their
+    # first value, so that degrees below (m-1)n and constants come up too
+    m, n = len(f.domain), f.arity
+    kept = data.draw(st.sets(st.integers(0, n - 1)), label="kept")
+    ranks = [
+        sum(d * m ** (n - 1 - j) for j, d in enumerate(digits) if j in kept)
+        for digits in itertools.product(range(m), repeat=n)
+    ]
+    g = FiniteFunction(f.domain, f.codomain, n, [f.values[r] for r in ranks])
+    for h in (f, g):
+        assert degree(h) == interpolate(h).degree()
