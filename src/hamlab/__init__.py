@@ -6,13 +6,18 @@ from .bounds import (
     BoundsReport,
     SubgraphStats,
     cayley_degree_bound,
+    complete_graph_imbalance,
     consistency_check,
     construction_degree_upper_bound,
+    degree_one_imbalance,
     domination_threshold,
+    lift_imbalance,
     markov_degree_lower_bound,
+    sensitivity_floor,
     sigma_closed_form,
     subgraph_stats,
     theorem_imbalance_bound,
+    tribes_degree_sensitivity,
 )
 from .errors import (
     BoundNotApplicableError,

@@ -56,26 +56,52 @@ class BoundsReport:
         }
 
 
+def degree_one_imbalance(m: int, n: int) -> int:
+    """Imbalance of the degree-1 partition on (m, n): m-2 for even m, m-1 for
+    odd m; for n = 1 that partition is the complete-graph one with d = 1."""
+    if m < 2 or n < 1:
+        raise InvalidInputError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+    if n == 1:
+        return complete_graph_imbalance(m, 1)
+    return m - 2 if m % 2 == 0 else m - 1
+
+
+def complete_graph_imbalance(m: int, d: int) -> int:
+    """Imbalance 2*floor(d*m/(d+1)) of the complete-graph partition of K_m
+    into blocks of size at most d+1."""
+    if not 0 <= d <= m:
+        raise InvalidInputError(f"need 0 <= d <= m, got d={d}, m={m}")
+    return 2 * (d * m // (d + 1))
+
+
+def lift_imbalance(m: int, n_base: int, n: int, base_imbalance: int) -> int:
+    """Imbalance of a partition on n' = n_base coordinates lifted to n: every
+    fiber of the block-sum map holds m^(n-n') vertices, so the imbalance
+    scales by exactly that factor."""
+    return base_imbalance * m ** (n - n_base)
+
+
 def theorem_imbalance_bound(m: int, d: int, n: int) -> tuple[Fraction, int]:
     """The closed-form imbalance the main partition theorem promises for
     (m, d, n), alongside the value the construction actually achieves.
 
-    The two coincide for d < n.  For d >= n the closed form
-    2 m^n q/(q+1) with q = floor(d/n) exceeds the construction whenever q+1
-    does not divide m; callers flag (not fail) that gap.
+    The construction lifts the degree-1 partition on ceil(n/d) coordinates
+    for d < n, a complete-graph partition on one coordinate for d >= n.  The
+    two values coincide for d < n.  For d >= n the closed form 2 m^n q/(q+1)
+    with q = floor(d/n) exceeds the construction whenever q+1 does not
+    divide m; callers flag (not fail) that gap.
     """
     if m < 3:
         raise InvalidInputError(f"need m >= 3, got {m}")
     if d < 1 or n < 1:
         raise InvalidInputError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if d < n:
-        parity_term = m - 2 if m % 2 == 0 else m - 1
-        value = parity_term * m ** (n * (d - 1) // d)
-        return Fraction(value), value
+        n_base = -(-n // d)
+        achieved = lift_imbalance(m, n_base, n, degree_one_imbalance(m, n_base))
+        return Fraction(achieved), achieved
     q = d // n
-    paper = Fraction(2 * m ** n * q, q + 1)
-    achieved = m ** (n - 1) * 2 * (m * q // (q + 1))
-    return paper, achieved
+    achieved = lift_imbalance(m, 1, n, complete_graph_imbalance(m, min(q, m)))
+    return Fraction(2 * m ** n * q, q + 1), achieved
 
 
 def markov_degree_lower_bound(m: int, n: int, subgraph_size: int) -> Fraction:
@@ -146,6 +172,18 @@ def sigma_closed_form(m: int, n: int) -> Optional[int]:
     if m >= 3:
         return 1
     return None
+
+
+def tribes_degree_sensitivity(m: int, s: int) -> tuple[int, int]:
+    """Degree (m-1)s^2 and sensitivity (m-1)s of the tribes function with s
+    tribes lifted to an m-symbol alphabet (m = 2: plain tribes)."""
+    return (m - 1) * s * s, (m - 1) * s
+
+
+def sensitivity_floor(m: int, degree: int) -> float:
+    """sqrt(deg/(m-1)): the sensitivity every function of that degree on an
+    m-symbol grid reaches."""
+    return math.sqrt(degree / (m - 1)) if degree else 0.0
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ mathematical claim fails to hold.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -21,6 +21,7 @@ from . import functions as fn_mod
 from . import oracle as oracle_mod
 from . import partitions as part_mod
 from .encoding import (
+    int_token,
     rational_from_token,
     rational_to_token,
     value_token,
@@ -36,7 +37,7 @@ from .errors import (
     ResourceLimitError,
     power_exceeds,
 )
-from .graph import GraphParams, VertexSet, induced_max_degree
+from .graph import VertexSet, induced_max_degree
 
 ENV_CAP_VERTICES = "HAMLAB_CAP_VERTICES"
 ENV_CAP_SUBSETS = "HAMLAB_CAP_SUBSETS"
@@ -45,6 +46,8 @@ ENV_CAP_FUNCTIONS = "HAMLAB_CAP_FUNCTIONS"
 DEFAULT_ORACLE_VERTICES = 32
 DEFAULT_CAP_SUBSETS = 1_000_000
 DEFAULT_CAP_FUNCTIONS = 1_000_000
+
+FORMATS = ("records", "csv")
 
 GRID_FIELDS = (
     "m", "n", "d", "paper_bound", "achieved_imbalance",
@@ -67,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return rational_from_token(text if not text.lstrip("+-").isdigit() else int(text))
+        return rational_from_token(text)
     except InvalidInputError as exc:
         raise UsageError(str(exc))
 
@@ -129,8 +132,8 @@ def _env_default(name: str, fallback: int) -> int:
 
 def _config_int(config: dict, key: str) -> int:
     try:
-        return int(config[key])
-    except (TypeError, ValueError):
+        return int_token(config[key])
+    except InvalidInputError:
         raise UsageError(f"config key {key} = {config[key]!r} is not an integer")
 
 
@@ -166,6 +169,8 @@ def _resolve_caps(args) -> dict:
         args.seed = _config_int(config, "seed")
     if getattr(args, "format", None) is None:
         args.format = config.get("format")
+        if args.format not in (None, *FORMATS):
+            raise UsageError(f"config key format = {args.format!r} is not one of {FORMATS}")
     for name, value in caps.items():
         if value <= 0:
             raise UsageError(f"cap {name} must be positive, got {value}")
@@ -174,7 +179,7 @@ def _resolve_caps(args) -> dict:
 
 def _print_header(args, caps) -> None:
     skip = {
-        "command", "subcommand", "func", "out", "config", "format", "verify",
+        "command", "subcommand", "out", "config", "format", "verify",
         "verbose", "cap_vertices", "cap_subsets", "cap_functions", "seed",
     }
     shown = []
@@ -200,10 +205,6 @@ def _load_partition(path: str) -> part_mod.Partition:
     return part_mod.Partition.from_doc(_load_json(path))
 
 
-def _load_function(path: str) -> fn_mod.FiniteFunction:
-    return fn_mod.FiniteFunction.from_doc(_load_json(path))
-
-
 def _load_measured(path: str):
     """A partition or a vertex-set file, told apart by its keys."""
     doc = _load_json(path)
@@ -226,8 +227,8 @@ def _cmd_construct(args, caps) -> int:
         base = _load_partition(args.base)
         partition = part_mod.lift_partition(base, args.n, degree_cap=args.d, cap=cap)
     elif args.subcommand == "theorem1":
-        partition, achieved = part_mod.theorem_partition(args.m, args.d, args.n, cap=cap)
-        print(f"achieved imbalance: {achieved}")
+        partition = part_mod.theorem_partition(args.m, args.d, args.n, cap=cap)
+        print(f"achieved imbalance: {_promise(args, partition, cap)[1]}")
     else:  # subgraph
         vset = part_mod.low_degree_subgraph(args.m, args.n, args.d, cap=cap)
         print(f"subgraph size: {vset.size}")
@@ -249,42 +250,28 @@ def _cmd_construct(args, caps) -> int:
         if args.verbose:
             print(f"part sizes: {list(metrics.part_sizes)}")
         if args.verify:
-            _verify_construction(args, partition, metrics, cap)
+            degree_cap, expected = _promise(args, partition, cap)
+            if metrics.max_degree > degree_cap or metrics.imbalance != expected:
+                raise VerificationFailure(
+                    f"{args.subcommand} construction measured (delta={metrics.max_degree}, "
+                    f"iota={metrics.imbalance}), expected (<= {degree_cap}, {expected})"
+                )
     _write_json(partition.to_doc(), args.out)
     return 0
 
 
-def _verify_construction(args, partition, metrics, cap) -> None:
-    m = partition.params.m
+def _promise(args, partition, cap) -> tuple[int, int]:
+    """The degree cap and the imbalance a construct subcommand promises."""
+    m, n = partition.params.m, partition.params.n
     if args.subcommand == "degree1":
-        expected = m - 2 if m % 2 == 0 else m - 1
-        if partition.params.n == 1:
-            expected = 2 * ((1 * m) // 2)
-        if metrics.max_degree > 1 or metrics.imbalance != expected:
-            raise VerificationFailure(
-                f"degree-1 construction measured (delta={metrics.max_degree}, "
-                f"iota={metrics.imbalance}), expected (<=1, {expected})"
-            )
-    elif args.subcommand == "complete":
-        expected = 2 * (args.d * m // (args.d + 1))
-        if metrics.max_degree > args.d or metrics.imbalance != expected:
-            raise VerificationFailure(
-                f"complete-graph construction measured (delta={metrics.max_degree}, "
-                f"iota={metrics.imbalance}), expected (<= {args.d}, {expected})"
-            )
-    elif args.subcommand == "lift":
+        return 1, bounds_mod.degree_one_imbalance(m, n)
+    if args.subcommand == "complete":
+        return args.d, bounds_mod.complete_graph_imbalance(m, args.d)
+    if args.subcommand == "lift":
         base = _load_partition(args.base)
-        base_metrics = part_mod.partition_metrics(base, cap=cap)
-        factor = m ** (partition.params.n - base.params.n)
-        if metrics.imbalance != factor * base_metrics.imbalance or metrics.max_degree > args.d:
-            raise VerificationFailure("lift did not scale imbalance exactly or broke the degree cap")
-    elif args.subcommand == "theorem1":
-        _, achieved = bounds_mod.theorem_imbalance_bound(args.m, args.d, args.n)
-        if metrics.max_degree > args.d or metrics.imbalance != achieved:
-            raise VerificationFailure(
-                f"theorem construction measured (delta={metrics.max_degree}, "
-                f"iota={metrics.imbalance}), expected (<= {args.d}, {achieved})"
-            )
+        base_imbalance = part_mod.partition_metrics(base, cap=cap).imbalance
+        return args.d, bounds_mod.lift_imbalance(m, base.params.n, n, base_imbalance)
+    return args.d, bounds_mod.theorem_imbalance_bound(m, args.d, n)[1]
 
 
 # ------------------------------------------------------------------ metrics
@@ -310,44 +297,46 @@ def _cmd_metrics(args, caps) -> int:
 # ------------------------------------------------------------------- bounds
 
 def _cmd_bounds(args, caps) -> int:
-    reports: list[bounds_mod.BoundsReport] = []
-    if args.subcommand == "theorem1":
-        paper, achieved = bounds_mod.theorem_imbalance_bound(args.m, args.d, args.n)
-        reports.append(bounds_mod.BoundsReport(
-            "theorem1-paper", args.m, args.n, f"d={args.d}", paper))
-        reports.append(bounds_mod.BoundsReport(
-            "theorem1-construction", args.m, args.n, f"d={args.d}", achieved))
-    elif args.subcommand == "markov":
-        try:
-            value = bounds_mod.markov_degree_lower_bound(args.m, args.n, args.k)
-        except BoundNotApplicableError as exc:
-            raise UsageError(str(exc))
-        reports.append(bounds_mod.BoundsReport(
-            "markov", args.m, args.n, f"size={args.k}", value))
-    elif args.subcommand == "upper":
-        value = bounds_mod.construction_degree_upper_bound(args.m, args.n, args.eps)
-        reports.append(bounds_mod.BoundsReport(
-            "construction-upper", args.m, args.n, f"eps={args.eps}", value))
-    elif args.subcommand == "cayley":
-        reports.append(bounds_mod.BoundsReport(
-            "cayley", args.m, args.n, "half", bounds_mod.cayley_degree_bound(args.m, args.n)))
-    elif args.subcommand == "domination":
-        threshold, implied = bounds_mod.domination_threshold(args.m, args.n)
-        reports.append(bounds_mod.BoundsReport(
-            "domination-threshold", args.m, args.n, "full-degree", threshold))
-        reports.append(bounds_mod.BoundsReport(
-            "domination-degree", args.m, args.n, "full-degree", implied))
-    else:  # check
+    cap = caps["vertices"]
+    if args.subcommand == "check":
         loaded = _load_measured(args.path)
         if isinstance(loaded, part_mod.Partition):
-            metrics = part_mod.partition_metrics(loaded, cap=caps["vertices"])
+            metrics = part_mod.partition_metrics(loaded, cap=cap)
             reports = bounds_mod.consistency_check(
                 metrics, m=loaded.params.m, n=loaded.params.n
             )
         else:
-            stats = bounds_mod.subgraph_stats(loaded, cap=caps["vertices"])
+            stats = bounds_mod.subgraph_stats(loaded, cap=cap)
             reports = bounds_mod.consistency_check(stats)
+        return _emit_bound_reports(args, reports)
 
+    m, n = args.m, args.n
+    # the closed forms compute m^n; their own checks reject m < 2 and n < 1
+    if m > 1 and n > 0 and power_exceeds(m, n, cap):
+        raise ResourceLimitError(
+            f"the graph on {m}^{n} vertices exceeds the configured cap of {cap}"
+        )
+    if args.subcommand == "theorem1":
+        paper, achieved = bounds_mod.theorem_imbalance_bound(m, args.d, n)
+        values = [("theorem1-paper", f"d={args.d}", paper),
+                  ("theorem1-construction", f"d={args.d}", achieved)]
+    elif args.subcommand == "markov":
+        values = [("markov", f"size={args.k}",
+                   bounds_mod.markov_degree_lower_bound(m, n, args.k))]
+    elif args.subcommand == "upper":
+        values = [("construction-upper", f"eps={args.eps}",
+                   bounds_mod.construction_degree_upper_bound(m, n, args.eps))]
+    elif args.subcommand == "cayley":
+        values = [("cayley", "half", bounds_mod.cayley_degree_bound(m, n))]
+    else:  # domination
+        threshold, implied = bounds_mod.domination_threshold(m, n)
+        values = [("domination-threshold", "full-degree", threshold),
+                  ("domination-degree", "full-degree", implied)]
+    reports = [bounds_mod.BoundsReport(name, m, n, label, value) for name, label, value in values]
+    return _emit_bound_reports(args, reports)
+
+
+def _emit_bound_reports(args, reports: list[bounds_mod.BoundsReport]) -> int:
     rows = [r.to_record() for r in reports]
     _emit_rows(rows, bounds_mod.REPORT_FIELDS, args.format or "records", args.out)
     if any(r.satisfied is False for r in reports):
@@ -359,26 +348,30 @@ def _cmd_bounds(args, caps) -> int:
 
 def _cmd_fn(args, caps) -> int:
     cap = caps["vertices"]
-    if args.subcommand == "tribes":
-        f = fn_mod.tribes(args.s, cap=cap)
+    if args.subcommand in ("tribes", "lifted-tribes"):
+        if args.subcommand == "tribes":
+            f = fn_mod.tribes(args.s, cap=cap)
+        else:
+            f = fn_mod.lifted_tribes(tuple(range(args.m)), args.a, args.s, cap=cap)
         _write_json(f.to_doc(), args.out)
-        if args.verify:
-            return _verify_tribes_family(f, expected_degree=args.s ** 2, expected_sensitivity=args.s, cap=cap)
-        return 0
-    if args.subcommand == "lifted-tribes":
-        domain = tuple(range(args.m))
-        f = fn_mod.lifted_tribes(domain, args.a, args.s, cap=cap)
-        _write_json(f.to_doc(), args.out)
-        if args.verify:
-            return _verify_tribes_family(
-                f,
-                expected_degree=(args.m - 1) * args.s ** 2,
-                expected_sensitivity=(args.m - 1) * args.s,
-                cap=cap,
-            )
+        if not args.verify:
+            return 0
+        m = len(f.domain)
+        expected_degree, expected_sensitivity = bounds_mod.tribes_degree_sensitivity(m, args.s)
+        measured_degree = fn_mod.degree(f, cap=cap)
+        measured_sensitivity, _ = fn_mod.sensitivity(f, cap=cap)
+        ok = (measured_degree, measured_sensitivity) == (expected_degree, expected_sensitivity)
+        print(
+            f"degree {measured_degree} (expected {expected_degree}), "
+            f"sensitivity {measured_sensitivity} (expected {expected_sensitivity}), "
+            f"bound {bounds_mod.sensitivity_floor(m, measured_degree):g}, "
+            f"verdict {'PASS' if ok else 'FAIL'}"
+        )
+        if not ok:
+            raise VerificationFailure("tribes construction missed its guaranteed values")
         return 0
 
-    f = _load_function(args.path)
+    f = fn_mod.FiniteFunction.from_doc(_load_json(args.path))
     if args.subcommand == "interpolate":
         poly = fn_mod.interpolate(f, cap=cap)
         print(f"degree {poly.degree()}, {len(poly.terms)} terms")
@@ -429,26 +422,16 @@ def _cmd_fn(args, caps) -> int:
     return 0
 
 
-def _verify_tribes_family(f, expected_degree, expected_sensitivity, cap) -> int:
-    measured_degree = fn_mod.degree(f, cap=cap)
-    measured_sensitivity, _ = fn_mod.sensitivity(f, cap=cap)
-    m = len(f.domain)
-    floor = math.sqrt(measured_degree / (m - 1)) if measured_degree else 0.0
-    ok = (
-        measured_degree == expected_degree
-        and measured_sensitivity == expected_sensitivity
-    )
-    print(
-        f"degree {measured_degree} (expected {expected_degree}), "
-        f"sensitivity {measured_sensitivity} (expected {expected_sensitivity}), "
-        f"bound {floor:g}, verdict {'PASS' if ok else 'FAIL'}"
-    )
-    if not ok:
-        raise VerificationFailure("tribes construction missed its guaranteed values")
-    return 0
-
-
 # ------------------------------------------------------------------- oracle
+
+def _emit_oracle(args, report: bounds_mod.BoundsReport, doc: dict) -> None:
+    """One report row when a format is chosen, else the JSON artifact (only
+    with ``--out``)."""
+    if args.format:
+        _emit_rows([report.to_record()], bounds_mod.REPORT_FIELDS, args.format, args.out)
+    elif args.out:
+        _write_json(doc, args.out)
+
 
 def _cmd_oracle(args, caps) -> int:
     budget = oracle_mod.SearchBudget(
@@ -460,15 +443,12 @@ def _cmd_oracle(args, caps) -> int:
         value = oracle_mod.sigma_exact(args.m, args.n, budget=budget)
         print(f"sigma = {value}")
         expected = bounds_mod.sigma_closed_form(args.m, args.n)
-        if args.format in ("records", "csv"):
-            report = bounds_mod.BoundsReport(
-                "sigma", args.m, args.n, f"k={args.m ** (args.n - 1) + 1}",
-                expected if expected is not None else value, value,
-                None if expected is None else value == expected,
-            )
-            _emit_rows([report.to_record()], bounds_mod.REPORT_FIELDS, args.format, args.out)
-        elif args.out:
-            _write_json({"m": args.m, "n": args.n, "sigma": value}, args.out)
+        report = bounds_mod.BoundsReport(
+            "sigma", args.m, args.n, f"k={args.m ** (args.n - 1) + 1}",
+            expected if expected is not None else value, value,
+            None if expected is None else value == expected,
+        )
+        _emit_oracle(args, report, {"m": args.m, "n": args.n, "sigma": value})
         if expected is not None and value != expected:
             raise VerificationFailure(f"measured sigma {value} != closed form {expected}")
         return 0
@@ -477,16 +457,9 @@ def _cmd_oracle(args, caps) -> int:
             args.m, args.n, args.k, budget=budget, fix_first_vertex=args.prune
         )
         print(f"min max degree over size-{args.k} subsets = {value}")
-        if args.format in ("records", "csv"):
-            report = bounds_mod.BoundsReport(
-                "min-max-degree", args.m, args.n, f"k={args.k}", value)
-            _emit_rows([report.to_record()], bounds_mod.REPORT_FIELDS, args.format, args.out)
-        elif args.out:
-            _write_json(
-                {"m": args.m, "n": args.n, "k": args.k, "minMaxDegree": value,
-                 "witness": witness.to_doc()},
-                args.out,
-            )
+        report = bounds_mod.BoundsReport("min-max-degree", args.m, args.n, f"k={args.k}", value)
+        _emit_oracle(args, report, {"m": args.m, "n": args.n, "k": args.k,
+                                    "minMaxDegree": value, "witness": witness.to_doc()})
         return 0
     if args.subcommand == "functions":
         domain = tuple(range(args.m))
@@ -500,16 +473,13 @@ def _cmd_oracle(args, caps) -> int:
             f"{report.violations} violations, min ratio "
             f"{report.min_ratio if report.min_ratio is not None else 'n/a'}"
         )
-        if args.format in ("records", "csv"):
-            row = bounds_mod.BoundsReport(
-                "sensitivity-theorem", args.m, args.n,
-                f"functions={report.functions_checked}",
-                report.min_ratio if report.min_ratio is not None else 0,
-                report.violations, report.violations == 0,
-            )
-            _emit_rows([row.to_record()], bounds_mod.REPORT_FIELDS, args.format, args.out)
-        elif args.out:
-            _write_json(report.to_doc(), args.out)
+        row = bounds_mod.BoundsReport(
+            "sensitivity-theorem", args.m, args.n,
+            f"functions={report.functions_checked}",
+            report.min_ratio if report.min_ratio is not None else 0,
+            report.violations, report.violations == 0,
+        )
+        _emit_oracle(args, row, report.to_doc())
         if report.violations:
             raise VerificationFailure(f"{report.violations} functions violated a bound")
         return 0
@@ -536,40 +506,26 @@ def _cmd_report(args, caps) -> int:
     cap = caps["vertices"]
     rows = []
     any_fail = False
-    for m in args.m_range:
-        for n in args.n_range:
-            for d in args.d_range:
-                row = {"m": m, "n": n, "d": d}
-                if power_exceeds(m, n, cap):
-                    row.update(
-                        paper_bound=None, achieved_imbalance=None,
-                        measured_imbalance=None, measured_max_degree=None,
-                        verdict="SKIPPED",
-                    )
-                    rows.append(row)
-                    continue
-                paper, achieved = bounds_mod.theorem_imbalance_bound(m, d, n)
-                partition, achieved_again = part_mod.theorem_partition(m, d, n, cap=cap)
-                metrics = part_mod.partition_metrics(partition, cap=cap)
-                if (
-                    metrics.max_degree > d
-                    or metrics.imbalance != achieved
-                    or achieved_again != achieved
-                ):
-                    verdict = "FAIL"
-                elif Fraction(achieved) >= paper:
-                    verdict = "PASS"
-                else:
-                    verdict = "FLAG" if d >= n else "FAIL"
-                any_fail = any_fail or verdict == "FAIL"
-                row.update(
-                    paper_bound=value_token(paper),
-                    achieved_imbalance=achieved,
-                    measured_imbalance=metrics.imbalance,
-                    measured_max_degree=metrics.max_degree,
-                    verdict=verdict,
-                )
-                rows.append(row)
+    for m, n, d in itertools.product(args.m_range, args.n_range, args.d_range):
+        if power_exceeds(m, n, cap):
+            rows.append({"m": m, "n": n, "d": d, **dict.fromkeys(GRID_FIELDS[3:-1]),
+                         "verdict": "SKIPPED"})
+            continue
+        paper, achieved = bounds_mod.theorem_imbalance_bound(m, d, n)
+        partition = part_mod.theorem_partition(m, d, n, cap=cap)
+        metrics = part_mod.partition_metrics(partition, cap=cap)
+        if metrics.max_degree > d or metrics.imbalance != achieved:
+            verdict = "FAIL"
+        elif Fraction(achieved) >= paper:
+            verdict = "PASS"
+        else:
+            verdict = "FLAG" if d >= n else "FAIL"
+        any_fail = any_fail or verdict == "FAIL"
+        rows.append({
+            "m": m, "n": n, "d": d, "paper_bound": value_token(paper),
+            "achieved_imbalance": achieved, "measured_imbalance": metrics.imbalance,
+            "measured_max_degree": metrics.max_degree, "verdict": verdict,
+        })
     _emit_rows(rows, GRID_FIELDS, args.format or "records", args.out)
     if any_fail:
         raise VerificationFailure("a grid cell failed its construction guarantee")
@@ -578,17 +534,62 @@ def _cmd_report(args, caps) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(parser, out=True, fmt=False, verify=False):
+# arguments beyond the required integer flags
+_PATH = ("path", {})
+_BASE = ("--base", {"required": True, "help": "base partition file"})
+_EPS = ("--eps", {"type": _rational, "required": True})
+_PRUNE = ("--prune", {"action": "store_true",
+                      "help": "fix vertex 0 in every subset (vertex-transitive pruning)"})
+_SAMPLES = ("--samples", {"type": int, "default": None})
+_RANGES = tuple((f"--{axis}-range", {"type": _int_range, "required": True}) for axis in "mnd")
+_FLAG_HELP = {"m": "alphabet size (domain 0..m-1)", "b": "range size (outputs 0..b-1)"}
+
+# command, subcommand (None for a command without one), its required integer
+# flags, its other arguments, and which of --format and --verify it takes
+_SUBCOMMANDS = (
+    ("construct", "degree1", "m n", (), "verify"),
+    ("construct", "complete", "m d", (), "verify"),
+    ("construct", "lift", "n d", (_BASE,), "verify"),
+    ("construct", "theorem1", "m d n", (), "verify"),
+    ("construct", "subgraph", "m n d", (), "verify"),
+    ("metrics", None, "", (_PATH,), ""),
+    ("bounds", "theorem1", "m d n", (), "format"),
+    ("bounds", "markov", "m n k", (), "format"),
+    ("bounds", "upper", "m n", (_EPS,), "format"),
+    ("bounds", "cayley", "m n", (), "format"),
+    ("bounds", "domination", "m n", (), "format"),
+    ("bounds", "check", "", (_PATH,), "format"),
+    *(("fn", name, "", (_PATH,), "")
+      for name in ("interpolate", "degree", "sensitivity", "decompose", "restrict", "verify")),
+    ("fn", "tribes", "s", (), "verify"),
+    ("fn", "lifted-tribes", "m a s", (), "verify"),
+    ("oracle", "sigma", "m n", (), "format"),
+    ("oracle", "subsets", "m n k", (_PRUNE,), "format"),
+    ("oracle", "functions", "m b n", (_SAMPLES,), "format"),
+    ("oracle", "metrics", "", (_PATH,), "verify"),
+    ("report", "grid", "", _RANGES, "format"),
+)
+
+_COMMANDS = {
+    "construct": (_cmd_construct, "build partitions and subgraphs"),
+    "metrics": (_cmd_metrics, "measure a partition or vertex-set file"),
+    "bounds": (_cmd_bounds, "evaluate bound formulas"),
+    "fn": (_cmd_fn, "analyze functions on finite grids"),
+    "oracle": (_cmd_oracle, "brute-force ground truth"),
+    "report": (_cmd_report, "sweep the construction grid"),
+}
+
+
+def _add_common(parser, fmt: bool, verify: bool) -> None:
     parser.add_argument("--cap-vertices", type=int, default=None)
     parser.add_argument("--cap-subsets", type=int, default=None)
     parser.add_argument("--cap-functions", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="JSON file with default caps/seed/format")
     parser.add_argument("--verbose", action="store_true", help="print extra detail lines")
-    if out:
-        parser.add_argument("--out", default=None, help="artifact output path")
+    parser.add_argument("--out", default=None, help="artifact output path")
     if fmt:
-        parser.add_argument("--format", choices=("records", "csv"), default=None)
+        parser.add_argument("--format", choices=FORMATS, default=None)
     else:
         parser.set_defaults(format=None)
     if verify:
@@ -600,111 +601,21 @@ def _add_common(parser, out=True, fmt=False, verify=False):
 def build_parser() -> _Parser:
     parser = _Parser(prog="hamlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    construct = commands.add_parser("construct", help="build partitions and subgraphs")
-    csub = construct.add_subparsers(dest="subcommand", required=True)
-    for name, flags in (
-        ("degree1", ("m", "n")),
-        ("complete", ("m", "d")),
-        ("lift", ("n", "d")),
-        ("theorem1", ("m", "d", "n")),
-        ("subgraph", ("m", "n", "d")),
-    ):
-        sub = csub.add_parser(name)
-        for flag in flags:
-            sub.add_argument(f"--{flag}", type=int, required=True)
-        if name == "lift":
-            sub.add_argument("--base", required=True, help="base partition file")
-        _add_common(sub, verify=True)
-        sub.set_defaults(func=_cmd_construct)
-
-    metrics = commands.add_parser("metrics", help="measure a partition or vertex-set file")
-    metrics.add_argument("path")
-    _add_common(metrics)
-    metrics.set_defaults(func=_cmd_metrics, subcommand=None)
-
-    bounds = commands.add_parser("bounds", help="evaluate bound formulas")
-    bsub = bounds.add_subparsers(dest="subcommand", required=True)
-    sub = bsub.add_parser("theorem1")
-    for flag in ("m", "d", "n"):
-        sub.add_argument(f"--{flag}", type=int, required=True)
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_bounds)
-    sub = bsub.add_parser("markov")
-    for flag in ("m", "n", "k"):
-        sub.add_argument(f"--{flag}", type=int, required=True)
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_bounds)
-    sub = bsub.add_parser("upper")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--eps", type=_rational, required=True)
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_bounds)
-    for name in ("cayley", "domination"):
-        sub = bsub.add_parser(name)
-        sub.add_argument("--m", type=int, required=True)
-        sub.add_argument("--n", type=int, required=True)
-        _add_common(sub, fmt=True)
-        sub.set_defaults(func=_cmd_bounds)
-    sub = bsub.add_parser("check")
-    sub.add_argument("path")
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_bounds)
-
-    fn = commands.add_parser("fn", help="analyze functions on finite grids")
-    fsub = fn.add_subparsers(dest="subcommand", required=True)
-    for name in ("interpolate", "degree", "sensitivity", "decompose", "restrict", "verify"):
-        sub = fsub.add_parser(name)
-        sub.add_argument("path")
-        _add_common(sub)
-        sub.set_defaults(func=_cmd_fn)
-    sub = fsub.add_parser("tribes")
-    sub.add_argument("--s", type=int, required=True)
-    _add_common(sub, verify=True)
-    sub.set_defaults(func=_cmd_fn)
-    sub = fsub.add_parser("lifted-tribes")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--a", type=int, required=True)
-    sub.add_argument("--s", type=int, required=True)
-    _add_common(sub, verify=True)
-    sub.set_defaults(func=_cmd_fn)
-
-    oracle = commands.add_parser("oracle", help="brute-force ground truth")
-    osub = oracle.add_subparsers(dest="subcommand", required=True)
-    sub = osub.add_parser("sigma")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_oracle)
-    sub = osub.add_parser("subsets")
-    for flag in ("m", "n", "k"):
-        sub.add_argument(f"--{flag}", type=int, required=True)
-    sub.add_argument("--prune", action="store_true",
-                     help="fix vertex 0 in every subset (vertex-transitive pruning)")
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_oracle)
-    sub = osub.add_parser("functions")
-    sub.add_argument("--m", type=int, required=True, help="alphabet size (domain 0..m-1)")
-    sub.add_argument("--b", type=int, required=True, help="range size (outputs 0..b-1)")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--samples", type=int, default=None)
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_oracle)
-    sub = osub.add_parser("metrics")
-    sub.add_argument("path")
-    _add_common(sub, verify=True)
-    sub.set_defaults(func=_cmd_oracle)
-
-    report = commands.add_parser("report", help="sweep the construction grid")
-    rsub = report.add_subparsers(dest="subcommand", required=True)
-    sub = rsub.add_parser("grid")
-    sub.add_argument("--m-range", type=_int_range, required=True)
-    sub.add_argument("--n-range", type=_int_range, required=True)
-    sub.add_argument("--d-range", type=_int_range, required=True)
-    _add_common(sub, fmt=True)
-    sub.set_defaults(func=_cmd_report)
-
+    groups = {}
+    for command, subcommand, flags, extras, options in _SUBCOMMANDS:
+        if subcommand is None:
+            sub = commands.add_parser(command, help=_COMMANDS[command][1])
+            sub.set_defaults(subcommand=None)
+        else:
+            if command not in groups:
+                group = commands.add_parser(command, help=_COMMANDS[command][1])
+                groups[command] = group.add_subparsers(dest="subcommand", required=True)
+            sub = groups[command].add_parser(subcommand)
+        for flag in flags.split():
+            sub.add_argument(f"--{flag}", type=int, required=True, help=_FLAG_HELP.get(flag))
+        for name, spec in extras:
+            sub.add_argument(name, **spec)
+        _add_common(sub, fmt="format" in options, verify="verify" in options)
     return parser
 
 
@@ -714,14 +625,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         caps = _resolve_caps(args)
         _print_header(args, caps)
-        return args.func(args, caps)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidInputError, BoundNotApplicableError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _COMMANDS[args.command][0](args, caps)
+    except (
+        UsageError, InvalidInputError, BoundNotApplicableError, ResourceLimitError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (VerificationFailure, ContractViolationError) as exc:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, TextIO
@@ -20,12 +21,23 @@ def rational_to_token(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# an integer, "p/q" or a plain decimal; Fraction alone also takes exponents,
+# and "1e999999999" would expand to a billion-digit integer
+_RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def rational_from_token(token) -> Fraction:
+    """A rational field of a file or flag: an int, or a string holding an
+    integer, "p/q" or a plain decimal."""
     if isinstance(token, bool):
         raise InvalidInputError(f"expected a rational token, got {token!r}")
     if isinstance(token, int):
         return Fraction(token)
     if isinstance(token, str):
+        if not _RATIONAL_TEXT.fullmatch(token):
+            raise InvalidInputError(
+                f"bad rational token {token!r}: expected an integer, 'p/q' or a plain decimal"
+            )
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:

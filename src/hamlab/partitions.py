@@ -197,17 +197,13 @@ def lift_partition(
     return Partition(target, assignment)
 
 
-def theorem_partition(
-    m: int, d: int, n: int, cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[Partition, int]:
+def theorem_partition(m: int, d: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
     """Partition with maximum degree at most d and the largest imbalance the
     lifted constructions achieve.
 
-    For d < n, lifts the degree-1 construction on ceil(n/d) coordinates and
-    achieves (m-2 or m-1, by parity) * m^floor(n(d-1)/d) exactly.  For d >= n,
-    lifts a complete-graph partition and achieves
-    m^(n-1) * 2*floor(m*floor(d/n) / (floor(d/n)+1)) exactly.  Returns the
-    partition together with the achieved imbalance.
+    For d < n, lifts the degree-1 construction on ceil(n/d) coordinates; for
+    d >= n, lifts a complete-graph partition on one coordinate.  The
+    imbalance it achieves is ``bounds.theorem_imbalance_bound(m, d, n)[1]``.
     """
     if m < 3:
         raise InvalidInputError(f"need m >= 3, got {m}")
@@ -215,17 +211,11 @@ def theorem_partition(
         raise InvalidInputError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if d < n:
         base = degree_one_partition(m, -(-n // d), cap=cap)
-        lifted = lift_partition(base, n, degree_cap=d, cap=cap)
-        parity_term = m - 2 if m % 2 == 0 else m - 1
-        achieved = parity_term * m ** (n - base.params.n)
     else:
-        q = d // n
         # the complete-graph lemma needs its degree parameter <= m; beyond
         # that the single-part layout is already optimal for this family
-        base = complete_graph_partition(m, min(q, m), cap=cap)
-        lifted = lift_partition(base, n, degree_cap=d, cap=cap)
-        achieved = m ** (n - 1) * 2 * (m * q // (q + 1))
-    return lifted, achieved
+        base = complete_graph_partition(m, min(d // n, m), cap=cap)
+    return lift_partition(base, n, degree_cap=d, cap=cap)
 
 
 def partition_metrics(part: Partition, cap: int = DEFAULT_VERTEX_CAP) -> PartitionMetrics:
@@ -252,7 +242,8 @@ def part_vertex_set(part: Partition, index: int) -> VertexSet:
 
 
 def low_degree_subgraph(m: int, n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> VertexSet:
-    """Large vertex set inducing a subgraph of maximum degree at most d.
+    """Large vertex set inducing a subgraph of maximum degree at most d: one
+    part of the theorem partition.
 
     For d < n the lift of the largest degree-1 part, of size
     m^(n-1) + m^floor((d-1)n/d); for d >= n the lift of one full block of the
@@ -262,11 +253,4 @@ def low_degree_subgraph(m: int, n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -
         raise InvalidInputError(f"need m >= 3, got {m}")
     if not 1 <= d <= (m - 1) * n:
         raise InvalidInputError(f"need 1 <= d <= (m-1)n = {(m - 1) * n}, got d={d}")
-    if d < n:
-        base = degree_one_partition(m, -(-n // d), cap=cap)
-        part_index = 1
-    else:
-        base = complete_graph_partition(m, d // n, cap=cap)
-        part_index = 0
-    lifted = lift_partition(base, n, degree_cap=d, cap=cap)
-    return part_vertex_set(lifted, part_index)
+    return part_vertex_set(theorem_partition(m, d, n, cap=cap), int(d < n))

@@ -59,7 +59,7 @@ def _collect_measured_parts():
     for m in (3, 4, 5):
         for n in (2, 3, 4):
             for d in range(1, n):
-                partition, _ = theorem_partition(m, d, n)
+                partition = theorem_partition(m, d, n)
                 for index in range(m):
                     part = part_vertex_set(partition, index)
                     measured.append((m, n, part.size, induced_max_degree(part)))
@@ -141,23 +141,22 @@ def test_criterion_05_theorem_sweep():
     for m in (3, 4, 5):
         for n in (2, 3, 4):
             for d in range(1, n):
-                partition, achieved = theorem_partition(m, d, n)
-                metrics = partition_metrics(partition)
+                metrics = partition_metrics(theorem_partition(m, d, n))
+                _, achieved = theorem_imbalance_bound(m, d, n)
                 parity = m - 2 if m % 2 == 0 else m - 1
                 closed_form = parity * m ** (n * (d - 1) // d)
                 assert metrics.max_degree <= d, (m, n, d)
                 assert achieved == closed_form == metrics.imbalance, (m, n, d)
             for d in range(n, 2 * n + 2):
-                partition, achieved = theorem_partition(m, d, n)
-                metrics = partition_metrics(partition)
+                metrics = partition_metrics(theorem_partition(m, d, n))
+                paper, achieved = theorem_imbalance_bound(m, d, n)
                 q = d // n
                 assert metrics.max_degree <= d
                 assert achieved == m ** (n - 1) * 2 * (m * q // (q + 1))
                 assert achieved == metrics.imbalance
-                paper, _ = theorem_imbalance_bound(m, d, n)
                 if Fraction(achieved) < paper:
                     flagged.append((m, n, d))
-    partition, achieved = theorem_partition(4, 5, 2)
+    achieved = partition_metrics(theorem_partition(4, 5, 2)).imbalance
     paper, _ = theorem_imbalance_bound(4, 5, 2)
     assert achieved == 16 and paper == Fraction(64, 3)
     assert (4, 2, 5) in [(m, n, d) for (m, n, d) in flagged] or Fraction(16) < paper

@@ -14,14 +14,23 @@ from hamlab import (
     SubgraphStats,
     VertexSet,
     cayley_degree_bound,
+    complete_graph_imbalance,
+    complete_graph_partition,
     consistency_check,
     construction_degree_upper_bound,
+    degree_one_imbalance,
+    degree_one_partition,
     domination_threshold,
+    lift_imbalance,
+    lift_partition,
     low_degree_subgraph,
     markov_degree_lower_bound,
+    partition_metrics,
+    sensitivity_floor,
     sigma_closed_form,
     subgraph_stats,
     theorem_imbalance_bound,
+    tribes_degree_sensitivity,
 )
 from hamlab.bounds import REPORT_FIELDS
 from hamlab.encoding import write_csv, write_records
@@ -34,6 +43,45 @@ def test_theorem_bound_cases():
     assert paper == 2 and achieved == 2
     paper, achieved = theorem_imbalance_bound(4, 5, 2)
     assert paper == Fraction(64, 3) and achieved == 16
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_degree_one_imbalance_matches_the_partition(m, n):
+    assert degree_one_imbalance(m, n) == partition_metrics(degree_one_partition(m, n)).imbalance
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_complete_graph_imbalance_matches_the_partition(m):
+    for d in range(m + 1):
+        measured = partition_metrics(complete_graph_partition(m, d)).imbalance
+        assert complete_graph_imbalance(m, d) == measured, (m, d)
+
+
+def test_lift_imbalance_matches_the_lifted_partition():
+    for m, n_base, n in [(3, 2, 4), (4, 2, 3), (5, 1, 3), (3, 3, 5)]:
+        base = degree_one_partition(m, n_base)
+        lifted = lift_partition(base, n, degree_cap=n)
+        expected = lift_imbalance(m, n_base, n, partition_metrics(base).imbalance)
+        assert partition_metrics(lifted).imbalance == expected, (m, n_base, n)
+
+
+def test_construction_imbalances_reject_bad_input():
+    with pytest.raises(InvalidInputError):
+        degree_one_imbalance(1, 3)
+    with pytest.raises(InvalidInputError):
+        degree_one_imbalance(3, 0)
+    with pytest.raises(InvalidInputError):
+        complete_graph_imbalance(3, 4)
+    with pytest.raises(InvalidInputError):
+        complete_graph_imbalance(3, -1)
+
+
+def test_tribes_values_and_sensitivity_floor():
+    assert tribes_degree_sensitivity(2, 3) == (9, 3)
+    assert tribes_degree_sensitivity(3, 2) == (8, 4)
+    assert sensitivity_floor(3, 8) == 2.0
+    assert sensitivity_floor(2, 0) == 0.0
 
 
 def test_theorem_bound_rejects_bad_input():

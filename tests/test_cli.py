@@ -187,7 +187,8 @@ def test_config_file_defaults(tmp_path, capsys):
 
 def test_malformed_config_exits_one(tmp_path, capsys):
     config_path = tmp_path / "caps.json"
-    for doc in ({"capVertices": "abc"}, {"seed": [1]}, [100]):
+    for doc in ({"capVertices": "abc"}, {"seed": [1]}, [100], {"seed": 1.5},
+                {"capVertices": True}, {"capSubsets": 1e3}, {"format": "xml"}):
         config_path.write_text(json.dumps(doc))
         assert run(["construct", "degree1", "--m", 3, "--n", 2,
                     "--config", config_path]) == 1
@@ -223,6 +224,35 @@ def test_huge_oracle_and_complete_graph_runs_exit_one(capsys, argv):
     assert run(argv) == 1
     assert time.perf_counter() - start < 2
     assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "theorem1", "--m", 3, "--d", 2, "--n"],
+    ["bounds", "markov", "--m", 3, "--k", 12, "--n"],
+    ["bounds", "domination", "--m", 3, "--n"],
+])
+def test_bounds_respect_the_vertex_cap(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv + [99_999_999]) == 1
+    assert time.perf_counter() - start < 2
+    assert "exceeds the configured cap" in capsys.readouterr().err
+    assert run(argv + [3, "--cap-vertices", 26]) == 1
+    assert "3^3 vertices exceeds the configured cap of 26" in capsys.readouterr().err
+    assert run(argv + [3, "--cap-vertices", 27]) == 0
+
+
+def test_exponent_tokens_exit_one(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"A": [0, "1e999999999"], "B": [0, 1], "n": 1,
+                                "values": [0, 1]}))
+    start = time.perf_counter()
+    assert run(["fn", "degree", path]) == 1
+    assert "bad rational token" in capsys.readouterr().err
+    assert run(["bounds", "upper", "--m", 3, "--n", 4, "--eps", "1e999999999"]) == 1
+    assert "bad rational token" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2
+    assert run(["bounds", "upper", "--m", 3, "--n", 4, "--eps", "0.1"]) == 0
+    assert "eps=1/10" in capsys.readouterr().out
 
 
 def test_tribes_and_grid_respect_the_vertex_cap(tmp_path, capsys):

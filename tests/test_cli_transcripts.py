@@ -1,0 +1,134 @@
+"""Recorded CLI transcripts: one small run of every subcommand, compared byte
+for byte (exit status, stdout, stderr and the ``--out`` artifact) with
+``cli_transcripts.json``.
+
+The cases run in order in one directory, so later cases read the artifacts
+of earlier ones.  To re-record after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_transcripts.py --record`` from the
+repository root.
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hamlab.cli import main
+
+TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
+
+# input files written before the first case
+INPUTS = {
+    "rational.fn": {"A": ["-1/2", "0.5", 2], "B": [0, "3/4"], "n": 2,
+                    "values": [0, 1, 1, 0, 0, 1, 1, 1, 0]},
+    "config.json": {"capVertices": 1000, "format": "csv", "seed": 4},
+}
+
+CASES = [
+    ["construct", "degree1", "--m", "3", "--n", "2", "--out", "base.part", "--verify",
+     "--verbose"],
+    ["construct", "degree1", "--m", "4", "--n", "1", "--verify"],
+    ["construct", "complete", "--m", "5", "--d", "2", "--out", "complete.part", "--verify",
+     "--verbose"],
+    ["construct", "lift", "--base", "base.part", "--n", "4", "--d", "2", "--out",
+     "lifted.part", "--verify", "--verbose"],
+    ["construct", "lift", "--base", "base.part", "--n", "5", "--d", "1"],
+    ["construct", "theorem1", "--m", "3", "--d", "2", "--n", "4", "--out", "theorem.part",
+     "--verify", "--verbose"],
+    ["construct", "theorem1", "--m", "4", "--d", "5", "--n", "2", "--verify"],
+    ["construct", "subgraph", "--m", "4", "--n", "3", "--d", "1", "--out", "sub.vset",
+     "--verify", "--verbose"],
+    ["construct", "subgraph", "--m", "3", "--n", "2", "--d", "3"],
+    ["metrics", "theorem.part", "--out", "theorem.metrics.json", "--verbose"],
+    ["metrics", "sub.vset"],
+    ["bounds", "theorem1", "--m", "4", "--d", "5", "--n", "2"],
+    ["bounds", "theorem1", "--m", "3", "--d", "2", "--n", "4", "--format", "csv", "--out",
+     "theorem1.csv"],
+    ["bounds", "markov", "--m", "3", "--n", "3", "--k", "12"],
+    ["bounds", "markov", "--m", "3", "--n", "3", "--k", "9"],
+    ["bounds", "upper", "--m", "3", "--n", "4", "--eps", "1/9"],
+    ["bounds", "upper", "--m", "3", "--n", "4", "--eps", "0.5", "--format", "csv"],
+    ["bounds", "cayley", "--m", "3", "--n", "4", "--config", "config.json"],
+    ["bounds", "domination", "--m", "3", "--n", "3", "--format", "csv"],
+    ["bounds", "check", "theorem.part", "--out", "check.jsonl"],
+    ["bounds", "check", "sub.vset", "--format", "csv"],
+    ["fn", "tribes", "--s", "2", "--out", "tribes.fn", "--verify", "--verbose"],
+    ["fn", "lifted-tribes", "--m", "3", "--a", "0", "--s", "2", "--out", "lifted.fn",
+     "--verify"],
+    ["fn", "interpolate", "lifted.fn", "--out", "lifted.poly.json"],
+    ["fn", "interpolate", "rational.fn"],
+    ["fn", "degree", "lifted.fn", "--verbose"],
+    ["fn", "sensitivity", "rational.fn", "--out", "rational.sensitivity.json"],
+    ["fn", "decompose", "tribes.fn"],
+    ["fn", "restrict", "lifted.fn", "--out", "lifted.restrict.json"],
+    ["fn", "verify", "rational.fn"],
+    ["oracle", "sigma", "--m", "2", "--n", "3"],
+    ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
+     "sigma.jsonl"],
+    ["oracle", "sigma", "--m", "2", "--n", "2", "--out", "sigma.json"],
+    ["oracle", "subsets", "--m", "2", "--n", "2", "--k", "3", "--prune", "--out",
+     "subsets.json"],
+    ["oracle", "subsets", "--m", "2", "--n", "2", "--k", "3", "--format", "csv"],
+    ["oracle", "functions", "--m", "2", "--b", "2", "--n", "2", "--format", "csv"],
+    ["oracle", "functions", "--m", "3", "--b", "2", "--n", "2", "--samples", "5",
+     "--seed", "3", "--out", "functions.json"],
+    ["oracle", "functions", "--m", "2", "--b", "2", "--n", "2", "--config", "config.json"],
+    ["oracle", "metrics", "base.part", "--verify", "--verbose", "--out",
+     "oracle.metrics.json"],
+    ["report", "grid", "--m-range", "3:4", "--n-range", "2", "--d-range", "1:5",
+     "--format", "csv"],
+    ["report", "grid", "--m-range", "3,5", "--n-range", "3", "--d-range", "1",
+     "--cap-vertices", "100", "--out", "grid.jsonl"],
+]
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit status, stdout, stderr and ``--out`` artifact text of one run in
+    the current directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    artifact = None
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        artifact = path.read_text(encoding="utf-8") if path.exists() else None
+    return {"argv": argv, "code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "artifact": artifact}
+
+
+def run_all() -> list[dict]:
+    for name, doc in INPUTS.items():
+        Path(name).write_text(json.dumps(doc), encoding="utf-8")
+    return [run_case(argv) for argv in CASES]
+
+
+def test_every_subcommand_reproduces_its_transcript(tmp_path, monkeypatch):
+    for var in ("HAMLAB_CAP_VERTICES", "HAMLAB_CAP_SUBSETS", "HAMLAB_CAP_FUNCTIONS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
+    assert [case["argv"] for case in expected] == CASES
+    for want, got in zip(expected, run_all()):
+        assert got == want, want["argv"]
+
+
+def test_transcripts_cover_every_subcommand_and_exit_status():
+    expected = json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
+    commands = {tuple(case["argv"][:1 if case["argv"][0] == "metrics" else 2])
+                for case in expected}
+    assert len(commands) == 25
+    assert {case["code"] for case in expected} == {0, 1, 2}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_cli_transcripts.py --record")
+    for var in ("HAMLAB_CAP_VERTICES", "HAMLAB_CAP_SUBSETS", "HAMLAB_CAP_FUNCTIONS"):
+        os.environ.pop(var, None)
+    target = TRANSCRIPTS.resolve()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        target.write_text(json.dumps(run_all(), indent=1) + "\n", encoding="utf-8")

@@ -18,6 +18,7 @@ from hamlab import (
     low_degree_subgraph,
     part_vertex_set,
     partition_metrics,
+    theorem_imbalance_bound,
     theorem_partition,
     unrank,
 )
@@ -253,28 +254,24 @@ def test_lift_rejects_shrinking():
 
 
 def test_theorem_partition_low_degree_cases():
-    partition, achieved = theorem_partition(3, 2, 4)
-    metrics = partition_metrics(partition)
-    assert achieved == 18 == metrics.imbalance
+    metrics = partition_metrics(theorem_partition(3, 2, 4))
+    assert metrics.imbalance == theorem_imbalance_bound(3, 2, 4)[1] == 18
     assert metrics.max_degree <= 2
 
-    partition, achieved = theorem_partition(4, 1, 3)
-    metrics = partition_metrics(partition)
-    assert achieved == 2 == metrics.imbalance
+    metrics = partition_metrics(theorem_partition(4, 1, 3))
+    assert metrics.imbalance == theorem_imbalance_bound(4, 1, 3)[1] == 2
     assert metrics.max_degree <= 1
 
 
 def test_theorem_partition_high_degree_case_with_gap():
-    partition, achieved = theorem_partition(4, 5, 2)
-    metrics = partition_metrics(partition)
-    assert achieved == 16 == metrics.imbalance
+    metrics = partition_metrics(theorem_partition(4, 5, 2))
+    assert metrics.imbalance == theorem_imbalance_bound(4, 5, 2)[1] == 16
     assert metrics.max_degree <= 5
 
 
 def test_theorem_partition_huge_degree_clamps():
-    partition, achieved = theorem_partition(3, 50, 2)
-    metrics = partition_metrics(partition)
-    assert metrics.imbalance == achieved == 3 * 2 * (3 * 25 // 26)
+    metrics = partition_metrics(theorem_partition(3, 50, 2))
+    assert metrics.imbalance == theorem_imbalance_bound(3, 50, 2)[1] == 3 * 2 * (3 * 25 // 26)
     assert metrics.max_degree <= 50
 
 
