@@ -219,6 +219,7 @@ def _load_measured(path: str):
 
 def _cmd_construct(args, caps) -> int:
     cap = caps["vertices"]
+    base = None
     if args.subcommand == "degree1":
         partition = part_mod.degree_one_partition(args.m, args.n, cap=cap)
     elif args.subcommand == "complete":
@@ -228,7 +229,7 @@ def _cmd_construct(args, caps) -> int:
         partition = part_mod.lift_partition(base, args.n, degree_cap=args.d, cap=cap)
     elif args.subcommand == "theorem1":
         partition = part_mod.theorem_partition(args.m, args.d, args.n, cap=cap)
-        print(f"achieved imbalance: {_promise(args, partition, cap)[1]}")
+        print(f"achieved imbalance: {_promise(args, partition, base, cap)[1]}")
     else:  # subgraph
         vset = part_mod.low_degree_subgraph(args.m, args.n, args.d, cap=cap)
         print(f"subgraph size: {vset.size}")
@@ -250,7 +251,7 @@ def _cmd_construct(args, caps) -> int:
         if args.verbose:
             print(f"part sizes: {list(metrics.part_sizes)}")
         if args.verify:
-            degree_cap, expected = _promise(args, partition, cap)
+            degree_cap, expected = _promise(args, partition, base, cap)
             if metrics.max_degree > degree_cap or metrics.imbalance != expected:
                 raise VerificationFailure(
                     f"{args.subcommand} construction measured (delta={metrics.max_degree}, "
@@ -260,7 +261,7 @@ def _cmd_construct(args, caps) -> int:
     return 0
 
 
-def _promise(args, partition, cap) -> tuple[int, int]:
+def _promise(args, partition, base, cap) -> tuple[int, int]:
     """The degree cap and the imbalance a construct subcommand promises."""
     m, n = partition.params.m, partition.params.n
     if args.subcommand == "degree1":
@@ -268,7 +269,6 @@ def _promise(args, partition, cap) -> tuple[int, int]:
     if args.subcommand == "complete":
         return args.d, bounds_mod.complete_graph_imbalance(m, args.d)
     if args.subcommand == "lift":
-        base = _load_partition(args.base)
         base_imbalance = part_mod.partition_metrics(base, cap=cap).imbalance
         return args.d, bounds_mod.lift_imbalance(m, base.params.n, n, base_imbalance)
     return args.d, bounds_mod.theorem_imbalance_bound(m, args.d, n)[1]
@@ -504,6 +504,9 @@ def _cmd_oracle(args, caps) -> int:
 
 def _cmd_report(args, caps) -> int:
     cap = caps["vertices"]
+    for m in args.m_range:  # before any cell, so no cap check sees such an m
+        if m < 3:
+            raise InvalidInputError(f"need m >= 3, got {m}")
     rows = []
     any_fail = False
     for m, n, d in itertools.product(args.m_range, args.n_range, args.d_range):

@@ -20,12 +20,17 @@ class BoundNotApplicableError(ValueError):
 
 
 def power_exceeds(base: int, exponent: int, limit: int) -> bool:
-    """Whether base**exponent > limit, for base, exponent >= 0.
+    """Whether base**exponent > limit, for exponent >= 0 and any integer base.
 
     Bit lengths decide first, so the power is only computed when it has at
     most about twice the bits of the limit; a huge exponent never hangs.
     """
-    if base > 1 and exponent * (base.bit_length() - 1) > max(limit, 0).bit_length():
+    if base < 0 and exponent % 2:  # -(|base|^exponent) > limit iff |base|^exponent < -limit
+        return not power_exceeds(-base, exponent, -limit - 1)
+    base = abs(base)
+    if base < 2:  # 0^0 = 1^e = 1, and 0^e = 0 for e > 0
+        return (base if exponent else 1) > limit
+    if exponent * (base.bit_length() - 1) > max(limit, 0).bit_length():
         return True
     return base ** exponent > limit
 

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .encoding import int_token, int_tokens, rational_from_token, rational_to_token
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     check_enumeration,
     power_exceeds,
 )
-from .graph import GraphParams, _same_label_degree_extreme, unrank
+from .graph import GraphParams, _digit_table, _same_label_degree_extreme, unrank
 
 Point = tuple[Fraction, ...]
 Exponents = tuple[int, ...]
@@ -100,29 +100,6 @@ class FiniteFunction:
     def is_constant(self) -> bool:
         return len(set(self.values)) <= 1
 
-    @classmethod
-    def from_callable(
-        cls,
-        domain,
-        arity: int,
-        fn: Callable[..., object],
-        codomain=None,
-    ) -> "FiniteFunction":
-        """Tabulate a callable; the codomain defaults to the sorted distinct
-        outputs."""
-        domain = _as_rationals(domain)
-        outputs = [Fraction(fn(*point)) for point in itertools.product(domain, repeat=arity)]
-        if codomain is None:
-            codomain = tuple(sorted(set(outputs)))
-        else:
-            codomain = _as_rationals(codomain)
-        index_of = {v: i for i, v in enumerate(codomain)}
-        try:
-            values = tuple(index_of[v] for v in outputs)
-        except KeyError as exc:
-            raise InvalidInputError(f"output {exc.args[0]} outside the codomain") from exc
-        return cls(domain, codomain, arity, values)
-
     def to_doc(self) -> dict:
         return {
             "A": [rational_to_token(v) for v in self.domain],
@@ -162,13 +139,17 @@ class GridPolynomial:
                 cleaned[exps] = coeff
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _exact(cls, arity: int, terms: dict[Exponents, Fraction]) -> "GridPolynomial":
+        """Wrap int-tuple -> nonzero-Fraction terms without re-checking them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=0)
-
-    def max_support(self) -> int:
-        """Largest number of variables appearing in a single monomial."""
-        return max((sum(1 for e in exps if e) for exps in self.terms), default=0)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.arity:
@@ -275,15 +256,6 @@ def _integer_codomain(codomain: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in codomain], scale
 
 
-def _digit_counts(sizes: Sequence[int], weight: Callable[[int], int]) -> list[int]:
-    # sum of weight(digit) over the digits of every big-endian index
-    counts = [0]
-    for size in sizes:
-        weights = [weight(e) for e in range(size)]
-        counts = [a + w for a in counts for w in weights]
-    return counts
-
-
 def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[list[int], int]:
     """The coefficient tensor of f's interpolant in integers (see
     ``_grid_tensor``), and the positive scale it carries."""
@@ -299,7 +271,7 @@ def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynom
     coefficients."""
     tensor, scale = _scaled_tensor(f, cap)
     exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
-    return GridPolynomial(
+    return GridPolynomial._exact(
         f.arity, {exps: Fraction(c, scale) for exps, c in zip(exponents, tensor) if c}
     )
 
@@ -310,7 +282,7 @@ def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
     Read off the integer tensor: the largest exponent sum of a nonzero
     entry, with no rational polynomial built."""
     tensor, _ = _scaled_tensor(f, cap)
-    return max(itertools.compress(_digit_counts([len(f.domain)] * f.arity, int), tensor),
+    return max(itertools.compress(_digit_table([range(len(f.domain))] * f.arity), tensor),
                default=0)
 
 
@@ -432,7 +404,7 @@ def boolean_restriction_witness(
     ]
     lifted, _ = _integer_codomain(f.codomain)
     weighted = [map(c.__mul__, tensor) for c, tensor in zip(lifted, indicators) if c]
-    degrees = _digit_counts([m] * n, int)
+    degrees = _digit_table([range(m)] * n)
     combined = functools.reduce(_sum_maps, weighted) if weighted else ()
     total_degree = max(itertools.compress(degrees, combined), default=0)
     if total_degree < 1:
@@ -442,15 +414,15 @@ def boolean_restriction_witness(
     target = -(-total_degree // (m - 1))
 
     tensor = indicators[pick]
-    if max(itertools.compress(_digit_counts([m] * n, bool), tensor), default=0) < target:
+    supports = [[0] + [1] * (m - 1)] * n  # nonzero exponents per axis, leading axis first
+    if max(itertools.compress(_digit_table(supports), tensor), default=0) < target:
         raise ContractViolationError(
             "chosen indicator exposes no monomial on the target support"
         )
     pairs = [(0, 1)] * n  # kept as they are when the domain has two values
-    sizes = [m] * n  # the tensor's axes, leading axis first
     for coord in range(n if m > 2 else 0):
-        sizes = sizes[1:] + [2]
-        support = _digit_counts(sizes, bool)
+        supports = supports[1:] + [[0, 1]]
+        support = _digit_table(supports)
         for s, t in itertools.combinations(range(m), 2):
             candidate = _transform_leading_axis(tensor, m, _scaled_restriction(f.domain, s, t))
             if max(itertools.compress(support, candidate), default=0) >= target:
@@ -462,9 +434,8 @@ def boolean_restriction_witness(
                 f"support {target}"
             )
 
-    ranks = [0]
-    for pair in pairs:
-        ranks = [r * m + i for r in ranks for i in pair]
+    ranks = _digit_table([(s * m ** (n - 1 - j), t * m ** (n - 1 - j))
+                          for j, (s, t) in enumerate(pairs)])
     zero_one = (Fraction(0), Fraction(1))
     table = tuple(1 if f.values[r] == pick else 0 for r in ranks)
     return RestrictionWitness(
@@ -515,27 +486,11 @@ def tribes(tribe_count: int, cap: int = DEFAULT_VERTEX_CAP) -> FiniteFunction:
     ``tribe_count`` bits, with every input outside the first block
     complemented so the all-ones point carries the maximum local sensitivity.
 
-    Degree tribe_count^2, sensitivity tribe_count.  The 2^(tribe_count^2)
-    points are checked against ``cap`` before any is enumerated.
+    Degree tribe_count^2, sensitivity tribe_count.  This is
+    :func:`lifted_tribes` on the domain {0, 1} with marked value 1, so the
+    2^(tribe_count^2) points are checked against ``cap`` before any is built.
     """
-    if tribe_count < 1:
-        raise InvalidInputError(f"need at least one tribe, got {tribe_count}")
-    width = tribe_count * tribe_count
-    check_enumeration(2, width, cap, "grid points")
-    table = []
-    for bits in itertools.product((0, 1), repeat=width):
-        hit = False
-        for block in range(tribe_count):
-            lo = block * tribe_count
-            chunk = bits[lo:lo + tribe_count]
-            if block:
-                chunk = tuple(1 - b for b in chunk)
-            if all(chunk):
-                hit = True
-                break
-        table.append(1 if hit else 0)
-    zero_one = (Fraction(0), Fraction(1))
-    return FiniteFunction(zero_one, zero_one, width, tuple(table))
+    return lifted_tribes((0, 1), 1, tribe_count, cap=cap)
 
 
 def lifted_tribes(
@@ -553,14 +508,16 @@ def lifted_tribes(
     marked = Fraction(marked)
     if marked not in dom:
         raise InvalidInputError(f"marked value {marked} outside the domain")
+    if tribe_count < 1:
+        raise InvalidInputError(f"need at least one tribe, got {tribe_count}")
     width = tribe_count * tribe_count
     check_enumeration(len(dom), width, cap, "grid points")
-    base = tribes(tribe_count, cap=cap)
-    flags = [1 if v == marked else 0 for v in dom]
-    table = []
-    for idxs in itertools.product(range(len(dom)), repeat=width):
-        r = 0
-        for i in idxs:
-            r = (r << 1) | flags[i]
-        table.append(base.values[r])
-    return FiniteFunction(dom, (Fraction(0), Fraction(1)), width, tuple(table))
+    # a point is 1 when some block is met: every coordinate of the first
+    # block carries the marked value, or every one of a later block avoids it
+    misses = [int(v != marked) for v in dom]
+    first, later = (
+        [int(not c) for c in _digit_table([axis] * tribe_count)]
+        for axis in (misses, [1 - x for x in misses])
+    )
+    met = _digit_table([first] + [later] * (tribe_count - 1))
+    return FiniteFunction(dom, (Fraction(0), Fraction(1)), width, tuple(int(c > 0) for c in met))

@@ -72,6 +72,15 @@ def iter_vertices(params: GraphParams) -> Iterator[Digits]:
     return itertools.product(range(params.m), repeat=params.n)
 
 
+def _digit_table(weights: Sequence[Sequence[int]]) -> list[int]:
+    """Entry r is sum(weights[j][digit_j]) over the digits of r in the
+    big-endian mixed radix whose axis j has len(weights[j]) values."""
+    table = [0]
+    for axis in weights:
+        table = [a + w for a in table for w in axis]
+    return table
+
+
 def neighbors(digits: Digits, params: GraphParams) -> Iterator[Digits]:
     """The (m-1)*n vertices at Hamming distance 1, coordinate-major then value
     ascending."""

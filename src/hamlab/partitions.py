@@ -25,7 +25,7 @@ from .graph import (
     Digits,
     GraphParams,
     VertexSet,
-    iter_vertices,
+    _digit_table,
     _same_label_degree_extreme,
     unrank,
 )
@@ -79,26 +79,6 @@ class PartitionMetrics:
         }
 
 
-def _trailing_decomposition(digits: Digits) -> Optional[tuple[int, int, int]]:
-    """Split a nonzero word as prefix-sum, last nonzero digit, trailing-zero
-    count; None for the all-zeros word."""
-    i = len(digits) - 1
-    while i >= 0 and digits[i] == 0:
-        i -= 1
-    if i < 0:
-        return None
-    return sum(digits[:i]), digits[i], len(digits) - 1 - i
-
-
-def degree_one_part_index(digits: Digits, m: int) -> int:
-    """Part index of a vertex under the degree-1 construction."""
-    decomp = _trailing_decomposition(digits)
-    if decomp is None:
-        return 0
-    prefix_sum, last_nonzero, _ = decomp
-    return (prefix_sum + (last_nonzero + 1) // 2) % m
-
-
 def degree_one_partition(m: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
     """Partition with maximum degree at most 1 and imbalance exactly m-2 for
     even m, m-1 for odd m.
@@ -117,8 +97,14 @@ def degree_one_partition(m: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Parti
         return complete_graph_partition(m, 1, cap=cap)
     params = GraphParams(m, n)
     check_enumeration(m, n, cap)
-    assignment = tuple(degree_one_part_index(v, m) for v in iter_vertices(params))
-    return Partition(params, assignment)
+    halves = [(b + 1) // 2 for b in range(m)]
+    parts, sums = [0], [0]  # part and digit sum of every word so far
+    for _ in range(n):
+        # an appended b != 0 is the last nonzero digit; an appended 0 keeps the part
+        appended = [s % m for s in _digit_table([sums, halves])]
+        appended[::m] = parts
+        parts, sums = appended, _digit_table([sums, range(m)])
+    return Partition(params, tuple(parts))
 
 
 def complete_graph_partition(m: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
@@ -158,15 +144,10 @@ def block_sum_map(params_hi: GraphParams, params_lo: GraphParams) -> list[int]:
     blocks = coordinate_blocks(params_hi.n, params_lo.n)
     # a rank of the larger graph concatenates its blocks' digits, so its
     # image is the sum of one contribution per block, taken in rank order
-    image = [0]
-    for j, blk in enumerate(blocks):
-        place = m ** (params_lo.n - 1 - j)
-        contrib = [
-            sum(digits) % m * place
-            for digits in itertools.product(range(m), repeat=len(blk))
-        ]
-        image = [a + c for a in image for c in contrib]
-    return image
+    return _digit_table([
+        [s % m * m ** (params_lo.n - 1 - j) for s in _digit_table([range(m)] * len(blk))]
+        for j, blk in enumerate(blocks)
+    ])
 
 
 def lift_partition(

@@ -1,11 +1,19 @@
 """Command-line behavior: exit codes, artifacts, headers, caps."""
 
+import builtins
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hamlab
 from hamlab.cli import main
+
+SRC = Path(hamlab.__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -264,6 +272,44 @@ def test_tribes_and_grid_respect_the_vertex_cap(tmp_path, capsys):
                 "--d-range", "1", "--format", "csv", "--out", grid_path]) == 0
     assert grid_path.read_text().splitlines()[1].endswith("SKIPPED")
     assert time.perf_counter() - start < 2
+
+
+def test_report_grid_rejects_small_m_before_the_cap_check(capsys):
+    start = time.perf_counter()
+    assert run(["report", "grid", "--m-range=-3", "--n-range", 99_999_999,
+                "--d-range", 1]) == 1
+    assert time.perf_counter() - start < 2
+    assert "need m >= 3, got -3" in capsys.readouterr().err
+    assert run(["report", "grid", "--m-range", "3,2", "--n-range", 99_999_999,
+                "--d-range", 1]) == 1
+    assert "need m >= 3, got 2" in capsys.readouterr().err
+
+
+def test_construct_lift_verify_reads_the_base_once(tmp_path, monkeypatch):
+    base_path = tmp_path / "base.part"
+    assert run(["construct", "degree1", "--m", 3, "--n", 2, "--out", base_path]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run(["construct", "lift", "--base", base_path, "--n", 4, "--d", 2,
+                "--verify"]) == 0
+    assert opened.count(str(base_path)) == 1
+
+
+def test_runtime_imports_only_the_standard_library():
+    third_party = ("numpy", "scipy", "sympy", "networkx")
+    code = (
+        "import sys, hamlab, hamlab.cli; "
+        f"print(sorted(set({third_party!r}) & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_corrupted_partition_file_exits_one(tmp_path, capsys):

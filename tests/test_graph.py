@@ -1,6 +1,7 @@
 """Vertex encoding, adjacency, and induced-degree checks."""
 
 import itertools
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from hamlab import (
     rank,
     unrank,
 )
+from hamlab.errors import power_exceeds
 
 
 def test_rank_mixed_radix_example():
@@ -164,6 +166,19 @@ def test_huge_vertex_set_fails_the_cap_without_computing_m_to_the_n():
     vset = VertexSet(GraphParams(3, 99_999_999), frozenset([0, 1]))
     with pytest.raises(ResourceLimitError):
         induced_max_degree(vset, cap=100)
+
+
+def test_power_exceeds_small_and_negative_bases_without_exponentiating():
+    start = time.perf_counter()
+    assert power_exceeds(-3, 10 ** 8, 10 ** 7)
+    assert not power_exceeds(-3, 10 ** 8 + 1, 10 ** 7)
+    assert not power_exceeds(-3, 10 ** 8 + 1, -(10 ** 7))
+    assert not power_exceeds(-1, 10 ** 8, 10 ** 7)
+    assert not power_exceeds(0, 10 ** 8, 0)
+    assert power_exceeds(1, 10 ** 8, 0)
+    assert time.perf_counter() - start < 1
+    for base, exponent, limit in itertools.product(range(-5, 6), range(7), range(-40, 41, 3)):
+        assert power_exceeds(base, exponent, limit) == (base ** exponent > limit)
 
 
 def test_graph_params_validation():

@@ -18,12 +18,12 @@ from hamlab import (
     low_degree_subgraph,
     part_vertex_set,
     partition_metrics,
+    rank,
     theorem_imbalance_bound,
     theorem_partition,
     unrank,
 )
 from hamlab.graph import hamming_distance
-from hamlab.partitions import degree_one_part_index
 
 
 def _trailing_zeros(digits):
@@ -50,8 +50,10 @@ def test_degree_one_odd_instance():
 
 def test_degree_one_membership_rule_hand_case():
     # (2,3,0): prefix (2), last nonzero 3, one trailing zero; 2 + 2 = 4 = 0 mod 4
-    assert degree_one_part_index((2, 3, 0), 4) == 0
-    assert degree_one_part_index((0, 0, 0), 4) == 0
+    assignment = degree_one_partition(4, 3).assignment
+    params = GraphParams(4, 3)
+    assert assignment[rank((2, 3, 0), params)] == 0
+    assert assignment[rank((0, 0, 0), params)] == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])

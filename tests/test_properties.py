@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hamlab import (
     FiniteFunction,
     GraphParams,
+    GridPolynomial,
     InvalidInputError,
     Partition,
     VertexSet,
@@ -18,17 +19,21 @@ from hamlab import (
     brute_force_metrics,
     coordinate_blocks,
     degree,
+    degree_one_partition,
     hamming_distance,
     induced_max_degree,
     interpolate,
+    lifted_tribes,
     local_sensitivity,
     markov_degree_lower_bound,
     partition_metrics,
     rank,
     sensitivity,
     unrank,
+    tribes,
     verify_sensitivity_bound,
 )
+from hamlab.graph import _digit_table
 
 params_strategy = st.builds(
     GraphParams,
@@ -96,8 +101,6 @@ def test_sensitivity_bound_on_random_ternary_functions(table):
 @settings(max_examples=40, deadline=None)
 def test_degree_invariant_under_reinterpolation(coeffs):
     # tabulate a bilinear polynomial on {0,1}^2, then re-derive it
-    from hamlab import GridPolynomial
-
     poly = GridPolynomial(
         2,
         {
@@ -335,4 +338,71 @@ def test_degree_matches_interpolated_polynomial(data):
     ]
     g = FiniteFunction(f.domain, f.codomain, n, [f.values[r] for r in ranks])
     for h in (f, g):
-        assert degree(h) == interpolate(h).degree()
+        poly = interpolate(h)
+        assert degree(h) == poly.degree()
+        # interpolate skips the re-wrapping of direct construction, so its
+        # terms must already be exact and nonzero
+        assert all(type(e) is int for exps in poly.terms for e in exps)
+        assert all(type(c) is Fraction and c for c in poly.terms.values())
+        assert poly == GridPolynomial(n, poly.terms)
+
+
+# per-rank tables against per-point references: a product over digit
+# tuples, and the per-vertex degree-1 rule and tribes loop the tables replace
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=5), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_digit_table_matches_product_of_digits(weights):
+    expected = [
+        sum(w[d] for w, d in zip(weights, digits))
+        for digits in itertools.product(*(range(len(w)) for w in weights))
+    ]
+    assert _digit_table(weights) == expected
+
+
+def _naive_degree_one_assignment(m, n):
+    if n == 1:
+        return tuple(v // 2 for v in range(m))  # the complete-graph layout, d = 1
+    assignment = []
+    for digits in itertools.product(range(m), repeat=n):
+        nonzero = [i for i, c in enumerate(digits) if c]
+        if not nonzero:
+            assignment.append(0)
+            continue
+        last = nonzero[-1]
+        assignment.append((sum(digits[:last]) + (digits[last] + 1) // 2) % m)
+    return tuple(assignment)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_degree_one_partition_matches_per_vertex_rule(m, n):
+    assert degree_one_partition(m, n).assignment == _naive_degree_one_assignment(m, n)
+
+
+def _naive_lifted_tribes_values(domain, marked, s):
+    flags = [1 if v == marked else 0 for v in domain]
+    values = []
+    for idxs in itertools.product(range(len(domain)), repeat=s * s):
+        bits = [flags[i] for i in idxs]
+        hit = False
+        for block in range(s):
+            chunk = bits[block * s:(block + 1) * s]
+            if block:
+                chunk = [1 - b for b in chunk]
+            if all(chunk):
+                hit = True
+                break
+        values.append(1 if hit else 0)
+    return tuple(values)
+
+
+@pytest.mark.parametrize("domain_size,s", [
+    (m, s) for m in range(2, 5) for s in (1, 2, 3) if s < 3 or m <= 3
+])
+def test_lifted_tribes_matches_tribes_loop(domain_size, s):
+    domain = (Fraction(3, 2), Fraction(-1), Fraction(0), Fraction(7))[:domain_size]
+    for marked in domain:
+        f = lifted_tribes(domain, marked, s)
+        assert f.domain == domain and f.arity == s * s
+        assert f.values == _naive_lifted_tribes_values(domain, marked, s)
+    assert tribes(s).values == _naive_lifted_tribes_values((0, 1), 1, s)
