@@ -8,6 +8,7 @@ mathematical claim fails to hold.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -601,7 +602,10 @@ def _add_common(parser, fmt: bool, verify: bool) -> None:
         parser.set_defaults(verify=False)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing leaves it unchanged, and building it costs about 8 ms."""
     parser = _Parser(prog="hamlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}

@@ -53,13 +53,13 @@ def int_token(token) -> int:
     return token
 
 
-def int_tokens(tokens) -> tuple[int, ...]:
+def int_tokens(tokens) -> Sequence[int]:
     """An array of integers from a file, checked by one scan of its item
-    types."""
+    types and returned as given, without a copy."""
     if not set(map(type, tokens)) <= {int}:
         bad = next(t for t in tokens if type(t) is not int)
         raise InvalidInputError(f"expected integers, got {bad!r}")
-    return tuple(tokens)
+    return tokens
 
 
 def value_token(value):

@@ -27,7 +27,13 @@ from .errors import (
     check_enumeration,
     power_exceeds,
 )
-from .graph import GraphParams, _digit_table, _same_label_degree_extreme, unrank
+from .graph import (
+    GraphParams,
+    _digit_table,
+    _label_planes,
+    _same_label_degree_extreme,
+    unrank,
+)
 
 Point = tuple[Fraction, ...]
 Exponents = tuple[int, ...]
@@ -96,9 +102,6 @@ class FiniteFunction:
 
     def value_at(self, point: Sequence) -> Fraction:
         return self.codomain[self.values[self.point_rank(point)]]
-
-    def is_constant(self) -> bool:
-        return len(set(self.values)) <= 1
 
     def to_doc(self) -> dict:
         return {
@@ -178,7 +181,7 @@ class GridPolynomial:
         terms = {}
         try:
             for entry in doc:
-                exps = int_tokens(entry["exponents"])
+                exps = tuple(int_tokens(entry["exponents"]))
                 coeff = rational_from_token(entry["coefficient"])
                 terms[exps] = terms.get(exps, Fraction(0)) + coeff
         except (KeyError, TypeError, ValueError) as exc:
@@ -314,7 +317,8 @@ def sensitivity(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, 
     m = len(f.domain)
     check_enumeration(m, f.arity, cap, "grid points")
     params = GraphParams(m, f.arity)
-    same, first = _same_label_degree_extreme(f.values, params, largest=False)
+    planes = _label_planes(f.values, (len(f.codomain) - 1).bit_length())
+    same, first = _same_label_degree_extreme(planes, params, largest=False)
     return params.regular_degree - same, tuple(f.domain[i] for i in unrank(first, params))
 
 

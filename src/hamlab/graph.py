@@ -12,7 +12,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .encoding import int_token, int_tokens
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, check_enumeration, power_exceeds
@@ -144,29 +144,76 @@ _BIT_CHARS = tuple(
 _PACK_CODES = tuple(next(c for c in "BHILQ" if array(c).itemsize > k) for k in range(8))
 
 
-def _label_planes(labels: Sequence[int]) -> list[int]:
-    """Bit planes of a labelling: bit r of plane p is bit p of labels[r]."""
-    bits = max(labels).bit_length()
-    packed = array(_PACK_CODES[max(bits - 1, 0) // 8], labels)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    raw = packed.tobytes()
-    width = packed.itemsize
+def _pack_code(bits: int) -> str:
+    """Type code of the narrowest array whose items hold ``bits`` bits."""
+    return _PACK_CODES[max(bits - 1, 0) // 8]
+
+
+def _label_buffer(labels: Sequence[int], count: int) -> Union[bytes, array]:
+    """Labels in 0..count-1 stored compactly: ``bytes`` when count <= 256,
+    else an ``array`` of the narrowest type code holding count - 1.
+
+    Raises ValueError when a label lies outside 0..count-1 and TypeError
+    when one is not an integer.
+    """
+    code = _pack_code((count - 1).bit_length())
+    # bytes() and array() copy the raw bytes of a buffer, not its items
+    try:
+        if code != "B":
+            items = list(labels) if isinstance(labels, (bytes, bytearray)) else labels
+            packed = array(code, items)
+            if packed and max(packed) >= count:
+                raise ValueError(f"label {max(packed)} outside 0..{count - 1}")
+            return packed
+        if not isinstance(labels, (bytes, bytearray, list, tuple)):
+            labels = array(code, labels)
+        packed = bytes(labels)
+    except OverflowError as exc:  # a negative label, or one too wide for the type
+        raise ValueError(str(exc)) from exc
+    if packed.translate(None, bytes(range(count))):
+        raise ValueError(f"a label outside 0..{count - 1}")
+    return packed
+
+
+def _label_planes(labels: Sequence[int], bits: int) -> list[int]:
+    """Bit planes of a labelling whose labels have at most ``bits`` bits:
+    bit r of plane p is bit p of labels[r].  Byte labels are read in place."""
+    if isinstance(labels, (bytes, bytearray)):
+        raw, width = labels, 1
+    else:
+        packed = array(_pack_code(bits), labels)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        raw, width = packed.tobytes(), packed.itemsize
     # reversed so that the last character, the int's lowest bit, is rank 0
     return [
         int(raw[p // 8::width].translate(_BIT_CHARS[p % 8])[::-1], 2) for p in range(bits)
     ]
 
 
+def _label_sizes(planes: list[int], total: int, count: int) -> tuple[int, ...]:
+    """How many of the ranks 0..total-1 carry each label 0..count-1, read
+    from the labelling's bit planes (count <= 2 ** len(planes))."""
+    masks = [(1 << total) - 1]
+    for plane in reversed(planes):  # split every mask by the next lower bit
+        split = []
+        for mask in masks:
+            high = mask & plane
+            split += (mask ^ high, high)
+        masks = split
+    return tuple(mask.bit_count() for mask in masks[:count])
+
+
 def _same_label_degree_extreme(
-    labels: Sequence[int],
+    planes: list[int],
     params: GraphParams,
     largest: bool = True,
     among: Optional[int] = None,
 ) -> tuple[int, int]:
     """Extreme same-label degree of a labelling, and the first rank attaining it.
 
-    ``labels[r]`` is a non-negative integer label of the vertex of rank r; a
+    ``planes`` are the bit planes of the labelling (see :func:`_label_planes`),
+    whose entry r is a non-negative integer label of the vertex of rank r; a
     vertex's same-label degree counts its neighbours that carry its label.
     Returns the maximum (the minimum when ``largest`` is false) over all
     vertices, or over the vertices labelled ``among`` when it is given (it
@@ -181,7 +228,6 @@ def _same_label_degree_extreme(
     """
     m, n, total = params.m, params.n, params.vertex_count
     full = (1 << total) - 1
-    planes = _label_planes(labels)
     counter: list[int] = []
     for axis in range(n):
         stride = m ** (n - 1 - axis)
@@ -234,7 +280,7 @@ def induced_max_degree(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> int:
     member = bytearray(params.vertex_count)
     for r in vset.ranks:
         member[r] = 1
-    return _same_label_degree_extreme(member, params, among=1)[0]
+    return _same_label_degree_extreme(_label_planes(member, 1), params, among=1)[0]
 
 
 def independence_number(params: GraphParams) -> int:

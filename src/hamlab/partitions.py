@@ -8,10 +8,11 @@ sizes from the balanced size m^(n-1).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .encoding import int_token, int_tokens
 from .errors import (
@@ -26,6 +27,9 @@ from .graph import (
     GraphParams,
     VertexSet,
     _digit_table,
+    _label_buffer,
+    _label_planes,
+    _label_sizes,
     _same_label_degree_extreme,
     unrank,
 )
@@ -33,20 +37,26 @@ from .graph import (
 
 @dataclass(frozen=True)
 class Partition:
-    """Total assignment of every rank to a part index in 0..m-1."""
+    """Total assignment of every rank to a part index in 0..m-1.
+
+    Any sequence of part indices is accepted; it is stored as ``bytes`` when
+    m <= 256 and as an ``array`` of the narrowest fitting type otherwise.
+    """
 
     params: GraphParams
-    assignment: tuple[int, ...]
+    assignment: Union[bytes, array]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
         m, n = self.params.m, self.params.n
         length = len(self.assignment)
         if power_exceeds(m, n, length) or length != m ** n:
             raise InvalidInputError(f"assignment length {length} != vertex count {m}^{n}")
-        if not 0 <= min(self.assignment) <= max(self.assignment) < m:
+        try:
+            labels = _label_buffer(self.assignment, m)
+        except ValueError:
             bad = next(a for a in self.assignment if not 0 <= a < m)
-            raise InvalidInputError(f"part index {bad} outside 0..{m - 1}")
+            raise InvalidInputError(f"part index {bad} outside 0..{m - 1}") from None
+        object.__setattr__(self, "assignment", labels)
 
     def to_doc(self) -> dict:
         return {"m": self.params.m, "n": self.params.n, "assignment": list(self.assignment)}
@@ -104,7 +114,7 @@ def degree_one_partition(m: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Parti
         appended = [s % m for s in _digit_table([sums, halves])]
         appended[::m] = parts
         parts, sums = appended, _digit_table([sums, range(m)])
-    return Partition(params, tuple(parts))
+    return Partition(params, parts)
 
 
 def complete_graph_partition(m: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
@@ -137,17 +147,28 @@ def coordinate_blocks(n: int, pieces: int) -> list[range]:
     return blocks
 
 
+def _block_pieces(n: int, n_lo: int, m: int) -> list[tuple[int, int]]:
+    """(width, place value of its image digit) of each coordinate block of
+    the block summation map from n coordinates to n_lo."""
+    return [(len(blk), m ** (n_lo - 1 - j)) for j, blk in enumerate(coordinate_blocks(n, n_lo))]
+
+
+def _block_sum_table(m: int, pieces: list[tuple[int, int]]) -> list[int]:
+    """Entry r is the sum over ``pieces`` (width, place), which take the
+    big-endian digits of r in turn, of the piece's digit sum mod m times its
+    place."""
+    return _digit_table(
+        [[s % m * place for s in _digit_table([range(m)] * width)] for width, place in pieces]
+    )
+
+
 def block_sum_map(params_hi: GraphParams, params_lo: GraphParams) -> list[int]:
     """For each rank of the larger graph, the rank of its image under the
     coordinate-block summation map (block sums reduced mod m)."""
-    m = params_hi.m
-    blocks = coordinate_blocks(params_hi.n, params_lo.n)
     # a rank of the larger graph concatenates its blocks' digits, so its
     # image is the sum of one contribution per block, taken in rank order
-    return _digit_table([
-        [s % m * m ** (params_lo.n - 1 - j) for s in _digit_table([range(m)] * len(blk))]
-        for j, blk in enumerate(blocks)
-    ])
+    m = params_hi.m
+    return _block_sum_table(m, _block_pieces(params_hi.n, params_lo.n, m))
 
 
 def lift_partition(
@@ -173,9 +194,34 @@ def lift_partition(
             f"lift would only guarantee degree {base_degree * widest}, "
             f"above the cap {degree_cap}"
         )
-    image = block_sum_map(target, base.params)
-    assignment = tuple(map(base.assignment.__getitem__, image))
-    return Partition(target, assignment)
+    # A rank is a head (its first n//2 digits) followed by a tail (the
+    # rest), and its image is the head's contribution plus the tail's, where
+    # the block that straddles the cut adds its two digit sums mod m.  Each
+    # distinct head contribution gets one row of labels over every tail, and
+    # the rows are joined in head order.
+    heads, tails, seen = [], [], 0
+    for width, place in _block_pieces(n, n_base, m):
+        cut = min(max(n // 2 - seen, 0), width)
+        if cut:
+            heads.append((cut, place))
+        if cut < width:
+            tails.append((width - cut, place))
+        seen += width
+    head_table = _block_sum_table(m, heads)
+    tail_table = _block_sum_table(m, tails)
+    # tail contributions lie below span, the place above the straddling
+    # block's digit; a head fixes the digits above it and adds `shift` on
+    # it, which rotates the head's window of base labels by `shift`
+    span = m * tails[0][1]
+    labels = base.assignment
+    pack = bytes if type(labels) is bytes else functools.partial(array, labels.typecode)
+    rows = {}
+    for head in set(head_table):
+        shift = head % span
+        window = labels[head - shift:head - shift + span]
+        rows[head] = pack(map((window[shift:] + window[:shift]).__getitem__, tail_table))
+    joined = b"".join(map(rows.__getitem__, head_table))  # array rows join as raw items
+    return Partition(target, joined if pack is bytes else array(labels.typecode, joined))
 
 
 def theorem_partition(m: int, d: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
@@ -205,9 +251,9 @@ def partition_metrics(part: Partition, cap: int = DEFAULT_VERTEX_CAP) -> Partiti
     params = part.params
     m, n = params.m, params.n
     check_enumeration(m, n, cap)
-    best, first = _same_label_degree_extreme(part.assignment, params)
-    counts = Counter(part.assignment)
-    sizes = tuple(counts[a] for a in range(m))
+    planes = _label_planes(part.assignment, (m - 1).bit_length())
+    best, first = _same_label_degree_extreme(planes, params)
+    sizes = _label_sizes(planes, params.vertex_count, m)
     balanced = m ** (n - 1)
     imbalance = sum(abs(s - balanced) for s in sizes)
     return PartitionMetrics(best, imbalance, sizes, unrank(first, params))
@@ -218,7 +264,11 @@ def part_vertex_set(part: Partition, index: int) -> VertexSet:
     if not 0 <= index < part.params.m:
         raise InvalidInputError(f"part index {index} outside 0..{part.params.m - 1}")
     a = part.assignment
-    ranks = frozenset(itertools.compress(range(len(a)), map(index.__eq__, a)))
+    if isinstance(a, bytes):  # one translate marks the members
+        hits = a.translate(bytes(map(index.__eq__, range(256))))
+    else:
+        hits = map(index.__eq__, a)
+    ranks = frozenset(itertools.compress(range(len(a)), hits))
     return VertexSet(part.params, ranks)
 
 

@@ -115,6 +115,25 @@ def test_oracle_sampling_needs_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_repeated_calls_in_one_process_carry_no_options_over(tmp_path, capsys):
+    # main() builds its parser once per process, so every call must start
+    # from the defaults again
+    theorem = ["construct", "theorem1", "--m", 3, "--d", 2, "--n", 3,
+               "--out", tmp_path / "t.part"]
+    assert run(theorem + ["--verify", "--verbose"]) == 0
+    assert "measured:" in capsys.readouterr().out
+    assert run(theorem) == 0
+    assert "measured:" not in capsys.readouterr().out
+
+    sweep = ["oracle", "functions", "--m", 2, "--b", 2, "--n", 2]
+    assert run(sweep + ["--samples", 5, "--seed", 1, "--format", "csv"]) == 0
+    assert "checked 5 functions" in capsys.readouterr().out
+    assert run(sweep) == 0
+    out = capsys.readouterr().out
+    assert "checked 16 functions" in out
+    assert "# seed: none" in out and "samples" not in out and "bound," not in out
+
+
 def test_report_grid_flags_divisibility_gap(tmp_path):
     grid_path = tmp_path / "grid.csv"
     assert run(["report", "grid", "--m-range", "4", "--n-range", "2",

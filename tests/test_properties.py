@@ -1,7 +1,9 @@
 """Randomized invariants over the core operations."""
 
 import itertools
+import json
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -17,22 +19,27 @@ from hamlab import (
     block_sum_map,
     boolean_restriction_witness,
     brute_force_metrics,
+    complete_graph_partition,
     coordinate_blocks,
     degree,
     degree_one_partition,
     hamming_distance,
     induced_max_degree,
     interpolate,
+    lift_partition,
     lifted_tribes,
     local_sensitivity,
     markov_degree_lower_bound,
+    part_vertex_set,
     partition_metrics,
     rank,
     sensitivity,
     unrank,
+    theorem_partition,
     tribes,
     verify_sensitivity_bound,
 )
+from hamlab.cli import main
 from hamlab.graph import _digit_table
 
 params_strategy = st.builds(
@@ -376,7 +383,7 @@ def _naive_degree_one_assignment(m, n):
 @pytest.mark.parametrize("m", range(2, 8))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_degree_one_partition_matches_per_vertex_rule(m, n):
-    assert degree_one_partition(m, n).assignment == _naive_degree_one_assignment(m, n)
+    assert tuple(degree_one_partition(m, n).assignment) == _naive_degree_one_assignment(m, n)
 
 
 def _naive_lifted_tribes_values(domain, marked, s):
@@ -406,3 +413,85 @@ def test_lifted_tribes_matches_tribes_loop(domain_size, s):
         assert f.domain == domain and f.arity == s * s
         assert f.values == _naive_lifted_tribes_values(domain, marked, s)
     assert tribes(s).values == _naive_lifted_tribes_values((0, 1), 1, s)
+
+
+# compact labels: the row-join lift against the per-vertex block sums it
+# replaced, and the bytes/array storage boundary at m = 256
+def _naive_lift(base, n):
+    m, lo = base.params.m, base.params
+    blocks = coordinate_blocks(n, lo.n)
+    return tuple(
+        base.assignment[rank(tuple(sum(digits[i] for i in blk) % m for blk in blocks), lo)]
+        for digits in itertools.product(range(m), repeat=n)
+    )
+
+
+# the cut after n//2 digits falls inside the first block (1, 4), inside a
+# later one (3, 6), (4, 6), (4, 7), or between blocks (2, 4), (3, 5)
+@pytest.mark.parametrize("m,n_base,n", [
+    (m, n_base, n)
+    for m in range(3, 8)
+    for n_base, n in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (2, 5),
+                      (3, 3), (3, 5), (3, 6), (4, 6), (4, 7)]
+    if m ** n <= 20_000
+])
+def test_lift_matches_per_vertex_block_sums(m, n_base, n):
+    rng = random.Random(f"{m}/{n_base}/{n}")
+    base = Partition(GraphParams(m, n_base), [rng.randrange(m) for _ in range(m ** n_base)])
+    lifted = lift_partition(base, n, degree_cap=10 ** 6)
+    assert type(lifted.assignment) is bytes
+    assert tuple(lifted.assignment) == _naive_lift(base, n)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (2, 4), (3, 5), (3, 3), (4, 3), (9, 4)])
+def test_theorem_partition_matches_per_vertex_lift(m, d, n):
+    # d < n lifts the degree-1 base; d >= n lifts a one-coordinate base,
+    # whose single block spans every coordinate and straddles the cut
+    if d < n:
+        base = degree_one_partition(m, -(-n // d))
+    else:
+        base = complete_graph_partition(m, min(d // n, m))
+    assert tuple(theorem_partition(m, d, n).assignment) == _naive_lift(base, n)
+
+
+def test_lift_beyond_one_byte_matches_per_vertex_block_sums():
+    m = 300
+    rng = random.Random(300)
+    base = Partition(GraphParams(m, 1), [rng.randrange(m) for _ in range(m)])
+    lifted = lift_partition(base, 2, degree_cap=10 ** 6)
+    assert type(lifted.assignment) is array and lifted.assignment.typecode == "H"
+    assert tuple(lifted.assignment) == _naive_lift(base, 2)
+
+
+@pytest.mark.parametrize("m,itemsize", [(3, 1), (256, 1), (257, 2), (70_000, 4)])
+def test_partition_storage_follows_m_and_round_trips(m, itemsize):
+    # bytes up to m = 256, above it the narrowest array; labels 255 and 256
+    # sit on either side of the byte boundary
+    labels = list(range(m))[::-1]
+    part = Partition(GraphParams(m, 1), labels)
+    assert type(part.assignment) is (bytes if m <= 256 else array)
+    assert memoryview(part.assignment).itemsize == itemsize
+    assert part_vertex_set(part, m - 1).ranks == {0}
+    doc = part.to_doc()
+    assert doc["assignment"] == labels
+    assert Partition.from_doc(json.loads(json.dumps(doc))) == part
+
+
+@pytest.mark.parametrize("m,labels,bad", [
+    (3, [0, -1, 2], -1),
+    (3, [0, 3, 1], 3),
+    (3, [0, 300, 1], 300),
+    (3, [5, 300, 0], 5),
+    (3, [0, 1, -300], -300),
+    (257, [0] * 256 + [257], 257),
+    (257, [0] * 256 + [-1], -1),
+    (257, [0] * 256 + [70_000], 70_000),
+])
+def test_out_of_range_labels_keep_their_message(tmp_path, capsys, m, labels, bad):
+    with pytest.raises(InvalidInputError, match=rf"^part index {bad} outside 0\.\.{m - 1}$"):
+        Partition(GraphParams(m, 1), labels)
+    path = tmp_path / "bad.part"
+    path.write_text(json.dumps({"m": m, "n": 1, "assignment": labels}))
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: part index {bad} outside 0..{m - 1}\n"
