@@ -33,6 +33,9 @@ CASES = [
     ["construct", "degree1", "--m", "4", "--n", "1", "--verify"],
     ["construct", "complete", "--m", "5", "--d", "2", "--out", "complete.part", "--verify",
      "--verbose"],
+    # labels 10 and 11 in a byte buffer, and labels past 255 in an array
+    ["construct", "complete", "--m", "12", "--d", "0", "--out", "wide.part", "--verify"],
+    ["construct", "complete", "--m", "300", "--d", "0", "--out", "huge.part"],
     ["construct", "lift", "--base", "base.part", "--n", "4", "--d", "2", "--out",
      "lifted.part", "--verify", "--verbose"],
     ["construct", "lift", "--base", "base.part", "--n", "5", "--d", "1"],
@@ -44,6 +47,8 @@ CASES = [
     ["construct", "subgraph", "--m", "3", "--n", "2", "--d", "3"],
     ["metrics", "theorem.part", "--out", "theorem.metrics.json", "--verbose"],
     ["metrics", "sub.vset"],
+    ["metrics", "wide.part", "--out", "wide.metrics.json"],
+    ["metrics", "huge.part"],
     ["bounds", "theorem1", "--m", "4", "--d", "5", "--n", "2"],
     ["bounds", "theorem1", "--m", "3", "--d", "2", "--n", "4", "--format", "csv", "--out",
      "theorem1.csv"],
