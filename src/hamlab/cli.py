@@ -98,6 +98,8 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise UsageError(f"{path} is nested too deeply")
 
 
 def _write_json(doc, path: Optional[str]) -> None:

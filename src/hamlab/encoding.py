@@ -7,6 +7,7 @@ import csv
 import functools
 import json
 import re
+from array import array
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, TextIO
@@ -99,6 +100,27 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
 
 
+# label bytes 0..9, and the table that turns each into its ASCII digit
+_DIGIT_BYTES = bytes(range(10))
+_DIGIT_TEXT = bytes.maketrans(_DIGIT_BYTES, b"0123456789")
+
+
+def _digit_lines(labels: bytes, sep: str) -> str:
+    """The digits of ``labels``, all below 10, joined by the ASCII ``sep``
+    that starts with "," and a line break and then holds only spaces.
+
+    A buffer of spaces takes the digits, commas and line breaks by three
+    strided slice assignments; joining the characters of the decoded digits
+    would first list them, one pointer each.
+    """
+    width = 1 + len(sep)
+    text = bytearray(b" ") * (len(labels) * width - len(sep))
+    text[::width] = labels.translate(_DIGIT_TEXT)
+    text[1::width] = b"," * (len(labels) - 1)
+    text[2::width] = b"\n" * (len(labels) - 1)
+    return text.decode("ascii")
+
+
 def _key_token(key) -> str:
     # non-string keys become the text of their JSON value, as in the stdlib
     if not isinstance(key, str):
@@ -128,6 +150,12 @@ def _json_chunks(doc, depth: int, out: list[str]) -> None:
             _json_chunks(value, depth + 1, out)
             sep = "," + inner
         out.append("\n" + "  " * depth + "}")
+    elif isinstance(doc, (bytes, array)):  # a label buffer: a flat array of ints
+        if type(doc) is bytes and doc and not doc.translate(None, _DIGIT_BYTES):
+            body = _digit_lines(doc, "," + inner)
+            out += ("[", inner, body, "\n" + "  " * depth + "]")
+        else:
+            _json_chunks(list(doc), depth, out)
     elif isinstance(doc, (list, tuple)):
         if not doc:
             out.append("[]")
@@ -153,7 +181,10 @@ def write_json(doc, stream: TextIO) -> None:
 
     Arrays of scalars go through the C encoder in one call each, where
     ``indent`` would make the stdlib fall back to its pure-Python encoder.
-    The whole document is encoded before anything is written.
+    A ``bytes`` or ``array`` value, which the stdlib rejects, is written as
+    the array of its ints; a ``bytes`` buffer of labels below 10 is laid out
+    straight from its bytes.  The whole document is encoded before anything
+    is written.
     """
     out: list[str] = []
     _json_chunks(doc, 0, out)

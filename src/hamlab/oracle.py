@@ -143,6 +143,8 @@ def exhaustive_function_check(
     m, k = len(domain), len(codomain)
     if arity < 1:
         raise InvalidInputError(f"need arity >= 1, got {arity}")
+    if not codomain or len(set(codomain)) != k:
+        raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
     check_enumeration(m, arity, budget.max_vertices, "grid points")
     point_count = m ** arity
     if samples is None:

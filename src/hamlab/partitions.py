@@ -59,7 +59,8 @@ class Partition:
         object.__setattr__(self, "assignment", labels)
 
     def to_doc(self) -> dict:
-        return {"m": self.params.m, "n": self.params.n, "assignment": list(self.assignment)}
+        # the label buffer itself: write_json lays it out as an int array
+        return {"m": self.params.m, "n": self.params.n, "assignment": self.assignment}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Partition":

@@ -115,6 +115,32 @@ def test_oracle_sampling_needs_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", [0, -3])
+@pytest.mark.parametrize("sampling", [(), ("--samples", 3, "--seed", 1)])
+def test_oracle_functions_rejects_an_empty_codomain(capsys, b, sampling):
+    assert run(["oracle", "functions", "--m", 2, "--b", b, "--n", 2, *sampling]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: codomain values must be nonempty and pairwise distinct\n"
+    assert "checked" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "DEEP"],
+    ["bounds", "check", "DEEP"],
+    *(["fn", name, "DEEP"] for name in
+      ("interpolate", "degree", "sensitivity", "decompose", "restrict", "verify")),
+    ["construct", "lift", "--base", "DEEP", "--n", 3, "--d", 1],
+    ["oracle", "metrics", "DEEP"],
+    ["bounds", "cayley", "--m", 3, "--n", 2, "--config", "DEEP"],
+])
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_deeply_nested_files_exit_one(tmp_path, capsys, argv, opener):
+    deep = tmp_path / "deep.json"
+    deep.write_text(opener * 100_000)
+    assert run([deep if a == "DEEP" else a for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {deep} is nested too deeply\n"
+
+
 def test_repeated_calls_in_one_process_carry_no_options_over(tmp_path, capsys):
     # main() builds its parser once per process, so every call must start
     # from the defaults again

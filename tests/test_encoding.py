@@ -2,6 +2,7 @@
 
 import io
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,11 +54,57 @@ def test_writer_edge_cases(doc):
     assert encoded(doc) == reference(doc)
 
 
+# label buffers: bytes of single digits, bytes of any width, and arrays
+_DIGITS_ONLY = bytes(i % 10 for i in range(256))
+label_buffers = st.one_of(
+    st.binary(max_size=60).map(lambda raw: raw.translate(_DIGITS_ONLY)),
+    st.binary(max_size=60),
+    st.lists(st.integers(0, 2 ** 16 - 1), max_size=40).map(lambda v: array("H", v)),
+    st.lists(st.integers(0, 2 ** 32 - 1), max_size=40).map(lambda v: array("L", v)),
+)
+buffer_trees = st.recursive(
+    scalars | label_buffers,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def as_lists(doc):
+    """The document with every label buffer replaced by the list of its ints."""
+    if isinstance(doc, (bytes, array)):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [as_lists(item) for item in doc]
+    return doc
+
+
+@given(doc=buffer_trees)
+@settings(max_examples=200, deadline=None)
+def test_label_buffers_encode_as_their_int_lists(doc):
+    assert encoded(doc) == reference(as_lists(doc))
+
+
+@pytest.mark.parametrize("buffer", [
+    b"", b"\x00", b"\x09", b"\x0a", bytes(range(10)), bytes(range(12)), b"\x00\xff\x07",
+    array("H"), array("H", [0, 9, 10, 65535]), array("L", [2 ** 32 - 1, 5]),
+])
+def test_label_buffer_edge_cases(buffer):
+    for doc in (buffer, {"m": 3, "assignment": buffer}, [[buffer], {"a": [buffer, 1]}]):
+        assert encoded(doc) == reference(as_lists(doc))
+
+
 def test_writer_rejects_what_the_stdlib_rejects():
     with pytest.raises(TypeError):
         encoded({"a": object()})
     with pytest.raises(TypeError):
         encoded({(1, 2): 0})
+    with pytest.raises(TypeError):
+        encoded([bytearray(b"\x01")])
 
 
 def test_cli_artifacts_reencode_to_their_own_bytes(tmp_path, capsys):

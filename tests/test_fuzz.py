@@ -166,6 +166,8 @@ def argvs(draw):
             argv.append(PATH)
         elif flag == "--base":
             argv += [flag, PATH]
+        elif flag == "--b":  # an empty or negative codomain size now and then
+            argv += [flag, draw(values | st.integers(-3, 0).map(str))]
         else:
             argv += [flag, draw(values)]
     for _ in range(draw(st.integers(0, 2))):
@@ -176,6 +178,9 @@ def argvs(draw):
 file_texts = st.one_of(
     st.one_of(partition_docs(), vertex_set_docs(), function_docs(), json_trees).map(json.dumps),
     st.sampled_from(["", "not json", "{", "[1, 2", "null"]),
+    # nested past the parser's recursion limit
+    st.tuples(st.sampled_from(["[", '{"a": ', '[{"m": ']), st.integers(1_000, 100_000))
+    .map(lambda nest: nest[0] * nest[1]),
 )
 
 

@@ -116,6 +116,13 @@ def test_exhaustive_requires_budget_or_sampling():
         exhaustive_function_check((0, 1, 2), 2, (0, 1), budget=tight)
 
 
+@pytest.mark.parametrize("codomain", [(), (1, 1)])
+@pytest.mark.parametrize("samples,seed", [(None, None), (3, 1)])
+def test_function_sweep_rejects_a_bad_codomain(codomain, samples, seed):
+    with pytest.raises(InvalidInputError, match="codomain values must be nonempty"):
+        exhaustive_function_check((0, 1), 2, codomain, samples=samples, seed=seed)
+
+
 def test_sampling_requires_seed():
     with pytest.raises(InvalidInputError):
         exhaustive_function_check((0, 1, 2, 3), 2, (0, 1), samples=10)
