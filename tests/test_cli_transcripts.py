@@ -25,6 +25,11 @@ INPUTS = {
     "rational.fn": {"A": ["-1/2", "0.5", 2], "B": [0, "3/4"], "n": 2,
                     "values": [0, 1, 1, 0, 0, 1, 1, 1, 0]},
     "config.json": {"capVertices": 1000, "format": "csv", "seed": 4},
+    # codomain indices 10 and 11 (two-digit labels), and indices past 255
+    "wide.fn": {"A": [0, 1, 2, 3], "B": list(range(12)), "n": 2,
+                "values": [11, 0, 10, 3, 0, 11, 11, 2, 10, 10, 1, 0, 5, 11, 9, 10]},
+    "huge.fn": {"A": [0, 1, "1/2"], "B": [*range(299), "-1/3"], "n": 2,
+                "values": [299, 0, 256, 257, 299, 1, 0, 12, 299]},
 }
 
 CASES = [
@@ -70,6 +75,14 @@ CASES = [
     ["fn", "decompose", "tribes.fn"],
     ["fn", "restrict", "lifted.fn", "--out", "lifted.restrict.json"],
     ["fn", "verify", "rational.fn"],
+    ["fn", "sensitivity", "wide.fn", "--out", "wide.sensitivity.json"],
+    ["fn", "interpolate", "wide.fn"],
+    ["fn", "decompose", "wide.fn", "--out", "wide.decompose.json"],
+    ["fn", "restrict", "wide.fn"],
+    ["fn", "sensitivity", "huge.fn"],
+    ["fn", "degree", "huge.fn"],
+    ["fn", "restrict", "huge.fn", "--out", "huge.restrict.json"],
+    ["fn", "verify", "huge.fn", "--out", "huge.verify.json"],
     ["oracle", "sigma", "--m", "2", "--n", "3"],
     ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
      "sigma.jsonl"],
