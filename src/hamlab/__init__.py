@@ -15,6 +15,7 @@ from .bounds import (
     markov_degree_lower_bound,
     sensitivity_floor,
     sigma_closed_form,
+    sigma_report,
     subgraph_stats,
     theorem_imbalance_bound,
     tribes_degree_sensitivity,

@@ -174,6 +174,18 @@ def sigma_closed_form(m: int, n: int) -> Optional[int]:
     return None
 
 
+def sigma_report(m: int, n: int, measured: int) -> BoundsReport:
+    """The ``oracle sigma`` row: a measured sigma, the minimum max degree
+    over subsets of size k = m^(n-1)+1, against its closed form; with no
+    closed form the measured value stands in and the verdict is NA."""
+    expected = sigma_closed_form(m, n)
+    return BoundsReport(
+        "sigma", m, n, f"k={m ** (n - 1) + 1}",
+        measured if expected is None else expected, measured,
+        None if expected is None else measured == expected,
+    )
+
+
 def tribes_degree_sensitivity(m: int, s: int) -> tuple[int, int]:
     """Degree (m-1)s^2 and sensitivity (m-1)s of the tribes function with s
     tribes lifted to an m-symbol alphabet (m = 2: plain tribes)."""

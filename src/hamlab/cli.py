@@ -31,11 +31,16 @@ from .encoding import (
     write_records,
 )
 from .errors import (
+    DEFAULT_FUNCTION_CAP,
+    DEFAULT_ORACLE_METRICS_CAP,
+    DEFAULT_ORACLE_VERTEX_CAP,
+    DEFAULT_SUBSET_CAP,
     DEFAULT_VERTEX_CAP,
     BoundNotApplicableError,
     ContractViolationError,
     InvalidInputError,
     ResourceLimitError,
+    check_enumeration,
     power_exceeds,
 )
 from .graph import VertexSet, induced_max_degree
@@ -43,10 +48,6 @@ from .graph import VertexSet, induced_max_degree
 ENV_CAP_VERTICES = "HAMLAB_CAP_VERTICES"
 ENV_CAP_SUBSETS = "HAMLAB_CAP_SUBSETS"
 ENV_CAP_FUNCTIONS = "HAMLAB_CAP_FUNCTIONS"
-
-DEFAULT_ORACLE_VERTICES = 32
-DEFAULT_CAP_SUBSETS = 1_000_000
-DEFAULT_CAP_FUNCTIONS = 1_000_000
 
 FORMATS = ("records", "csv")
 
@@ -152,21 +153,19 @@ def _resolve_caps(args) -> dict:
             return _config_int(config, config_key)
         return _env_default(env_name, fallback)
 
-    # subset/function searches blow up exponentially in the vertex count, so
-    # they get a tight default; the all-pairs metrics oracle scales quadratically
     if args.command == "oracle" and args.subcommand != "metrics":
-        vertex_fallback = DEFAULT_ORACLE_VERTICES
+        vertex_fallback = DEFAULT_ORACLE_VERTEX_CAP
     elif args.command == "oracle":
-        vertex_fallback = 10_000
+        vertex_fallback = DEFAULT_ORACLE_METRICS_CAP
     else:
         vertex_fallback = DEFAULT_VERTEX_CAP
     caps = {
         "vertices": pick(getattr(args, "cap_vertices", None), "capVertices",
                          ENV_CAP_VERTICES, vertex_fallback),
         "subsets": pick(getattr(args, "cap_subsets", None), "capSubsets",
-                        ENV_CAP_SUBSETS, DEFAULT_CAP_SUBSETS),
+                        ENV_CAP_SUBSETS, DEFAULT_SUBSET_CAP),
         "functions": pick(getattr(args, "cap_functions", None), "capFunctions",
-                          ENV_CAP_FUNCTIONS, DEFAULT_CAP_FUNCTIONS),
+                          ENV_CAP_FUNCTIONS, DEFAULT_FUNCTION_CAP),
     }
     if getattr(args, "seed", None) is None and "seed" in config:
         args.seed = _config_int(config, "seed")
@@ -355,7 +354,9 @@ def _cmd_fn(args, caps) -> int:
         if args.subcommand == "tribes":
             f = fn_mod.tribes(args.s, cap=cap)
         else:
-            f = fn_mod.lifted_tribes(tuple(range(args.m)), args.a, args.s, cap=cap)
+            # the alphabet is built only once its grid fits the cap
+            check_enumeration(args.m, max(args.s * args.s, 1), cap, "grid points")
+            f = fn_mod.lifted_tribes(range(args.m), args.a, args.s, cap=cap)
         _write_json(f.to_doc(), args.out)
         if not args.verify:
             return 0
@@ -445,15 +446,10 @@ def _cmd_oracle(args, caps) -> int:
     if args.subcommand == "sigma":
         value = oracle_mod.sigma_exact(args.m, args.n, budget=budget)
         print(f"sigma = {value}")
-        expected = bounds_mod.sigma_closed_form(args.m, args.n)
-        report = bounds_mod.BoundsReport(
-            "sigma", args.m, args.n, f"k={args.m ** (args.n - 1) + 1}",
-            expected if expected is not None else value, value,
-            None if expected is None else value == expected,
-        )
+        report = bounds_mod.sigma_report(args.m, args.n, value)
         _emit_oracle(args, report, {"m": args.m, "n": args.n, "sigma": value})
-        if expected is not None and value != expected:
-            raise VerificationFailure(f"measured sigma {value} != closed form {expected}")
+        if report.satisfied is False:
+            raise VerificationFailure(f"measured sigma {value} != closed form {report.value}")
         return 0
     if args.subcommand == "subsets":
         value, witness = oracle_mod.min_max_degree_subsets(
@@ -465,10 +461,11 @@ def _cmd_oracle(args, caps) -> int:
                                     "minMaxDegree": value, "witness": witness.to_doc()})
         return 0
     if args.subcommand == "functions":
-        domain = tuple(range(args.m))
-        codomain = tuple(range(args.b))
+        # the alphabet and the codomain are built only once they fit the caps
+        check_enumeration(args.m, max(args.n, 1), budget.max_vertices, "grid points")
+        check_enumeration(args.b, 1, budget.max_functions, "codomain values")
         report = oracle_mod.exhaustive_function_check(
-            domain, args.n, codomain, budget=budget,
+            range(args.m), args.n, range(args.b), budget=budget,
             samples=args.samples, seed=args.seed,
         )
         print(

@@ -1,6 +1,12 @@
 """Exception types and enumeration guard rails shared across the package."""
 
 DEFAULT_VERTEX_CAP = 10_000_000
+# the oracles' defaults: subset and function searches grow exponentially in
+# the vertex count, the all-pairs metrics oracle quadratically
+DEFAULT_ORACLE_VERTEX_CAP = 32
+DEFAULT_ORACLE_METRICS_CAP = 10_000
+DEFAULT_SUBSET_CAP = 1_000_000
+DEFAULT_FUNCTION_CAP = 1_000_000
 
 
 class InvalidInputError(ValueError):

@@ -15,9 +15,10 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .encoding import int_token, int_tokens, rational_from_token, rational_to_token
 from .errors import (
@@ -25,11 +26,11 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     check_enumeration,
-    power_exceeds,
 )
 from .graph import (
     GraphParams,
     _digit_table,
+    _grid_labels,
     _label_planes,
     _same_label_degree_extreme,
     unrank,
@@ -53,32 +54,31 @@ class FiniteFunction:
     ``domain`` is the per-coordinate value set (the function's full domain is
     its ``arity``-fold product) and ``codomain`` lists the possible outputs.
     ``values[i]`` is the codomain index of the output at the point of rank i,
-    where points are ranked big-endian by per-coordinate domain index.
+    where points are ranked big-endian by per-coordinate domain index.  Any
+    sequence of indices is stored like a partition's assignment, with the
+    codomain size in place of m.
     """
 
     domain: tuple[Fraction, ...]
     codomain: tuple[Fraction, ...]
     arity: int
-    values: tuple[int, ...]
+    values: Union[bytes, array]
 
     def __post_init__(self) -> None:
         domain = _as_rationals(self.domain)
         codomain = _as_rationals(self.codomain)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "values", tuple(self.values))
         if self.arity < 1:
             raise InvalidInputError(f"need arity >= 1, got {self.arity}")
         if not domain or len(set(domain)) != len(domain):
             raise InvalidInputError("domain values must be nonempty and pairwise distinct")
         if not codomain or len(set(codomain)) != len(codomain):
             raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
-        m, length = len(domain), len(self.values)
-        if power_exceeds(m, self.arity, length) or length != m ** self.arity:
-            raise InvalidInputError(f"value table length {length} != {m}^{self.arity}")
-        if not 0 <= min(self.values) <= max(self.values) < len(codomain):
-            bad = next(v for v in self.values if not 0 <= v < len(codomain))
-            raise InvalidInputError(f"value index {bad} outside the codomain")
+        values = _grid_labels(
+            self.values, len(domain), self.arity, len(codomain), ("value table", "value index")
+        )
+        object.__setattr__(self, "values", values)
 
     @property
     def point_count(self) -> int:
@@ -108,7 +108,7 @@ class FiniteFunction:
             "A": [rational_to_token(v) for v in self.domain],
             "B": [rational_to_token(v) for v in self.codomain],
             "n": self.arity,
-            "values": list(self.values),
+            "values": self.values,  # the label buffer: write_json lays it out
         }
 
     @classmethod
@@ -407,9 +407,11 @@ def boolean_restriction_witness(
         _grid_tensor(list(map(b.__eq__, f.values)), f.domain, n) for b in range(len(f.codomain))
     ]
     lifted, _ = _integer_codomain(f.codomain)
-    weighted = [map(c.__mul__, tensor) for c, tensor in zip(lifted, indicators) if c]
+    combined = [0] * len(indicators[0])
+    for c, tensor in zip(lifted, indicators):
+        if c:  # one list per term: a sum of nested lazy maps overflows the C stack
+            combined = list(map(operator.add, combined, map(c.__mul__, tensor)))
     degrees = _digit_table([range(m)] * n)
-    combined = functools.reduce(_sum_maps, weighted) if weighted else ()
     total_degree = max(itertools.compress(degrees, combined), default=0)
     if total_degree < 1:
         raise InvalidInputError("constant functions admit no restriction certificate")

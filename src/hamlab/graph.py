@@ -140,51 +140,56 @@ class VertexSet:
 _BIT_CHARS = tuple(
     bytes(0x31 if value >> bit & 1 else 0x30 for value in range(256)) for bit in range(8)
 )
-# _PACK_CODES[k] is an array type code whose items hold k+1 bytes
-_PACK_CODES = tuple(next(c for c in "BHILQ" if array(c).itemsize > k) for k in range(8))
+# _PACK_CODES[b] is the type code of the narrowest array whose items hold b bits
+_PACK_CODES = tuple(next(c for c in "BHILQ" if array(c).itemsize * 8 >= b) for b in range(65))
+# _LABEL_BYTES[count] holds the byte labels 0..count-1, which the range check deletes
+_LABEL_BYTES = tuple(bytes(range(count)) for count in range(257))
 
 
-def _pack_code(bits: int) -> str:
-    """Type code of the narrowest array whose items hold ``bits`` bits."""
-    return _PACK_CODES[max(bits - 1, 0) // 8]
+def _grid_labels(
+    labels: Sequence[int], m: int, n: int, count: int, names: tuple[str, str]
+) -> Union[bytes, array]:
+    """The labels of the m^n grid points in rank order, each in 0..count-1,
+    stored compactly: ``bytes`` when count <= 256, else an ``array`` of the
+    narrowest type code holding count - 1.
 
-
-def _label_buffer(labels: Sequence[int], count: int) -> Union[bytes, array]:
-    """Labels in 0..count-1 stored compactly: ``bytes`` when count <= 256,
-    else an ``array`` of the narrowest type code holding count - 1.
-
-    Raises ValueError when a label lies outside 0..count-1 and TypeError
-    when one is not an integer.
+    ``names`` name the sequence and one label in the InvalidInputError
+    raised when the length is not m^n or a label lies outside 0..count-1;
+    a label that is not an integer raises TypeError.
     """
-    code = _pack_code((count - 1).bit_length())
+    length = len(labels)
+    # a length equal to m^n is checked without ever computing a huge m^n
+    if power_exceeds(m, n, length) or length != m ** n:
+        raise InvalidInputError(f"{names[0]} length {length} != vertex count {m}^{n}")
+    code = _PACK_CODES[(count - 1).bit_length()]
     # bytes() and array() copy the raw bytes of a buffer, not its items
     try:
-        if code != "B":
+        if code == "B":
+            if not isinstance(labels, (bytes, bytearray, list, tuple)):
+                labels = array(code, labels)
+            packed = bytes(labels)
+            valid = not packed.translate(None, _LABEL_BYTES[count])
+        else:
             items = list(labels) if isinstance(labels, (bytes, bytearray)) else labels
             packed = array(code, items)
-            if packed and max(packed) >= count:
-                raise ValueError(f"label {max(packed)} outside 0..{count - 1}")
-            return packed
-        if not isinstance(labels, (bytes, bytearray, list, tuple)):
-            labels = array(code, labels)
-        packed = bytes(labels)
-    except OverflowError as exc:  # a negative label, or one too wide for the type
-        raise ValueError(str(exc)) from exc
-    if packed.translate(None, bytes(range(count))):
-        raise ValueError(f"a label outside 0..{count - 1}")
+            valid = not packed or max(packed) < count
+    except (OverflowError, ValueError):  # a negative label, or one too wide for the type
+        valid = False
+    if not valid:
+        bad = next(a for a in labels if not 0 <= a < count)
+        raise InvalidInputError(f"{names[1]} {bad} outside 0..{count - 1}")
     return packed
 
 
-def _label_planes(labels: Sequence[int], bits: int) -> list[int]:
-    """Bit planes of a labelling whose labels have at most ``bits`` bits:
+def _label_planes(labels: Union[bytes, bytearray, array], bits: int) -> list[int]:
+    """Bit planes of a label buffer whose labels have at most ``bits`` bits:
     bit r of plane p is bit p of labels[r].  Byte labels are read in place."""
-    if isinstance(labels, (bytes, bytearray)):
-        raw, width = labels, 1
-    else:
-        packed = array(_pack_code(bits), labels)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        raw, width = packed.tobytes(), packed.itemsize
+    raw, width = labels, 1
+    if isinstance(labels, array):
+        if sys.byteorder == "big":  # lowest byte of every item first
+            labels = array(labels.typecode, labels)
+            labels.byteswap()
+        raw, width = labels.tobytes(), labels.itemsize
     # reversed so that the last character, the int's lowest bit, is rank 0
     return [
         int(raw[p // 8::width].translate(_BIT_CHARS[p % 8])[::-1], 2) for p in range(bits)

@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInputError, ResourceLimitError, check_enumeration, power_exceeds
+from .errors import (
+    DEFAULT_FUNCTION_CAP,
+    DEFAULT_ORACLE_METRICS_CAP,
+    DEFAULT_ORACLE_VERTEX_CAP,
+    DEFAULT_SUBSET_CAP,
+    InvalidInputError,
+    ResourceLimitError,
+    check_enumeration,
+    power_exceeds,
+)
 from .functions import FiniteFunction, boolean_restriction_witness, verify_sensitivity_bound
 from .graph import GraphParams, VertexSet, neighbors, rank, unrank
 from .partitions import Partition, PartitionMetrics
@@ -25,9 +34,9 @@ from .partitions import Partition, PartitionMetrics
 class SearchBudget:
     """Hard limits enforced before any enumeration begins."""
 
-    max_vertices: int = 32
-    max_subsets: int = 1_000_000
-    max_functions: int = 1_000_000
+    max_vertices: int = DEFAULT_ORACLE_VERTEX_CAP
+    max_subsets: int = DEFAULT_SUBSET_CAP
+    max_functions: int = DEFAULT_FUNCTION_CAP
 
     def __post_init__(self) -> None:
         if min(self.max_vertices, self.max_subsets, self.max_functions) <= 0:
@@ -192,7 +201,9 @@ def _all_tables(k: int, length: int):
     return itertools.product(range(k), repeat=length)
 
 
-def brute_force_metrics(part: Partition, cap: int = 10_000) -> PartitionMetrics:
+def brute_force_metrics(
+    part: Partition, cap: int = DEFAULT_ORACLE_METRICS_CAP
+) -> PartitionMetrics:
     """Recompute partition metrics by scanning all vertex pairs; must agree
     with the fast path."""
     params = part.params

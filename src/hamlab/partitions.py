@@ -20,14 +20,13 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     check_enumeration,
-    power_exceeds,
 )
 from .graph import (
     Digits,
     GraphParams,
     VertexSet,
     _digit_table,
-    _label_buffer,
+    _grid_labels,
     _label_planes,
     _label_sizes,
     _same_label_degree_extreme,
@@ -48,14 +47,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         m, n = self.params.m, self.params.n
-        length = len(self.assignment)
-        if power_exceeds(m, n, length) or length != m ** n:
-            raise InvalidInputError(f"assignment length {length} != vertex count {m}^{n}")
-        try:
-            labels = _label_buffer(self.assignment, m)
-        except ValueError:
-            bad = next(a for a in self.assignment if not 0 <= a < m)
-            raise InvalidInputError(f"part index {bad} outside 0..{m - 1}") from None
+        labels = _grid_labels(self.assignment, m, n, m, ("assignment", "part index"))
         object.__setattr__(self, "assignment", labels)
 
     def to_doc(self) -> dict:

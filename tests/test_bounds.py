@@ -28,6 +28,7 @@ from hamlab import (
     partition_metrics,
     sensitivity_floor,
     sigma_closed_form,
+    sigma_report,
     subgraph_stats,
     theorem_imbalance_bound,
     tribes_degree_sensitivity,
@@ -218,3 +219,15 @@ def test_sigma_closed_form():
     ]
     assert sigma_closed_form(3, 4) == sigma_closed_form(7, 1) == 1
     assert sigma_closed_form(1, 3) is None
+
+
+def test_sigma_report_labels_the_subset_size_and_checks_the_closed_form():
+    assert sigma_report(2, 3, 2).to_record() == {
+        "bound": "sigma", "m": 2, "n": 3, "d_or_eps": "k=5", "value": 2,
+        "measured": 2, "verdict": "PASS",
+    }
+    assert sigma_report(3, 2, 2).verdict == "FAIL"
+    assert sigma_report(3, 2, 2).value == 1
+    # no closed form: the measured value stands in, with no verdict
+    assert sigma_report(1, 3, 0).to_record()["value"] == 0
+    assert sigma_report(1, 3, 0).verdict == "NA"

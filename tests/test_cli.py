@@ -263,6 +263,38 @@ def test_huge_inputs_exit_one_before_exponentiating(tmp_path, capsys, doc, argv)
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [10 ** 18, 10 ** 30])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "functions", "--m", "SIZE", "--b", 2, "--n", 2],
+    ["oracle", "functions", "--m", "SIZE", "--b", 2, "--n", 0],
+    ["oracle", "functions", "--m", 2, "--b", "SIZE", "--n", 2],
+    ["oracle", "functions", "--m", 2, "--b", "SIZE", "--n", 2, "--samples", 3, "--seed", 1],
+    ["fn", "lifted-tribes", "--m", "SIZE", "--a", 0, "--s", 2],
+    ["fn", "lifted-tribes", "--m", "SIZE", "--a", 0, "--s", 0],
+])
+def test_huge_alphabets_exit_one_before_they_are_built(capsys, argv, size):
+    start = time.perf_counter()
+    assert run([size if a == "SIZE" else a for a in argv]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_wide_codomains_restrict_in_their_own_process(tmp_path):
+    # 10^5 codomain values: a sum of that many indicator tensors through
+    # nested lazy maps would overflow the C stack and kill the process
+    path = tmp_path / "wide.fn"
+    path.write_text(json.dumps({"A": [0, 1], "B": list(range(100_000)), "n": 1,
+                                "values": [0, 99_999]}))
+    for argv in (["fn", "restrict", path],
+                 ["oracle", "functions", "--m", 2, "--b", 100_000, "--n", 1,
+                  "--samples", 1, "--seed", 1]):
+        done = subprocess.run([sys.executable, "-m", "hamlab", *map(str, argv)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "sigma", "--m", 3, "--n", 99_999_999],
     ["oracle", "subsets", "--m", 3, "--n", 99_999_999, "--k", 2],

@@ -2,7 +2,11 @@
 pipeline."""
 
 import itertools
+import json
+import random
+from array import array
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 
@@ -22,6 +26,7 @@ from hamlab import (
     tribes,
     verify_sensitivity_bound,
 )
+from hamlab.encoding import write_json
 
 ZERO_ONE = (0, 1)
 
@@ -86,10 +91,56 @@ def test_interpolate_respects_cap():
 def test_finite_function_validation():
     with pytest.raises(InvalidInputError):
         FiniteFunction((0, 0, 1), ZERO_ONE, 1, (0, 0, 0))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^value table length 3 != vertex count 2\^2$"):
         FiniteFunction((0, 1), ZERO_ONE, 2, (0, 0, 0))
-    with pytest.raises(InvalidInputError):
-        FiniteFunction((0, 1), ZERO_ONE, 1, (0, 2))
+    for bad in (2, -1, 300, 70_000):
+        with pytest.raises(InvalidInputError, match=rf"^value index {bad} outside 0\.\.1$"):
+            FiniteFunction((0, 1), ZERO_ONE, 1, (0, bad))
+
+
+def _wide(codomain_size, domain=(0, 1, 2), arity=2, seed=0):
+    """A function whose table uses the top codomain index, with the rest
+    drawn at random."""
+    rng = random.Random(seed)
+    values = [rng.randrange(codomain_size) for _ in range(len(domain) ** arity)]
+    values[rng.randrange(len(values))] = codomain_size - 1
+    return FiniteFunction(domain, range(codomain_size), arity, values)
+
+
+@pytest.mark.parametrize("codomain_size,typecode", [
+    (1, None), (2, None), (11, None), (256, None), (257, "H"), (65_536, "H"), (65_537, "I"),
+])
+def test_value_table_storage_follows_the_codomain(codomain_size, typecode):
+    f = _wide(codomain_size, domain=(0, 1), arity=3)
+    if typecode is None:
+        assert type(f.values) is bytes
+    else:
+        assert type(f.values) is array and f.values.itemsize == array(typecode).itemsize
+    assert max(f.values) == codomain_size - 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_tables_match_the_pointwise_definitions(seed):
+    f = _wide(300, domain=(0, Fraction(1, 2), 3), arity=3, seed=seed)
+    assert type(f.values) is array
+    local = [local_sensitivity(f, p) for p in f.points()]
+    best = max(local)
+    assert sensitivity(f) == (best, list(f.points())[local.index(best)])
+    poly = interpolate(f)
+    assert degree(f) == poly.degree()
+    assert all(poly.evaluate(p) == f.value_at(p) for p in f.points())
+
+
+@pytest.mark.parametrize("codomain_size", [2, 11, 300])
+def test_to_doc_writes_like_the_stdlib_on_the_listed_values(codomain_size):
+    f = _wide(codomain_size)
+    doc = f.to_doc()
+    assert doc["values"] is f.values
+    out = StringIO()
+    write_json(doc, out)
+    listed = {**doc, "values": list(doc["values"])}
+    assert out.getvalue() == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+    assert FiniteFunction.from_doc(json.loads(out.getvalue())) == f
 
 
 def test_finite_function_roundtrip():
@@ -177,7 +228,7 @@ def test_indicator_decomposition_identities():
 def test_indicator_decomposition_single_value_range():
     f = FiniteFunction((0, 1), (9,), 1, (0, 0))
     (component,) = indicator_decomposition(f)
-    assert component.values == (1, 1)
+    assert tuple(component.values) == (1, 1)
 
 
 def test_indicator_decomposition_degree_cover_exhaustive():
@@ -281,7 +332,7 @@ def test_verify_bound_lifted_tribes_ratio():
 
 def test_tribes_small_cases():
     one = tribes(1)
-    assert one.values == (0, 1)  # identity on one bit
+    assert tuple(one.values) == (0, 1)  # identity on one bit
     assert degree(one) == 1 and sensitivity(one)[0] == 1
     three = tribes(3)
     assert degree(three) == 9 and sensitivity(three)[0] == 3

@@ -312,7 +312,7 @@ def _witness_summary(f):
         w = boolean_restriction_witness(f)
     except InvalidInputError:
         return None
-    return w.range_value, w.retained_pairs, w.target_support, w.boolean_function.values
+    return w.range_value, w.retained_pairs, w.target_support, tuple(w.boolean_function.values)
 
 
 @given(data=st.data())
@@ -413,8 +413,8 @@ def test_lifted_tribes_matches_tribes_loop(domain_size, s):
     for marked in domain:
         f = lifted_tribes(domain, marked, s)
         assert f.domain == domain and f.arity == s * s
-        assert f.values == _naive_lifted_tribes_values(domain, marked, s)
-    assert tribes(s).values == _naive_lifted_tribes_values((0, 1), 1, s)
+        assert tuple(f.values) == _naive_lifted_tribes_values(domain, marked, s)
+    assert tuple(tribes(s).values) == _naive_lifted_tribes_values((0, 1), 1, s)
 
 
 # compact labels: the row-join lift against the per-vertex block sums it
