@@ -30,6 +30,10 @@ INPUTS = {
                 "values": [11, 0, 10, 3, 0, 11, 11, 2, 10, 10, 1, 0, 5, 11, 9, 10]},
     "huge.fn": {"A": [0, 1, "1/2"], "B": [*range(299), "-1/3"], "n": 2,
                 "values": [299, 0, 256, 257, 299, 1, 0, 12, 299]},
+    # a domain of stretch 10 (denominators 2 and 5); codomain value "-2/3" unused
+    "stretch.fn": {"A": [0, "1/2", -3, "7/5", 2], "B": [0, 1, "-2/3", 5], "n": 2,
+                   "values": [3, 0, 1, 1, 3, 0, 0, 1, 1, 1, 3, 0, 0, 3, 1, 1, 0, 0, 3, 1,
+                              0, 1, 0, 3, 1]},
 }
 
 CASES = [
@@ -83,6 +87,9 @@ CASES = [
     ["fn", "degree", "huge.fn"],
     ["fn", "restrict", "huge.fn", "--out", "huge.restrict.json"],
     ["fn", "verify", "huge.fn", "--out", "huge.verify.json"],
+    ["fn", "restrict", "rational.fn"],
+    ["fn", "interpolate", "stretch.fn"],
+    ["fn", "restrict", "stretch.fn", "--out", "stretch.restrict.json"],
     ["oracle", "sigma", "--m", "2", "--n", "3"],
     ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
      "sigma.jsonl"],
