@@ -177,7 +177,7 @@ class GridPolynomial:
         ]
 
     @classmethod
-    def from_doc(cls, doc: list, arity: Optional[int] = None) -> "GridPolynomial":
+    def from_doc(cls, doc: list) -> "GridPolynomial":
         terms = {}
         try:
             for entry in doc:
@@ -186,44 +186,53 @@ class GridPolynomial:
                 terms[exps] = terms.get(exps, Fraction(0)) + coeff
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed polynomial document: {exc}") from exc
-        if arity is None:
-            if not terms:
-                raise InvalidInputError("cannot infer arity of an empty polynomial document")
-            arity = len(next(iter(terms)))
-        return cls(arity, terms)
+        if not terms:
+            raise InvalidInputError("cannot infer arity of an empty polynomial document")
+        return cls(len(next(iter(terms))), terms)
+
+
+def _integer_scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The rationals times the LCM of their denominators, and that LCM."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 @functools.lru_cache(maxsize=64)
-def _scaled_lagrange(nodes: tuple[Fraction, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The Lagrange matrix of ``nodes`` in integers, and its positive scale.
+def _scaled_lagrange(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Lagrange matrix of the integer ``nodes``, and its positive scale.
 
     Row k, column i holds scale times the x^k coefficient of the basis
-    polynomial that is 1 at node i and 0 at the others; the scale is the LCM
-    of those coefficients' denominators.
+    polynomial that is 1 at node i and 0 at the others.  That polynomial is
+    prod(x - y_j) with the factor x - y_i divided out, over its value w_i at
+    y_i, so the scale is the LCM of the w_i.
     """
-    columns = []
-    for i, node in enumerate(nodes):
-        column = [Fraction(1)]
-        for j, other in enumerate(nodes):
-            if j != i:  # multiply by (x - other) / (node - other)
-                column = [(raised - other * kept) / (node - other)
-                          for raised, kept in zip([0] + column, column + [0])]
-        columns.append(column)
-    scale = math.lcm(*(c.denominator for column in columns for c in column))
-    return tuple(zip(*([int(c * scale) for c in column] for column in columns))), scale
+    product = [1]  # prod(x - y_j), lowest degree first
+    for y in nodes:
+        product = [lo - y * hi for lo, hi in zip([0] + product, product + [0])]
+    columns, weights = [], []
+    for y in nodes:
+        quotient = [product[-1]]  # synthetic division by x - y, highest degree first
+        for c in reversed(product[1:-1]):
+            quotient.append(c + y * quotient[-1])
+        columns.append(quotient[::-1])
+        weights.append(math.prod(y - other for other in nodes if other != y))
+    scale = math.lcm(*weights)
+    return tuple(zip(*([c * (scale // w) for c in column]
+                       for column, w in zip(columns, weights)))), scale
 
 
 @functools.lru_cache(maxsize=256)
-def _scaled_restriction(nodes: tuple[Fraction, ...], s: int, t: int) -> tuple:
+def _scaled_restriction(nodes: tuple[int, ...], s: int, t: int) -> tuple:
     """Integer 2 x len(nodes) matrix that takes the coefficients along one
-    axis to those of its interpolant on nodes s and t, under one positive
-    scale: the axis is evaluated at the two nodes, then interpolated there."""
-    pair = (nodes[s], nodes[t])
-    lift = math.lcm(*(x.denominator for x in pair)) ** (len(nodes) - 1)
-    powers = [[int(x ** e * lift) for e in range(len(nodes))] for x in pair]
-    return tuple(
-        tuple(a * pa + b * pb for pa, pb in zip(*powers)) for a, b in _scaled_lagrange(pair)[0]
-    )
+    axis to those of its interpolant on nodes s and t, times y_t - y_s.
+
+    With V(y) = (1, y, ..., y^(m-1)), the line through the axis's values at
+    y_s and y_t has constant term y_t*V(y_s) - y_s*V(y_t) and slope
+    V(y_t) - V(y_s), each over y_t - y_s, dotted with the coefficients.
+    """
+    ys, yt = nodes[s], nodes[t]
+    vs, vt = ([y ** e for e in range(len(nodes))] for y in (ys, yt))
+    return tuple(yt * a - ys * b for a, b in zip(vs, vt)), tuple(b - a for a, b in zip(vs, vt))
 
 
 _sum_maps = functools.partial(map, operator.add)
@@ -242,41 +251,38 @@ def _transform_leading_axis(tensor: Sequence[int], size: int, rows) -> list[int]
     return list(itertools.chain.from_iterable(zip(*out)))
 
 
-def _grid_tensor(table: Sequence[int], nodes: tuple[Fraction, ...], arity: int) -> list[int]:
+def _grid_tensor(table: Sequence[int], nodes: tuple[int, ...], arity: int) -> list[int]:
     """Coefficients, times the scale ``_scaled_lagrange(nodes)[1] ** arity``,
-    of the unique polynomial matching the integer ``table`` on the grid
-    nodes^arity with per-variable degree below len(nodes); entry i belongs
-    to the monomial whose exponent vector is the big-endian index i."""
+    of the unique polynomial matching the integer ``table`` on the grid of
+    integer nodes^arity with per-variable degree below len(nodes); entry i
+    belongs to the monomial whose exponent vector is the big-endian index i."""
     rows = _scaled_lagrange(nodes)[0]
     for _ in range(arity):
         table = _transform_leading_axis(table, len(nodes), rows)
     return table
 
 
-def _integer_codomain(codomain: Sequence[Fraction]) -> tuple[list[int], int]:
-    # the codomain times the LCM of its denominators, and that LCM
-    scale = math.lcm(*(c.denominator for c in codomain))
-    return [c.numerator * (scale // c.denominator) for c in codomain], scale
-
-
-def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[list[int], int]:
-    """The coefficient tensor of f's interpolant in integers (see
-    ``_grid_tensor``), and the positive scale it carries."""
+def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[list[int], int, int]:
+    """The coefficient tensor of f's interpolant in the integer nodes
+    y = stretch * x (see ``_grid_tensor``), the positive scale it carries,
+    and the stretch: the x^e coefficient is entry e times stretch^|e| over
+    the scale."""
     check_enumeration(len(f.domain), f.arity, cap, "grid points")
-    lifted, scale = _integer_codomain(f.codomain)
-    tensor = _grid_tensor(list(map(lifted.__getitem__, f.values)), f.domain, f.arity)
-    return tensor, scale * _scaled_lagrange(f.domain)[1] ** f.arity
+    lifted, scale = _integer_scaled(f.codomain)
+    nodes, stretch = _integer_scaled(f.domain)
+    tensor = _grid_tensor(list(map(lifted.__getitem__, f.values)), nodes, f.arity)
+    return tensor, scale * _scaled_lagrange(nodes)[1] ** f.arity, stretch
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
-    tensor, scale = _scaled_tensor(f, cap)
+    tensor, scale, stretch = _scaled_tensor(f, cap)
+    powers = [stretch ** k for k in range((len(f.domain) - 1) * f.arity + 1)]
     exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
-    return GridPolynomial._exact(
-        f.arity, {exps: Fraction(c, scale) for exps, c in zip(exponents, tensor) if c}
-    )
+    return GridPolynomial._exact(f.arity, {exps: Fraction(c * powers[sum(exps)], scale)
+                                           for exps, c in zip(exponents, tensor) if c})
 
 
 def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -284,7 +290,7 @@ def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
 
     Read off the integer tensor: the largest exponent sum of a nonzero
     entry, with no rational polynomial built."""
-    tensor, _ = _scaled_tensor(f, cap)
+    tensor = _scaled_tensor(f, cap)[0]
     return max(itertools.compress(_digit_table([range(len(f.domain))] * f.arity), tensor),
                default=0)
 
@@ -394,7 +400,8 @@ def boolean_restriction_witness(
     exists; running out of pairs would contradict the degree/support
     invariant and raises a contract violation.
 
-    Each indicator is interpolated once.  Their tensors share one scale, so
+    Each value the table takes has its indicator interpolated once, and the
+    indicators of absent values are zero.  The tensors share one scale, so
     their codomain-weighted sum is f's tensor under a positive scale, and
     restricting a coordinate to a pair is one 2 x m integer matrix applied to
     that axis of the chosen indicator's tensor.
@@ -403,23 +410,22 @@ def boolean_restriction_witness(
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
     check_enumeration(m, n, cap, "grid points")
-    indicators = [
-        _grid_tensor(list(map(b.__eq__, f.values)), f.domain, n) for b in range(len(f.codomain))
-    ]
-    lifted, _ = _integer_codomain(f.codomain)
-    combined = [0] * len(indicators[0])
-    for c, tensor in zip(lifted, indicators):
-        if c:  # one list per term: a sum of nested lazy maps overflows the C stack
-            combined = list(map(operator.add, combined, map(c.__mul__, tensor)))
+    nodes = _integer_scaled(f.domain)[0]
+    lifted = _integer_scaled(f.codomain)[0]
     degrees = _digit_table([range(m)] * n)
+    combined, pick_degree = [0] * len(f.values), -1
+    for b in sorted(set(f.values)):
+        indicator = _grid_tensor(list(map(b.__eq__, f.values)), nodes, n)
+        if lifted[b]:  # one list per term: a sum of nested lazy maps overflows the C stack
+            combined = list(map(operator.add, combined, map(lifted[b].__mul__, indicator)))
+        component_degree = max(itertools.compress(degrees, indicator), default=0)
+        if component_degree > pick_degree:
+            pick, tensor, pick_degree = b, indicator, component_degree
     total_degree = max(itertools.compress(degrees, combined), default=0)
     if total_degree < 1:
         raise InvalidInputError("constant functions admit no restriction certificate")
-    component_degrees = [max(itertools.compress(degrees, t), default=0) for t in indicators]
-    pick = max(range(len(indicators)), key=component_degrees.__getitem__)
     target = -(-total_degree // (m - 1))
 
-    tensor = indicators[pick]
     supports = [[0] + [1] * (m - 1)] * n  # nonzero exponents per axis, leading axis first
     if max(itertools.compress(_digit_table(supports), tensor), default=0) < target:
         raise ContractViolationError(
@@ -430,7 +436,7 @@ def boolean_restriction_witness(
         supports = supports[1:] + [[0, 1]]
         support = _digit_table(supports)
         for s, t in itertools.combinations(range(m), 2):
-            candidate = _transform_leading_axis(tensor, m, _scaled_restriction(f.domain, s, t))
+            candidate = _transform_leading_axis(tensor, m, _scaled_restriction(nodes, s, t))
             if max(itertools.compress(support, candidate), default=0) >= target:
                 tensor, pairs[coord] = candidate, (s, t)
                 break

@@ -3,6 +3,7 @@
 import builtins
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -293,6 +294,20 @@ def test_wide_codomains_restrict_in_their_own_process(tmp_path):
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_degree_on_two_hundred_domain_values_is_quick(tmp_path, capsys):
+    # the integer Lagrange build is quadratic in the domain size; one built
+    # from Fraction polynomial products took close to a minute here
+    rng = random.Random(200)
+    path = tmp_path / "wide_domain.fn"
+    path.write_text(json.dumps({"A": [f"{k}/{1 + k % 3}" for k in range(200)],
+                                "B": [0, "1/2", 2], "n": 1,
+                                "values": [rng.randrange(3) for _ in range(200)]}))
+    start = time.perf_counter()
+    assert run(["fn", "degree", path]) == 0
+    assert time.perf_counter() - start < 5
+    assert "degree 199" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

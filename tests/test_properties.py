@@ -251,7 +251,8 @@ def test_interpolate_matches_sympy(sympy, data):
 
 
 def _naive_terms(values, axes):
-    # per-axis Lagrange transform of a Fraction value table
+    # per-axis Lagrange transform of a Fraction value table: exponent
+    # vector -> nonzero coefficient
     tensor = [Fraction(v) for v in values]
     stride = len(tensor)
     for nodes in axes:
@@ -273,7 +274,32 @@ def _naive_terms(values, axes):
                         basis[t][k] * column[t] for t in range(size)
                     )
     grid = itertools.product(*(range(len(nodes)) for nodes in axes))
-    return [exps for exps, c in zip(grid, tensor) if c]
+    return {exps: c for exps, c in zip(grid, tensor) if c}
+
+
+@given(m=st.integers(min_value=2, max_value=8), n=st.integers(min_value=1, max_value=2),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_interpolate_matches_the_fraction_reference(m, n, data):
+    # distinct rationals with mixed denominators, so the integer nodes of
+    # the kernel are the domain stretched by the LCM of those denominators
+    wide = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    domain = data.draw(st.lists(wide, min_size=m, max_size=m, unique=True), label="domain")
+    codomain = data.draw(st.lists(wide, min_size=1, max_size=4, unique=True), label="codomain")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    f = FiniteFunction(domain, codomain, n, [rng.randrange(len(codomain))
+                                             for _ in range(m ** n)])
+    assert interpolate(f).terms == _naive_terms([codomain[v] for v in f.values],
+                                                [domain] * n)
+
+
+def test_interpolate_matches_the_fraction_reference_on_sixty_nodes():
+    rng = random.Random(60)
+    domain = rng.sample(sorted({Fraction(p, q) for q in range(1, 8) for p in range(-40, 41)}),
+                        60)
+    codomain = [Fraction(0), Fraction(1), Fraction(-5, 3)]
+    f = FiniteFunction(domain, codomain, 1, [rng.randrange(3) for _ in domain])
+    assert interpolate(f).terms == _naive_terms([codomain[v] for v in f.values], [domain])
 
 
 def _naive_witness(f):
@@ -320,6 +346,21 @@ def _witness_summary(f):
 def test_restriction_witness_matches_naive_walk(data):
     f = _random_function(data)
     assert _witness_summary(f) == _naive_witness(f)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_restriction_witness_ignores_codomain_values_the_table_never_takes(data):
+    f = _random_function(data)
+    extra = data.draw(st.lists(rationals.filter(lambda v: v not in f.codomain),
+                               min_size=1, max_size=4, unique=True), label="extra")
+    # the old values keep their order among the new slots; extras fill the rest
+    size = len(f.codomain) + len(extra)
+    slots = sorted(data.draw(st.permutations(range(size)), label="slots")[:len(f.codomain)])
+    fill = iter(extra)
+    codomain = [f.codomain[slots.index(i)] if i in slots else next(fill) for i in range(size)]
+    g = FiniteFunction(f.domain, codomain, f.arity, [slots[v] for v in f.values])
+    assert _witness_summary(g) == _witness_summary(f)
 
 
 def test_restriction_witness_when_the_last_indicator_carries_the_top_degree():
