@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .encoding import value_token
 from .errors import BoundNotApplicableError, DEFAULT_VERTEX_CAP, InvalidInputError
 from .graph import VertexSet, induced_max_degree
-from .partitions import PartitionMetrics
+from .partitions import PartitionMetrics, _theorem_base
 
 FLOAT_SLACK = 1e-9
 
@@ -91,16 +91,12 @@ def theorem_imbalance_bound(m: int, d: int, n: int) -> tuple[Fraction, int]:
     with q = floor(d/n) exceeds the construction whenever q+1 does not
     divide m; callers flag (not fail) that gap.
     """
-    if m < 3:
-        raise InvalidInputError(f"need m >= 3, got {m}")
-    if d < 1 or n < 1:
-        raise InvalidInputError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if d < n:
-        n_base = -(-n // d)
+    n_base, d_base, _ = _theorem_base(m, d, n)
+    if n_base > 1:
         achieved = lift_imbalance(m, n_base, n, degree_one_imbalance(m, n_base))
         return Fraction(achieved), achieved
     q = d // n
-    achieved = lift_imbalance(m, 1, n, complete_graph_imbalance(m, min(q, m)))
+    achieved = lift_imbalance(m, 1, n, complete_graph_imbalance(m, d_base))
     return Fraction(2 * m ** n * q, q + 1), achieved
 
 

@@ -217,24 +217,37 @@ def lift_partition(
     return Partition(target, joined if pack is bytes else array(labels.typecode, joined))
 
 
-def theorem_partition(m: int, d: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
-    """Partition with maximum degree at most d and the largest imbalance the
-    lifted constructions achieve.
+def _theorem_base(m: int, d: int, n: int) -> tuple[int, int, int]:
+    """The base partition the theorem construction lifts for (m, d, n): its
+    coordinate count n', its degree, and the index of its largest part.
 
-    For d < n, lifts the degree-1 construction on ceil(n/d) coordinates; for
-    d >= n, lifts a complete-graph partition on one coordinate.  The
-    imbalance it achieves is ``bounds.theorem_imbalance_bound(m, d, n)[1]``.
+    For d < n it is the degree-1 partition on ceil(n/d) coordinates, whose
+    part 1 is largest; for d >= n a complete-graph partition on one
+    coordinate with degree min(d // n, m), whose first block is largest.
+    A one-coordinate base is always the complete-graph one.
     """
     if m < 3:
         raise InvalidInputError(f"need m >= 3, got {m}")
     if d < 1 or n < 1:
         raise InvalidInputError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if d < n:
-        base = degree_one_partition(m, -(-n // d), cap=cap)
+        return -(-n // d), 1, 1
+    # the complete-graph lemma needs its degree parameter <= m; beyond that
+    # the single-part layout is already optimal for this family
+    return 1, min(d // n, m), 0
+
+
+def theorem_partition(m: int, d: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
+    """Partition with maximum degree at most d and the largest imbalance the
+    lifted constructions achieve: the lift of the base ``_theorem_base``
+    picks.  The imbalance it achieves is
+    ``bounds.theorem_imbalance_bound(m, d, n)[1]``.
+    """
+    n_base, d_base, _ = _theorem_base(m, d, n)
+    if n_base > 1:
+        base = degree_one_partition(m, n_base, cap=cap)
     else:
-        # the complete-graph lemma needs its degree parameter <= m; beyond
-        # that the single-part layout is already optimal for this family
-        base = complete_graph_partition(m, min(d // n, m), cap=cap)
+        base = complete_graph_partition(m, d_base, cap=cap)
     return lift_partition(base, n, degree_cap=d, cap=cap)
 
 
@@ -277,4 +290,4 @@ def low_degree_subgraph(m: int, n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -
         raise InvalidInputError(f"need m >= 3, got {m}")
     if not 1 <= d <= (m - 1) * n:
         raise InvalidInputError(f"need 1 <= d <= (m-1)n = {(m - 1) * n}, got d={d}")
-    return part_vertex_set(theorem_partition(m, d, n, cap=cap), int(d < n))
+    return part_vertex_set(theorem_partition(m, d, n, cap=cap), _theorem_base(m, d, n)[2])
