@@ -298,7 +298,7 @@ def test_wide_codomains_restrict_in_their_own_process(tmp_path):
 
 def test_degree_on_two_hundred_domain_values_is_quick(tmp_path, capsys):
     # the integer Lagrange build is quadratic in the domain size; one built
-    # from Fraction polynomial products took close to a minute here
+    # from Fraction polynomial products took about a minute on a 2-vCPU VM
     rng = random.Random(200)
     path = tmp_path / "wide_domain.fn"
     path.write_text(json.dumps({"A": [f"{k}/{1 + k % 3}" for k in range(200)],
