@@ -34,6 +34,12 @@ INPUTS = {
     "stretch.fn": {"A": [0, "1/2", -3, "7/5", 2], "B": [0, 1, "-2/3", 5], "n": 2,
                    "values": [3, 0, 1, 1, 3, 0, 0, 1, 1, 1, 3, 0, 0, 3, 1, 1, 0, 0, 3, 1,
                               0, 1, 0, 3, 1]},
+    # the same domain at n = 3, every codomain value taken: 16-byte tensor slots
+    "stretch3.fn": {"A": [0, "1/2", -3, "7/5", 2], "B": [0, 1, "-2/3", 5], "n": 3,
+                    "values": [(7 * i * i + 3 * i + i // 5) % 4 for i in range(125)]},
+    # one coordinate over 0..59: 48-byte tensor slots
+    "sixty.fn": {"A": list(range(60)), "B": [0, 1, 2], "n": 1,
+                 "values": [(i * i + i // 3) % 3 for i in range(60)]},
 }
 
 CASES = [
@@ -90,6 +96,9 @@ CASES = [
     ["fn", "restrict", "rational.fn"],
     ["fn", "interpolate", "stretch.fn"],
     ["fn", "restrict", "stretch.fn", "--out", "stretch.restrict.json"],
+    ["fn", "interpolate", "stretch3.fn"],
+    ["fn", "restrict", "stretch3.fn", "--out", "stretch3.restrict.json"],
+    ["fn", "degree", "sixty.fn"],
     ["oracle", "sigma", "--m", "2", "--n", "3"],
     ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
      "sigma.jsonl"],
