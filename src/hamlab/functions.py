@@ -15,10 +15,11 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .encoding import int_token, int_tokens, rational_from_token, rational_to_token
 from .errors import (
@@ -41,6 +42,8 @@ Exponents = tuple[int, ...]
 
 
 def _as_rationals(values) -> tuple[Fraction, ...]:
+    if type(values) is tuple and {*map(type, values)} == {Fraction}:
+        return values
     try:
         return tuple(Fraction(v) for v in values)
     except (TypeError, ValueError) as exc:
@@ -235,54 +238,156 @@ def _scaled_restriction(nodes: tuple[int, ...], s: int, t: int) -> tuple:
     return tuple(yt * a - ys * b for a, b in zip(vs, vt)), tuple(b - a for a, b in zip(vs, vt))
 
 
-_sum_maps = functools.partial(map, operator.add)
+# _WORD_CODES[b] is the type code of the unsigned array item of b bytes, b = 1, 2, 4, 8
+_WORD_CODES = {array(c).itemsize: c for c in "BHILQ"}
 
 
-def _transform_leading_axis(tensor: Sequence[int], size: int, rows) -> list[int]:
-    """Apply the integer matrix ``rows`` (len(rows) x size) along the leading
-    axis of a big-endian tensor and move that axis last, so that n calls
-    over an n-axis tensor bring the axes back into their original order."""
-    rest = len(tensor) // size
-    fibers = [tensor[t * rest:(t + 1) * rest] for t in range(size)]
-    out = []
-    for row in rows:
-        scaled = [map(c.__mul__, fiber) for c, fiber in zip(row, fibers) if c]
-        out.append(functools.reduce(_sum_maps, scaled) if scaled else itertools.repeat(0, rest))
-    return list(itertools.chain.from_iterable(zip(*out)))
+def _slot_width(bound: int) -> int:
+    """Bytes per tensor slot that hold every integer of absolute value at
+    most ``bound``, a sign bit included: 1, 2, 4 or 8, or a multiple of 8."""
+    need = (bound.bit_length() + 8) // 8
+    return 1 << (need - 1).bit_length() if need <= 8 else -(-need // 8) * 8
 
 
-def _grid_tensor(table: Sequence[int], nodes: tuple[int, ...], arity: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _bias_run(width: int, count: int) -> int:
+    """``count`` slots of ``width`` bytes, each holding the bias
+    2^(8*width - 1), read as one little-endian int."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
+
+
+def _pack(table: Iterable[int], width: int, top: int) -> bytes:
+    """The integers of ``table``, each at most ``top`` in absolute value, in
+    little-endian slots of ``width`` bytes, each slot holding its integer
+    plus the bias 2^(8*width - 1).
+
+    Slots wider than 8 bytes are filled from an array of the narrowest word
+    that holds ``top``: each word is copied to the low end of its slot, and
+    one big-int addition turns the word's bias into the slot's."""
+    code = _WORD_CODES.get(width) or _WORD_CODES.get(_slot_width(top))
+    if code is None:  # entries beyond 63 bits
+        return b"".join(map(functools.partial(int.to_bytes, length=width, byteorder="little"),
+                            map((1 << 8 * width - 1).__add__, table)))
+    word = array(code).itemsize
+    items = array(code, map((1 << 8 * word - 1).__add__, table))
+    if sys.byteorder == "big":
+        items.byteswap()
+    if word == width:
+        return items.tobytes()
+    spread = bytearray(len(items) * width)
+    memoryview(spread).cast(code)[::width // word] = items
+    bias = _bias_run(width, len(items))
+    spread = int.from_bytes(spread, "little") + bias - (bias >> 8 * (width - word))
+    return spread.to_bytes(len(items) * width, "little")
+
+
+def _slot_values(tensor: bytes, width: int) -> Iterator[int]:
+    """The integers packed by ``_pack``, in slot order."""
+    if width in _WORD_CODES:
+        slots = array(_WORD_CODES[width], tensor)
+        if sys.byteorder == "big":
+            slots.byteswap()
+    else:
+        bounds = range(0, len(tensor) + 1, width)
+        slots = map(int.from_bytes, map(tensor.__getitem__, map(slice, bounds, bounds[1:])),
+                    itertools.repeat("little"))
+    return map((-1 << 8 * width - 1).__add__, slots)
+
+
+def _nonzero_slots(tensor: bytes, width: int) -> bytes:
+    """One byte per slot of a packed tensor, nonzero exactly when the slot's
+    integer is: with the bias xor-ed out, a slot is nonzero when adding its
+    low bits to all-ones low bits carries into its top bit, or that bit is
+    set."""
+    bias = _bias_run(width, len(tensor) // width)
+    low = bias - (bias >> 8 * width - 1)
+    bits = int.from_bytes(tensor, "little") ^ bias
+    return (((bits & low) + low | bits) & bias).to_bytes(len(tensor), "little")[width - 1::width]
+
+
+def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
+    """Apply the integer matrix ``rows`` along the leading axis of a tensor
+    packed in ``width``-byte slots (see ``_pack``) and move that axis last,
+    so that n calls over an n-axis tensor bring the axes back into their
+    original order.
+
+    Each leading-axis fiber is one contiguous run of slots, read as one int;
+    minus the bias run it is F_t = sum_j v_j 2^(8*width*j).  Output row k is
+    sum_t rows[k][t] F_t plus the bias run, whose slots hold the row's
+    entries plus the bias when ``width`` holds every entry (see
+    ``_slot_width``).  The rows are then interleaved slot by slot with
+    strided copies of whole words."""
+    span = len(tensor) // len(rows[0])
+    bias = _bias_run(width, span // width)
+    fibers = [int.from_bytes(tensor[t:t + span], "little") - bias
+              for t in range(0, len(tensor), span)]
+    word = min(width & -width, 8)
+    code, per = _WORD_CODES[word], width // word
+    out = bytearray(span * len(rows))
+    target, stride = (memoryview(out).cast(code) if word > 1 else out), per * len(rows)
+    for k, row in enumerate(rows):
+        line = sum(map(operator.mul, row, fibers), bias).to_bytes(span, "little")
+        if word > 1:  # a byte string is already a run of 1-byte words
+            line = memoryview(line).cast(code)
+        if per == 1:
+            target[k::stride] = line
+        else:
+            for q in range(per):
+                target[k * per + q::stride] = line[q::per]
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _grid_width(nodes: tuple[int, ...], arity: int, bits: int) -> int:
+    """Slot width of ``_grid_tensor`` on integer tables of at most ``bits``
+    bits: each axis multiplies the largest entry by at most the largest
+    absolute row sum of the Lagrange matrix."""
+    growth = max(sum(map(abs, row)) for row in _scaled_lagrange(nodes)[0])
+    return _slot_width(((1 << bits) - 1) * growth ** arity)
+
+
+def _grid_tensor(table: Iterable[int], top: int, nodes: tuple[int, ...], arity: int,
+                 growth: int = 1) -> tuple[bytes, int]:
     """Coefficients, times the scale ``_scaled_lagrange(nodes)[1] ** arity``,
     of the unique polynomial matching the integer ``table`` on the grid of
     integer nodes^arity with per-variable degree below len(nodes); entry i
-    belongs to the monomial whose exponent vector is the big-endian index i."""
+    belongs to the monomial whose exponent vector is the big-endian index i.
+
+    ``top`` bounds the table's absolute values.  The tensor is returned
+    packed (see ``_pack``) with its slot width, which also holds every entry
+    of a further ``growth``-fold growth of the tensor."""
     rows = _scaled_lagrange(nodes)[0]
+    width = _grid_width(nodes, arity, (top * growth).bit_length())
+    tensor = _pack(table, width, top)
     for _ in range(arity):
-        table = _transform_leading_axis(table, len(nodes), rows)
-    return table
+        tensor = _transform_leading_axis(tensor, width, rows)
+    return tensor, width
 
 
-def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[list[int], int, int]:
-    """The coefficient tensor of f's interpolant in the integer nodes
-    y = stretch * x (see ``_grid_tensor``), the positive scale it carries,
-    and the stretch: the x^e coefficient is entry e times stretch^|e| over
-    the scale."""
+def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[bytes, int, int, int]:
+    """The packed coefficient tensor of f's interpolant in the integer nodes
+    y = stretch * x (see ``_grid_tensor``), its slot width, the positive
+    scale it carries, and the stretch: the x^e coefficient is entry e times
+    stretch^|e| over the scale."""
     check_enumeration(len(f.domain), f.arity, cap, "grid points")
     lifted, scale = _integer_scaled(f.codomain)
     nodes, stretch = _integer_scaled(f.domain)
-    tensor = _grid_tensor(list(map(lifted.__getitem__, f.values)), nodes, f.arity)
-    return tensor, scale * _scaled_lagrange(nodes)[1] ** f.arity, stretch
+    tensor, width = _grid_tensor(map(lifted.__getitem__, f.values), max(map(abs, lifted)),
+                                 nodes, f.arity)
+    return tensor, width, scale * _scaled_lagrange(nodes)[1] ** f.arity, stretch
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
-    tensor, scale, stretch = _scaled_tensor(f, cap)
+    tensor, width, scale, stretch = _scaled_tensor(f, cap)
     powers = [stretch ** k for k in range((len(f.domain) - 1) * f.arity + 1)]
     exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
     return GridPolynomial._exact(f.arity, {exps: Fraction(c * powers[sum(exps)], scale)
-                                           for exps, c in zip(exponents, tensor) if c})
+                                           for exps, c in zip(exponents,
+                                                              _slot_values(tensor, width))
+                                           if c})
 
 
 def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -290,9 +395,9 @@ def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
 
     Read off the integer tensor: the largest exponent sum of a nonzero
     entry, with no rational polynomial built."""
-    tensor = _scaled_tensor(f, cap)[0]
-    return max(itertools.compress(_digit_table([range(len(f.domain))] * f.arity), tensor),
-               default=0)
+    tensor, width = _scaled_tensor(f, cap)[:2]
+    return max(itertools.compress(_digit_table([range(len(f.domain))] * f.arity),
+                                  _nonzero_slots(tensor, width)), default=0)
 
 
 def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
@@ -401,33 +506,43 @@ def boolean_restriction_witness(
     invariant and raises a contract violation.
 
     Each value the table takes has its indicator interpolated once, and the
-    indicators of absent values are zero.  The tensors share one scale, so
-    their codomain-weighted sum is f's tensor under a positive scale, and
-    restricting a coordinate to a pair is one 2 x m integer matrix applied to
-    that axis of the chosen indicator's tensor.
+    indicators of absent values are zero.  The packed tensors share one scale
+    and one slot width, so their codomain-weighted sum, one big-int
+    combination, is f's tensor under a positive scale, and restricting a
+    coordinate to a pair is one 2 x m integer matrix applied to that axis of
+    the chosen indicator's tensor.
     """
     m, n = len(f.domain), f.arity
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
     check_enumeration(m, n, cap, "grid points")
     nodes = _integer_scaled(f.domain)[0]
+    # an entry e of a pair row is at most 2 * y^(e+1) in absolute value, y
+    # the largest |node|, so each restricted axis grows the tensor at most
+    # 2 * (y + ... + y^m)-fold
+    y = max(map(abs, nodes))
+    growth = (2 * sum(y ** e for e in range(1, m + 1))) ** n if m > 2 else 1
     lifted = _integer_scaled(f.codomain)[0]
+    growth = max(growth, *map(abs, lifted))  # the slots also hold f's own tensor
     degrees = _digit_table([range(m)] * n)
-    combined, pick_degree = [0] * len(f.values), -1
+    combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
     for b in sorted(set(f.values)):
-        indicator = _grid_tensor(list(map(b.__eq__, f.values)), nodes, n)
-        if lifted[b]:  # one list per term: a sum of nested lazy maps overflows the C stack
-            combined = list(map(operator.add, combined, map(lifted[b].__mul__, indicator)))
-        component_degree = max(itertools.compress(degrees, indicator), default=0)
+        indicator, width = _grid_tensor(map(b.__eq__, f.values), 1, nodes, n, growth)
+        bias = _bias_run(width, len(f.values))
+        combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
+        component_degree = max(itertools.compress(degrees, _nonzero_slots(indicator, width)),
+                               default=0)
         if component_degree > pick_degree:
             pick, tensor, pick_degree = b, indicator, component_degree
-    total_degree = max(itertools.compress(degrees, combined), default=0)
+    combined = (combined + bias).to_bytes(len(tensor), "little")
+    total_degree = max(itertools.compress(degrees, _nonzero_slots(combined, width)), default=0)
     if total_degree < 1:
         raise InvalidInputError("constant functions admit no restriction certificate")
     target = -(-total_degree // (m - 1))
 
     supports = [[0] + [1] * (m - 1)] * n  # nonzero exponents per axis, leading axis first
-    if max(itertools.compress(_digit_table(supports), tensor), default=0) < target:
+    if max(itertools.compress(_digit_table(supports), _nonzero_slots(tensor, width)),
+           default=0) < target:
         raise ContractViolationError(
             "chosen indicator exposes no monomial on the target support"
         )
@@ -436,8 +551,9 @@ def boolean_restriction_witness(
         supports = supports[1:] + [[0, 1]]
         support = _digit_table(supports)
         for s, t in itertools.combinations(range(m), 2):
-            candidate = _transform_leading_axis(tensor, m, _scaled_restriction(nodes, s, t))
-            if max(itertools.compress(support, candidate), default=0) >= target:
+            candidate = _transform_leading_axis(tensor, width, _scaled_restriction(nodes, s, t))
+            if max(itertools.compress(support, _nonzero_slots(candidate, width)),
+                   default=0) >= target:
                 tensor, pairs[coord] = candidate, (s, t)
                 break
         else:

@@ -1,8 +1,11 @@
 """Randomized invariants over the core operations."""
 
+import functools
 import io
 import itertools
 import json
+import math
+import operator
 import random
 from array import array
 from fractions import Fraction
@@ -42,6 +45,17 @@ from hamlab import (
 )
 from hamlab.cli import main
 from hamlab.encoding import write_json
+from hamlab.functions import (
+    _grid_tensor,
+    _integer_scaled,
+    _nonzero_slots,
+    _pack,
+    _scaled_lagrange,
+    _scaled_restriction,
+    _slot_values,
+    _slot_width,
+    _transform_leading_axis,
+)
 from hamlab.graph import _digit_table
 
 params_strategy = st.builds(
@@ -300,6 +314,108 @@ def test_interpolate_matches_the_fraction_reference_on_sixty_nodes():
     codomain = [Fraction(0), Fraction(1), Fraction(-5, 3)]
     f = FiniteFunction(domain, codomain, 1, [rng.randrange(3) for _ in domain])
     assert interpolate(f).terms == _naive_terms([codomain[v] for v in f.values], [domain])
+
+
+def _list_transform_leading_axis(tensor, size, rows):
+    """The list kernel the packed one replaced, kept as its reference: one
+    lazy map per nonzero coefficient and fiber, summed row by row, with the
+    leading axis moved last."""
+    rest = len(tensor) // size
+    fibers = [tensor[t * rest:(t + 1) * rest] for t in range(size)]
+    out = []
+    for row in rows:
+        scaled = [map(c.__mul__, fiber) for c, fiber in zip(row, fibers) if c]
+        out.append(functools.reduce(functools.partial(map, operator.add), scaled)
+                   if scaled else itertools.repeat(0, rest))
+    return list(itertools.chain.from_iterable(zip(*out)))
+
+
+def _list_axes(table, matrices):
+    tensor = list(table)
+    for rows in matrices:
+        tensor = _list_transform_leading_axis(tensor, len(rows[0]), rows)
+    return tensor
+
+
+def _unpacked(tensor, width):
+    """The packed tensor's integers; its nonzero flags must agree with them."""
+    values = list(_slot_values(tensor, width))
+    assert len(values) * width == len(tensor)
+    assert [bool(b) for b in _nonzero_slots(tensor, width)] == [v != 0 for v in values]
+    return values
+
+
+@given(m=st.integers(min_value=2, max_value=6), n=st.integers(min_value=1, max_value=4),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_axis_transform_matches_the_list_kernel(m, n, data):
+    wide = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    domain = data.draw(st.lists(wide, min_size=m, max_size=m, unique=True), label="domain")
+    negative = st.fractions(min_value=-50, max_value=1, max_denominator=9)
+    codomain = data.draw(st.lists(negative, min_size=1, max_size=4, unique=True),
+                         label="codomain")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    values = [rng.randrange(len(codomain)) for _ in range(m ** n)]
+    nodes, lifted = _integer_scaled(domain)[0], _integer_scaled(codomain)[0]
+    lagrange = [_scaled_lagrange(nodes)[0]] * n
+
+    table = [lifted[v] for v in values]
+    tensor, width = _grid_tensor(iter(table), max(map(abs, lifted)), nodes, n)
+    assert _unpacked(tensor, width) == _list_axes(table, lagrange)
+
+    # a bool indicator table with headroom for pair restrictions, as the
+    # restriction witness builds it
+    b = values[0]
+    restrictions = [_scaled_restriction(nodes, *sorted(rng.sample(range(m), 2)))
+                    for _ in range(n)]
+    growth = max(sum(map(abs, row)) for rows in restrictions for row in rows) ** n
+    tensor, width = _grid_tensor(map(b.__eq__, values), 1, nodes, n, growth)
+    indicator = _list_axes(map(b.__eq__, values), lagrange)
+    assert _unpacked(tensor, width) == indicator
+    for rows in restrictions:
+        tensor = _transform_leading_axis(tensor, width, rows)
+    assert _unpacked(tensor, width) == _list_axes(indicator, restrictions)
+
+
+@pytest.mark.parametrize("width, nodes, kind, axes", [
+    (1, (0, 1), "lagrange", 3),
+    (1, (0, 1, -1), "restriction", 2),
+    (2, (-1, 0, 2), "lagrange", 3),
+    (2, (-1, 0, 2), "restriction", 3),
+    (4, (0, 1, 3, -2), "lagrange", 3),
+    (4, (0, 1, 3, -2), "restriction", 3),
+    (8, (0, 1, 2, 3, 4, 5), "lagrange", 3),
+    (8, (-6, -1, 0, 3, 4, 9), "restriction", 3),
+    (16, (0, 5, -30, 14, 20), "lagrange", 4),
+    (16, (0, 5, -30, 14, 20), "restriction", 2),
+    (24, (-6, -1, 0, 3, 4, 9), "lagrange", 4),
+    (24, (0, 5, -30, 14, 20), "restriction", 4),
+])
+def test_packed_slots_hold_tables_that_attain_the_width_bound(width, nodes, kind, axes):
+    # every candidate matrix of the kind; the one of largest absolute row sum
+    # sets the bound, and the sign pattern of that row, times the largest
+    # top the width allows, makes one entry top * mass^axes exactly
+    if kind == "lagrange":
+        candidates = [_scaled_lagrange(nodes)[0]]
+    else:
+        candidates = [_scaled_restriction(nodes, s, t)
+                      for s, t in itertools.combinations(range(len(nodes)), 2)]
+    rows = max(candidates, key=lambda rows: max(sum(map(abs, row)) for row in rows))
+    row = max(rows, key=lambda row: sum(map(abs, row)))
+    mass = sum(map(abs, row))
+    top = ((1 << 8 * width - 1) - 1) // mass ** axes
+    signs = [(c > 0) - (c < 0) for c in row]
+    table = [top * math.prod(p) for p in itertools.product(signs, repeat=axes)]
+    expected = _list_axes(table, [rows] * axes)
+    assert max(map(abs, expected)) == top * mass ** axes
+
+    slot = _slot_width(top * mass ** axes)
+    tensor = _pack(iter(table), slot, top)
+    for _ in range(axes):
+        tensor = _transform_leading_axis(tensor, slot, rows)
+    assert _unpacked(tensor, slot) == expected
+    # the bound needs every byte of the slot: one byte less would overflow
+    assert slot == width and (top * mass ** axes).bit_length() == 8 * width - 1
 
 
 def _naive_witness(f):
