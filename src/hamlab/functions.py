@@ -249,7 +249,6 @@ def _slot_width(bound: int) -> int:
     return 1 << (need - 1).bit_length() if need <= 8 else -(-need // 8) * 8
 
 
-@functools.lru_cache(maxsize=64)
 def _bias_run(width: int, count: int) -> int:
     """``count`` slots of ``width`` bytes, each holding the bias
     2^(8*width - 1), read as one little-endian int."""
