@@ -249,10 +249,19 @@ def _slot_width(bound: int) -> int:
     return 1 << (need - 1).bit_length() if need <= 8 else -(-need // 8) * 8
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_bias_run(width: int, count: int) -> int:
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
+
+
 def _bias_run(width: int, count: int) -> int:
     """``count`` slots of ``width`` bytes, each holding the bias
-    2^(8*width - 1), read as one little-endian int."""
-    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
+    2^(8*width - 1), read as one little-endian int.  Runs of up to 4 KiB
+    are cached: that keeps the fixed cost per call low on tiny tables
+    without holding large runs after their tensors are gone."""
+    if width * count <= 4096:
+        return _cached_bias_run(width, count)
+    return _cached_bias_run.__wrapped__(width, count)
 
 
 def _pack(table: Iterable[int], width: int, top: int) -> bytes:
