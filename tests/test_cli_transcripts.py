@@ -40,6 +40,18 @@ INPUTS = {
     # one coordinate over 0..59: 48-byte tensor slots
     "sixty.fn": {"A": list(range(60)), "B": [0, 1, 2], "n": 1,
                  "values": [(i * i + i // 3) % 3 for i in range(60)]},
+    # a 134-bit codomain value: f's tensor slots are wider than the pair
+    # restrictions need
+    "bigvalue.fn": {"A": [0, 1, 2], "B": [0, 10 ** 40, -3], "n": 3,
+                    "values": [(i * i + 2 * i + i // 4) % 3 for i in range(27)]},
+    # two-valued at n = 6: the pair restrictions need wider slots than
+    # interpolation does
+    "twovalued6.fn": {"A": [0, 1, 2], "B": [0, 1], "n": 6,
+                      "values": [(i * i // 7 + i // 5) % 2 for i in range(729)]},
+    # 1 where the last coordinate is 3: the pair restrictions of this
+    # indicator overflow its 2-byte interpolation slots
+    "lastisthree.fn": {"A": [-4, 0, 3], "B": [0, 1], "n": 2,
+                       "values": [0, 0, 1, 0, 0, 1, 0, 0, 1]},
 }
 
 CASES = [
@@ -99,6 +111,9 @@ CASES = [
     ["fn", "interpolate", "stretch3.fn"],
     ["fn", "restrict", "stretch3.fn", "--out", "stretch3.restrict.json"],
     ["fn", "degree", "sixty.fn"],
+    ["fn", "restrict", "bigvalue.fn"],
+    ["fn", "restrict", "twovalued6.fn", "--out", "twovalued6.restrict.json"],
+    ["fn", "restrict", "lastisthree.fn"],
     ["oracle", "sigma", "--m", "2", "--n", "3"],
     ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
      "sigma.jsonl"],
