@@ -77,13 +77,14 @@ def _rational(text: str) -> Fraction:
         raise UsageError(str(exc))
 
 
-def _int_range(text: str) -> list[int]:
-    """Parse "3", "3:5" (inclusive, possibly empty), or "3,4,6"."""
+def _int_range(text: str) -> Sequence[int]:
+    """Parse "3", "3:5" (inclusive, possibly empty, and kept as a lazy
+    range), or "3,4,6"."""
     text = text.strip()
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         if "," in text:
             return [int(p) for p in text.split(",") if p.strip()]
         return [int(text)]
@@ -191,6 +192,8 @@ def _print_header(args, caps) -> None:
         value = getattr(args, key)
         if value is None:
             continue
+        if isinstance(value, range):
+            value = list(value)
         shown.append(f"{key.replace('_', '-')}={value}")
     name = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
     print(f"# hamlab {name}")
@@ -502,6 +505,19 @@ def _cmd_oracle(args, caps) -> int:
 
 # ------------------------------------------------------------------- report
 
+def _check_grid_size(args, cap: int) -> None:
+    """Reject a sweep of more cells than the vertex cap before anything
+    lists its ranges.  The count comes from the range bounds: ``len`` of a
+    range overflows past ``sys.maxsize``."""
+    cells = 1
+    for values in (args.m_range, args.n_range, args.d_range):
+        cells *= max(values.stop - values.start, 0) if isinstance(values, range) else len(values)
+    if cells > cap:
+        raise ResourceLimitError(
+            f"sweeping {cells} grid cells exceeds the configured cap of {cap}"
+        )
+
+
 def _cmd_report(args, caps) -> int:
     cap = caps["vertices"]
     for m in args.m_range:  # before any cell, so no cap check sees such an m
@@ -630,6 +646,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         caps = _resolve_caps(args)
+        if args.command == "report":  # the header lists the ranges
+            _check_grid_size(args, caps["vertices"])
         _print_header(args, caps)
         return _COMMANDS[args.command][0](args, caps)
     except (

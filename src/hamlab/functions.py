@@ -313,6 +313,12 @@ def _nonzero_slots(tensor: bytes, width: int) -> bytes:
     return (((bits & low) + low | bits) & bias).to_bytes(len(tensor), "little")[width - 1::width]
 
 
+def _largest(table: Iterable[int], tensor: bytes, width: int) -> int:
+    """The largest entry of ``table`` at a nonzero slot of the packed
+    ``tensor``, or 0 when every slot is zero."""
+    return max(itertools.compress(table, _nonzero_slots(tensor, width)), default=0)
+
+
 def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
     """Apply the integer matrix ``rows`` along the leading axis of a tensor
     packed in ``width``-byte slots (see ``_pack``) and move that axis last,
@@ -354,18 +360,18 @@ def _grid_width(nodes: tuple[int, ...], arity: int, bits: int) -> int:
     return _slot_width(((1 << bits) - 1) * growth ** arity)
 
 
-def _grid_tensor(table: Iterable[int], top: int, nodes: tuple[int, ...], arity: int,
-                 growth: int = 1) -> tuple[bytes, int]:
+def _grid_tensor(table: Iterable[int], top: int, nodes: tuple[int, ...],
+                 arity: int) -> tuple[bytes, int]:
     """Coefficients, times the scale ``_scaled_lagrange(nodes)[1] ** arity``,
     of the unique polynomial matching the integer ``table`` on the grid of
     integer nodes^arity with per-variable degree below len(nodes); entry i
     belongs to the monomial whose exponent vector is the big-endian index i.
 
-    ``top`` bounds the table's absolute values.  The tensor is returned
-    packed (see ``_pack``) with its slot width, which also holds every entry
-    of a further ``growth``-fold growth of the tensor."""
+    ``top`` bounds the table's absolute values; a caller that needs room
+    for later growth of the tensor passes a larger ``top``.  The tensor is
+    returned packed (see ``_pack``) with its slot width."""
     rows = _scaled_lagrange(nodes)[0]
-    width = _grid_width(nodes, arity, (top * growth).bit_length())
+    width = _grid_width(nodes, arity, top.bit_length())
     tensor = _pack(table, width, top)
     for _ in range(arity):
         tensor = _transform_leading_axis(tensor, width, rows)
@@ -404,8 +410,7 @@ def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
     Read off the integer tensor: the largest exponent sum of a nonzero
     entry, with no rational polynomial built."""
     tensor, width = _scaled_tensor(f, cap)[:2]
-    return max(itertools.compress(_digit_table([range(len(f.domain))] * f.arity),
-                                  _nonzero_slots(tensor, width)), default=0)
+    return _largest(_digit_table([range(len(f.domain))] * f.arity), tensor, width)
 
 
 def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
@@ -515,53 +520,53 @@ def boolean_restriction_witness(
 
     Each value the table takes has its indicator interpolated once, and the
     indicators of absent values are zero.  The packed tensors share one scale
-    and one slot width, so their codomain-weighted sum, one big-int
-    combination, is f's tensor under a positive scale, and restricting a
+    and f's slot width, so their codomain-weighted sum, one big-int
+    combination, is f's tensor under a positive scale.  Restricting a
     coordinate to a pair is one 2 x m integer matrix applied to that axis of
-    the chosen indicator's tensor.
+    the chosen indicator's tensor, which alone is re-packed wider when the
+    restrictions need more room.
     """
     m, n = len(f.domain), f.arity
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
     check_enumeration(m, n, cap, "grid points")
-    nodes = _integer_scaled(f.domain)[0]
-    # an entry e of a pair row is at most 2 * y^(e+1) in absolute value, y
-    # the largest |node|, so each restricted axis grows the tensor at most
-    # 2 * (y + ... + y^m)-fold
-    y = max(map(abs, nodes))
-    growth = (2 * sum(y ** e for e in range(1, m + 1))) ** n if m > 2 else 1
-    lifted = _integer_scaled(f.codomain)[0]
-    growth = max(growth, *map(abs, lifted))  # the slots also hold f's own tensor
+    nodes, lifted = _integer_scaled(f.domain)[0], _integer_scaled(f.codomain)[0]
+    top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
     degrees = _digit_table([range(m)] * n)
     combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
     for b in sorted(set(f.values)):
-        indicator, width = _grid_tensor(map(b.__eq__, f.values), 1, nodes, n, growth)
+        indicator, width = _grid_tensor(map(b.__eq__, f.values), top, nodes, n)
         bias = _bias_run(width, len(f.values))
         combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
-        component_degree = max(itertools.compress(degrees, _nonzero_slots(indicator, width)),
-                               default=0)
+        component_degree = _largest(degrees, indicator, width)
         if component_degree > pick_degree:
             pick, tensor, pick_degree = b, indicator, component_degree
-    combined = (combined + bias).to_bytes(len(tensor), "little")
-    total_degree = max(itertools.compress(degrees, _nonzero_slots(combined, width)), default=0)
+    total_degree = _largest(degrees, (combined + bias).to_bytes(len(tensor), "little"), width)
     if total_degree < 1:
         raise InvalidInputError("constant functions admit no restriction certificate")
     target = -(-total_degree // (m - 1))
 
     supports = [[0] + [1] * (m - 1)] * n  # nonzero exponents per axis, leading axis first
-    if max(itertools.compress(_digit_table(supports), _nonzero_slots(tensor, width)),
-           default=0) < target:
-        raise ContractViolationError(
-            "chosen indicator exposes no monomial on the target support"
-        )
+    if _largest(_digit_table(supports), tensor, width) < target:
+        raise ContractViolationError("chosen indicator exposes no monomial on the "
+                                     "target support")
     pairs = [(0, 1)] * n  # kept as they are when the domain has two values
+    if m > 2:
+        # an entry e of a pair row is at most 2 * y^(e+1) in absolute value, y
+        # the largest |node|, so each restricted axis grows the 0/1 indicator's
+        # tensor at most 2 * (y + ... + y^m)-fold
+        y = max(map(abs, nodes))
+        growth = (2 * sum(y ** e for e in range(1, m + 1))) ** n
+        wide = _grid_width(nodes, n, growth.bit_length())
+        if wide > width:  # the largest magnitude a width-byte slot holds bounds the entries
+            tensor = _pack(_slot_values(tensor, width), wide, (1 << 8 * width - 1) - 1)
+            width = wide
     for coord in range(n if m > 2 else 0):
         supports = supports[1:] + [[0, 1]]
         support = _digit_table(supports)
         for s, t in itertools.combinations(range(m), 2):
             candidate = _transform_leading_axis(tensor, width, _scaled_restriction(nodes, s, t))
-            if max(itertools.compress(support, _nonzero_slots(candidate, width)),
-                   default=0) >= target:
+            if _largest(support, candidate, width) >= target:
                 tensor, pairs[coord] = candidate, (s, t)
                 break
         else:

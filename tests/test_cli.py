@@ -377,6 +377,25 @@ def test_report_grid_rejects_small_m_before_the_cap_check(capsys):
     assert "need m >= 3, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--m-range", "--n-range", "--d-range"])
+@pytest.mark.parametrize("huge", ["3:1000000000000000000", "3:100000000000000000000"])
+def test_report_grid_rejects_ranges_too_large_to_list(flag, huge):
+    # 10^18 values cannot be listed in memory, and len() of a range of
+    # 10^20 overflows sys.maxsize
+    ranges = {"--m-range": "3", "--n-range": "2", "--d-range": "1", flag: huge}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "hamlab", "report", "grid",
+                           *(item for pair in ranges.items() for item in pair),
+                           "--cap-vertices", "1000"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        f"error: sweeping {int(huge[2:]) - 2} grid cells exceeds the configured cap of 1000"
+    ]
+
+
 def test_construct_lift_verify_reads_the_base_once(tmp_path, monkeypatch):
     base_path = tmp_path / "base.part"
     assert run(["construct", "degree1", "--m", 3, "--n", 2, "--out", base_path]) == 0

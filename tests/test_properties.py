@@ -214,13 +214,16 @@ def test_block_sum_map_matches_digit_sums(m, n, data):
 # interpolation for the coefficients, and the Fraction re-interpolation of
 # every candidate restriction for the witness
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+# values of up to 10^40 make f's tensor slots wider than the witness's pair
+# restrictions need, small ones narrower
+outputs = rationals | st.integers(min_value=-10 ** 40, max_value=10 ** 40).map(Fraction)
 
 
 def _random_function(data):
     m = data.draw(st.integers(min_value=2, max_value=5), label="m")
     n = data.draw(st.integers(min_value=1, max_value=3), label="n")
     domain = data.draw(st.lists(rationals, min_size=m, max_size=m, unique=True))
-    codomain = data.draw(st.lists(rationals, min_size=2, max_size=4, unique=True))
+    codomain = data.draw(st.lists(outputs, min_size=2, max_size=4, unique=True))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
     values = [rng.randrange(len(codomain)) for _ in range(m ** n)]
     return FiniteFunction(domain, codomain, n, values)
@@ -345,6 +348,14 @@ def _unpacked(tensor, width):
     return values
 
 
+def _widened(tensor, width):
+    """The packed tensor and the same tensor re-packed into the next wider
+    slot width, as the restriction witness widens its chosen indicator."""
+    wide = _slot_width(1 << 8 * width)
+    return (tensor, width), (_pack(_slot_values(tensor, width), wide, (1 << 8 * width - 1) - 1),
+                             wide)
+
+
 @given(m=st.integers(min_value=2, max_value=6), n=st.integers(min_value=1, max_value=4),
        data=st.data())
 @settings(max_examples=80, deadline=None)
@@ -360,21 +371,23 @@ def test_packed_axis_transform_matches_the_list_kernel(m, n, data):
     lagrange = [_scaled_lagrange(nodes)[0]] * n
 
     table = [lifted[v] for v in values]
-    tensor, width = _grid_tensor(iter(table), max(map(abs, lifted)), nodes, n)
-    assert _unpacked(tensor, width) == _list_axes(table, lagrange)
+    expected = _list_axes(table, lagrange)
+    for tensor, width in _widened(*_grid_tensor(iter(table), max(map(abs, lifted)), nodes, n)):
+        assert _unpacked(tensor, width) == expected
 
-    # a bool indicator table with headroom for pair restrictions, as the
-    # restriction witness builds it
+    # a bool indicator table whose top leaves room for pair restrictions, at
+    # that width and re-packed wider, as the restriction witness uses it
     b = values[0]
     restrictions = [_scaled_restriction(nodes, *sorted(rng.sample(range(m), 2)))
                     for _ in range(n)]
     growth = max(sum(map(abs, row)) for rows in restrictions for row in rows) ** n
-    tensor, width = _grid_tensor(map(b.__eq__, values), 1, nodes, n, growth)
     indicator = _list_axes(map(b.__eq__, values), lagrange)
-    assert _unpacked(tensor, width) == indicator
-    for rows in restrictions:
-        tensor = _transform_leading_axis(tensor, width, rows)
-    assert _unpacked(tensor, width) == _list_axes(indicator, restrictions)
+    restricted = _list_axes(indicator, restrictions)
+    for tensor, width in _widened(*_grid_tensor(map(b.__eq__, values), growth, nodes, n)):
+        assert _unpacked(tensor, width) == indicator
+        for rows in restrictions:
+            tensor = _transform_leading_axis(tensor, width, rows)
+        assert _unpacked(tensor, width) == restricted
 
 
 @pytest.mark.parametrize("width, nodes, kind, axes", [
