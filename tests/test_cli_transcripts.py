@@ -52,6 +52,11 @@ INPUTS = {
     # indicator overflow its 2-byte interpolation slots
     "lastisthree.fn": {"A": [-4, 0, 3], "B": [0, 1], "n": 2,
                        "values": [0, 0, 1, 0, 0, 1, 0, 0, 1]},
+    # a step in every coordinate, at a different domain index each: the
+    # witness keeps the pairs (0, 4), (0, 3) and (0, 2)
+    "steps.fn": {"A": [0, "1/2", -3, "7/5", 2], "B": [0, 1, "-2/3"], "n": 3,
+                 "values": [((i // 25 >= 4) + 2 * (i // 5 % 5 >= 3) + (i % 5 >= 2)) % 3
+                            for i in range(125)]},
 }
 
 CASES = [
@@ -114,6 +119,7 @@ CASES = [
     ["fn", "restrict", "bigvalue.fn"],
     ["fn", "restrict", "twovalued6.fn", "--out", "twovalued6.restrict.json"],
     ["fn", "restrict", "lastisthree.fn"],
+    ["fn", "restrict", "steps.fn", "--out", "steps.restrict.json"],
     ["oracle", "sigma", "--m", "2", "--n", "3"],
     ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
      "sigma.jsonl"],
