@@ -224,18 +224,11 @@ def _scaled_lagrange(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
                        for column, w in zip(columns, weights)))), scale
 
 
-@functools.lru_cache(maxsize=256)
-def _scaled_restriction(nodes: tuple[int, ...], s: int, t: int) -> tuple:
-    """Integer 2 x len(nodes) matrix that takes the coefficients along one
-    axis to those of its interpolant on nodes s and t, times y_t - y_s.
-
-    With V(y) = (1, y, ..., y^(m-1)), the line through the axis's values at
-    y_s and y_t has constant term y_t*V(y_s) - y_s*V(y_t) and slope
-    V(y_t) - V(y_s), each over y_t - y_s, dotted with the coefficients.
-    """
-    ys, yt = nodes[s], nodes[t]
-    vs, vt = ([y ** e for e in range(len(nodes))] for y in (ys, yt))
-    return tuple(yt * a - ys * b for a, b in zip(vs, vt)), tuple(b - a for a, b in zip(vs, vt))
+@functools.lru_cache(maxsize=64)
+def _difference_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """The m x m matrix that keeps an axis's value at node 0 and replaces
+    every other value by its difference from it."""
+    return tuple(tuple(int(k == t) - int(k == 0 < t) for k in range(m)) for t in range(m))
 
 
 # _WORD_CODES[b] is the type code of the unsigned array item of b bytes, b = 1, 2, 4, 8
@@ -367,9 +360,8 @@ def _grid_tensor(table: Iterable[int], top: int, nodes: tuple[int, ...],
     integer nodes^arity with per-variable degree below len(nodes); entry i
     belongs to the monomial whose exponent vector is the big-endian index i.
 
-    ``top`` bounds the table's absolute values; a caller that needs room
-    for later growth of the tensor passes a larger ``top``.  The tensor is
-    returned packed (see ``_pack``) with its slot width."""
+    ``top`` bounds the table's absolute values.  The tensor is returned
+    packed (see ``_pack``) with its slot width."""
     rows = _scaled_lagrange(nodes)[0]
     width = _grid_width(nodes, arity, top.bit_length())
     tensor = _pack(table, width, top)
@@ -512,76 +504,71 @@ def boolean_restriction_witness(
 
     Picks the output value whose indicator has the largest degree, sets the
     support target D = ceil(deg(f)/(m-1)), then walks the coordinates in
-    order: for each coordinate still carrying more than two values, the
-    lexicographically first pair of domain values whose restriction keeps a
-    monomial on at least D coordinates is retained.  Such a pair always
-    exists; running out of pairs would contradict the degree/support
-    invariant and raises a contract violation.
+    order: for each coordinate the lexicographically first pair of domain
+    values whose restriction keeps a monomial on at least D coordinates is
+    retained.
 
     Each value the table takes has its indicator interpolated once, and the
     indicators of absent values are zero.  The packed tensors share one scale
     and f's slot width, so their codomain-weighted sum, one big-int
-    combination, is f's tensor under a positive scale.  Restricting a
-    coordinate to a pair is one 2 x m integer matrix applied to that axis of
-    the chosen indicator's tensor, which alone is re-packed wider when the
-    restrictions need more room.
+    combination, is f's tensor under a positive scale.
+
+    The pairs are read off the chosen indicator's difference tensor, which
+    along each axis keeps the value at node 0 and replaces every other value
+    by its difference from it.  The largest number of nonzero indices of a
+    nonzero entry is the same in that basis as in the monomial one (it is
+    the order of the Efron-Stein decomposition), and restricting a
+    coordinate to nodes 0 and t keeps exactly slices 0 and t of its axis.
+    So an entry on at least D coordinates in slice t makes (0, t) work, one
+    in slice 0 makes (0, 1) work, and the first pair that works is (0, t)
+    for the first t whose two slices hold such an entry.
     """
     m, n = len(f.domain), f.arity
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
     check_enumeration(m, n, cap, "grid points")
+    taken = sorted(set(f.values))
+    if len(taken) < 2:
+        raise InvalidInputError("constant functions admit no restriction certificate")
     nodes, lifted = _integer_scaled(f.domain)[0], _integer_scaled(f.codomain)[0]
     top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
     degrees = _digit_table([range(m)] * n)
     combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
-    for b in sorted(set(f.values)):
+    for b in taken:
         indicator, width = _grid_tensor(map(b.__eq__, f.values), top, nodes, n)
         bias = _bias_run(width, len(f.values))
         combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
         component_degree = _largest(degrees, indicator, width)
         if component_degree > pick_degree:
-            pick, tensor, pick_degree = b, indicator, component_degree
-    total_degree = _largest(degrees, (combined + bias).to_bytes(len(tensor), "little"), width)
-    if total_degree < 1:
-        raise InvalidInputError("constant functions admit no restriction certificate")
+            pick, pick_degree = b, component_degree
+    total_degree = _largest(degrees, (combined + bias).to_bytes(len(indicator), "little"), width)
     target = -(-total_degree // (m - 1))
 
-    supports = [[0] + [1] * (m - 1)] * n  # nonzero exponents per axis, leading axis first
-    if _largest(_digit_table(supports), tensor, width) < target:
+    width = _slot_width(2 ** n)  # each axis at most doubles a 0/1 table's entries
+    tensor = _pack(map(pick.__eq__, f.values), width, 1)
+    for _ in range(n):
+        tensor = _transform_leading_axis(tensor, width, _difference_rows(m))
+    supports = _digit_table([[0] + [1] * (m - 1)] * n)  # nonzero indices per entry
+    good = bytes(map(operator.and_, map(bool, _nonzero_slots(tensor, width)),
+                     map(target.__le__, supports)))
+    if 1 not in good:
         raise ContractViolationError("chosen indicator exposes no monomial on the "
                                      "target support")
-    pairs = [(0, 1)] * n  # kept as they are when the domain has two values
-    if m > 2:
-        # an entry e of a pair row is at most 2 * y^(e+1) in absolute value, y
-        # the largest |node|, so each restricted axis grows the 0/1 indicator's
-        # tensor at most 2 * (y + ... + y^m)-fold
-        y = max(map(abs, nodes))
-        growth = (2 * sum(y ** e for e in range(1, m + 1))) ** n
-        wide = _grid_width(nodes, n, growth.bit_length())
-        if wide > width:  # the largest magnitude a width-byte slot holds bounds the entries
-            tensor = _pack(_slot_values(tensor, width), wide, (1 << 8 * width - 1) - 1)
-            width = wide
-    for coord in range(n if m > 2 else 0):
-        supports = supports[1:] + [[0, 1]]
-        support = _digit_table(supports)
-        for s, t in itertools.combinations(range(m), 2):
-            candidate = _transform_leading_axis(tensor, width, _scaled_restriction(nodes, s, t))
-            if _largest(support, candidate, width) >= target:
-                tensor, pairs[coord] = candidate, (s, t)
-                break
-        else:
-            raise ContractViolationError(
-                f"no two-value restriction of coordinate {coord} preserves "
-                f"support {target}"
-            )
+    kept = []  # t of each coordinate's pair (0, t)
+    for _ in range(n):  # keep slices 0 and t of the leading axis and move that axis last
+        span = len(good) // m
+        slices = [good[k * span:(k + 1) * span] for k in range(m)]
+        t = next(t for t in range(1, m) if 1 in slices[0] or 1 in slices[t])
+        good = bytearray(2 * span)
+        good[::2], good[1::2] = slices[0], slices[t]
+        kept.append(t)
 
-    ranks = _digit_table([(s * m ** (n - 1 - j), t * m ** (n - 1 - j))
-                          for j, (s, t) in enumerate(pairs)])
+    ranks = _digit_table([(0, t * m ** (n - 1 - j)) for j, t in enumerate(kept)])
     zero_one = (Fraction(0), Fraction(1))
     table = tuple(1 if f.values[r] == pick else 0 for r in ranks)
     return RestrictionWitness(
         f.codomain[pick],
-        tuple((f.domain[s], f.domain[t]) for s, t in pairs),
+        tuple((f.domain[0], f.domain[t]) for t in kept),
         target,
         FiniteFunction(zero_one, zero_one, n, table),
     )

@@ -296,6 +296,19 @@ def test_wide_codomains_restrict_in_their_own_process(tmp_path):
         assert (done.returncode, done.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("domain", [[0, 10, 20], list(range(8))])
+def test_restrict_rejects_a_table_of_zeros_in_one_line(tmp_path, domain):
+    path = tmp_path / "zeros.fn"
+    path.write_text(json.dumps({"A": domain, "B": [0], "n": 1, "values": [0] * len(domain)}))
+    done = subprocess.run([sys.executable, "-m", "hamlab", "fn", "restrict", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        "error: constant functions admit no restriction certificate"
+    ]
+
+
 def test_degree_on_two_hundred_domain_values_is_quick(tmp_path, capsys):
     # the integer Lagrange build is quadratic in the domain size; one built
     # from Fraction polynomial products took about a minute on a 2-vCPU VM

@@ -299,6 +299,15 @@ def test_restriction_rejects_constants():
         boolean_restriction_witness(constant)
 
 
+@pytest.mark.parametrize("domain", [(0, 10, 20), tuple(range(8))])
+def test_restriction_rejects_a_table_of_zeros(domain):
+    # the only codomain value is 0, so no indicator may be sized for f's
+    # table: its slots would hold nothing
+    f = FiniteFunction(domain, (0,), 1, (0,) * len(domain))
+    with pytest.raises(InvalidInputError, match="constant functions admit no restriction"):
+        boolean_restriction_witness(f)
+
+
 def test_restriction_boolean_input_passthrough():
     f = tribes(2)
     witness = boolean_restriction_witness(f)

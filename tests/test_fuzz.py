@@ -60,7 +60,10 @@ def vertex_set_docs(draw):
     return draw(mutated({"m": m, "n": n, "ranks": ranks}))
 
 
-rationals = st.one_of(st.integers(-4, 4), st.sampled_from(["1/2", "-3/2", "7/5"]))
+# integers up to 30 in magnitude make Lagrange entries wider than their
+# table's slots
+rationals = st.one_of(st.integers(-4, 4), st.sampled_from(["1/2", "-3/2", "7/5"]),
+                      st.integers(-30, 30))
 
 
 @st.composite

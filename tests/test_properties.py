@@ -46,12 +46,13 @@ from hamlab import (
 from hamlab.cli import main
 from hamlab.encoding import write_json
 from hamlab.functions import (
+    _difference_rows,
     _grid_tensor,
     _integer_scaled,
+    _largest,
     _nonzero_slots,
     _pack,
     _scaled_lagrange,
-    _scaled_restriction,
     _slot_values,
     _slot_width,
     _transform_leading_axis,
@@ -348,14 +349,6 @@ def _unpacked(tensor, width):
     return values
 
 
-def _widened(tensor, width):
-    """The packed tensor and the same tensor re-packed into the next wider
-    slot width, as the restriction witness widens its chosen indicator."""
-    wide = _slot_width(1 << 8 * width)
-    return (tensor, width), (_pack(_slot_values(tensor, width), wide, (1 << 8 * width - 1) - 1),
-                             wide)
-
-
 @given(m=st.integers(min_value=2, max_value=6), n=st.integers(min_value=1, max_value=4),
        data=st.data())
 @settings(max_examples=80, deadline=None)
@@ -368,52 +361,41 @@ def test_packed_axis_transform_matches_the_list_kernel(m, n, data):
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
     values = [rng.randrange(len(codomain)) for _ in range(m ** n)]
     nodes, lifted = _integer_scaled(domain)[0], _integer_scaled(codomain)[0]
-    lagrange = [_scaled_lagrange(nodes)[0]] * n
 
     table = [lifted[v] for v in values]
-    expected = _list_axes(table, lagrange)
-    for tensor, width in _widened(*_grid_tensor(iter(table), max(map(abs, lifted)), nodes, n)):
-        assert _unpacked(tensor, width) == expected
+    tensor, width = _grid_tensor(iter(table), max(map(abs, lifted)), nodes, n)
+    assert _unpacked(tensor, width) == _list_axes(table, [_scaled_lagrange(nodes)[0]] * n)
 
-    # a bool indicator table whose top leaves room for pair restrictions, at
-    # that width and re-packed wider, as the restriction witness uses it
+    # a bool indicator table's difference tensor, at the width the
+    # restriction witness gives it
     b = values[0]
-    restrictions = [_scaled_restriction(nodes, *sorted(rng.sample(range(m), 2)))
-                    for _ in range(n)]
-    growth = max(sum(map(abs, row)) for rows in restrictions for row in rows) ** n
-    indicator = _list_axes(map(b.__eq__, values), lagrange)
-    restricted = _list_axes(indicator, restrictions)
-    for tensor, width in _widened(*_grid_tensor(map(b.__eq__, values), growth, nodes, n)):
-        assert _unpacked(tensor, width) == indicator
-        for rows in restrictions:
-            tensor = _transform_leading_axis(tensor, width, rows)
-        assert _unpacked(tensor, width) == restricted
+    width = _slot_width(2 ** n)
+    tensor = _pack(map(b.__eq__, values), width, 1)
+    for _ in range(n):
+        tensor = _transform_leading_axis(tensor, width, _difference_rows(m))
+    assert _unpacked(tensor, width) == _list_axes(map(b.__eq__, values),
+                                                  [_difference_rows(m)] * n)
 
 
 @pytest.mark.parametrize("width, nodes, kind, axes", [
     (1, (0, 1), "lagrange", 3),
-    (1, (0, 1, -1), "restriction", 2),
+    (1, (0, 1, 2), "difference", 6),
     (2, (-1, 0, 2), "lagrange", 3),
-    (2, (-1, 0, 2), "restriction", 3),
+    (1, (0, 1, 2, 3, 4), "difference", 1),
     (4, (0, 1, 3, -2), "lagrange", 3),
-    (4, (0, 1, 3, -2), "restriction", 3),
+    (2, (0, 1, 2, 3), "difference", 3),
     (8, (0, 1, 2, 3, 4, 5), "lagrange", 3),
-    (8, (-6, -1, 0, 3, 4, 9), "restriction", 3),
+    (2, (0, 1), "difference", 14),
     (16, (0, 5, -30, 14, 20), "lagrange", 4),
-    (16, (0, 5, -30, 14, 20), "restriction", 2),
+    (4, (0, 1, 2), "difference", 4),
     (24, (-6, -1, 0, 3, 4, 9), "lagrange", 4),
-    (24, (0, 5, -30, 14, 20), "restriction", 4),
+    (4, (0, 1, 2, 3, 4, 5), "difference", 2),
 ])
 def test_packed_slots_hold_tables_that_attain_the_width_bound(width, nodes, kind, axes):
-    # every candidate matrix of the kind; the one of largest absolute row sum
-    # sets the bound, and the sign pattern of that row, times the largest
-    # top the width allows, makes one entry top * mass^axes exactly
-    if kind == "lagrange":
-        candidates = [_scaled_lagrange(nodes)[0]]
-    else:
-        candidates = [_scaled_restriction(nodes, s, t)
-                      for s, t in itertools.combinations(range(len(nodes)), 2)]
-    rows = max(candidates, key=lambda rows: max(sum(map(abs, row)) for row in rows))
+    # the row of largest absolute row sum sets the bound, and its sign
+    # pattern, times the largest top the width allows, makes one entry
+    # top * mass^axes exactly; difference rows have mass 2 at every m
+    rows = _scaled_lagrange(nodes)[0] if kind == "lagrange" else _difference_rows(len(nodes))
     row = max(rows, key=lambda row: sum(map(abs, row)))
     mass = sum(map(abs, row))
     top = ((1 << 8 * width - 1) - 1) // mass ** axes
@@ -429,6 +411,39 @@ def test_packed_slots_hold_tables_that_attain_the_width_bound(width, nodes, kind
     assert _unpacked(tensor, slot) == expected
     # the bound needs every byte of the slot: one byte less would overflow
     assert slot == width and (top * mass ** axes).bit_length() == 8 * width - 1
+
+
+def _boxed_values(f, data):
+    """A value table on f's grid that depends on each point only through
+    which of n drawn sub-boxes of the axes hold its coordinates."""
+    m, n = len(f.domain), f.arity
+    boxes = [data.draw(st.sets(st.integers(0, m - 1)), label="box") for _ in range(n)]
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    classes = {}
+    return [classes.setdefault(tuple(x in box for x, box in zip(point, boxes)),
+                               rng.randrange(len(f.codomain)))
+            for point in itertools.product(range(m), repeat=n)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_difference_tensor_keeps_the_monomial_support(data):
+    # the restriction witness picks its pairs from the difference tensor:
+    # the most coordinates a nonzero coefficient depends on must not depend
+    # on the basis
+    f = _random_function(data)
+    m, n = len(f.domain), f.arity
+    if data.draw(st.booleans(), label="boxed"):
+        f = FiniteFunction(f.domain, f.codomain, n, _boxed_values(f, data))
+    monomial = max((sum(map(bool, exps)) for exps in interpolate(f).terms), default=0)
+
+    lifted = _integer_scaled(f.codomain)[0]
+    top = max(map(abs, lifted))
+    width = _slot_width(top * 2 ** n)
+    tensor = _pack(map(lifted.__getitem__, f.values), width, top)
+    for _ in range(n):
+        tensor = _transform_leading_axis(tensor, width, _difference_rows(m))
+    assert _largest(_digit_table([[0] + [1] * (m - 1)] * n), tensor, width) == monomial
 
 
 def _naive_witness(f):
