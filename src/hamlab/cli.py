@@ -357,7 +357,8 @@ def _cmd_fn(args, caps) -> int:
         if args.subcommand == "tribes":
             f = fn_mod.tribes(args.s, cap=cap)
         else:
-            # the alphabet is built only once its grid fits the cap
+            # lifted_tribes checks its grid too, but len(range(m)) overflows
+            # past sys.maxsize, so huge alphabets are rejected here first
             check_enumeration(args.m, max(args.s * args.s, 1), cap, "grid points")
             f = fn_mod.lifted_tribes(range(args.m), args.a, args.s, cap=cap)
         _write_json(f.to_doc(), args.out)
@@ -464,7 +465,8 @@ def _cmd_oracle(args, caps) -> int:
                                     "minMaxDegree": value, "witness": witness.to_doc()})
         return 0
     if args.subcommand == "functions":
-        # the alphabet and the codomain are built only once they fit the caps
+        # the sweep checks these too, but len(range(m)) overflows past
+        # sys.maxsize, so huge alphabets and codomains are rejected here first
         check_enumeration(args.m, max(args.n, 1), budget.max_vertices, "grid points")
         check_enumeration(args.b, 1, budget.max_functions, "codomain values")
         report = oracle_mod.exhaustive_function_check(

@@ -201,8 +201,9 @@ def _integer_scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _scaled_lagrange(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The Lagrange matrix of the integer ``nodes``, and its positive scale.
+def _scaled_lagrange(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """The Lagrange matrix of the integer ``nodes``, its positive scale, and
+    its largest absolute row sum (the growth ``_grid_tensor`` takes).
 
     Row k, column i holds scale times the x^k coefficient of the basis
     polynomial that is 1 at node i and 0 at the others.  That polynomial is
@@ -220,8 +221,9 @@ def _scaled_lagrange(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
         columns.append(quotient[::-1])
         weights.append(math.prod(y - other for other in nodes if other != y))
     scale = math.lcm(*weights)
-    return tuple(zip(*([c * (scale // w) for c in column]
-                       for column, w in zip(columns, weights)))), scale
+    rows = tuple(zip(*([c * (scale // w) for c in column]
+                       for column, w in zip(columns, weights))))
+    return rows, scale, max(sum(map(abs, row)) for row in rows)
 
 
 @functools.lru_cache(maxsize=64)
@@ -242,19 +244,10 @@ def _slot_width(bound: int) -> int:
     return 1 << (need - 1).bit_length() if need <= 8 else -(-need // 8) * 8
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_bias_run(width: int, count: int) -> int:
-    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
-
-
 def _bias_run(width: int, count: int) -> int:
     """``count`` slots of ``width`` bytes, each holding the bias
-    2^(8*width - 1), read as one little-endian int.  Runs of up to 4 KiB
-    are cached: that keeps the fixed cost per call low on tiny tables
-    without holding large runs after their tensors are gone."""
-    if width * count <= 4096:
-        return _cached_bias_run(width, count)
-    return _cached_bias_run.__wrapped__(width, count)
+    2^(8*width - 1), read as one little-endian int."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
 
 
 def _pack(table: Iterable[int], width: int, top: int) -> bytes:
@@ -344,26 +337,17 @@ def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _grid_width(nodes: tuple[int, ...], arity: int, bits: int) -> int:
-    """Slot width of ``_grid_tensor`` on integer tables of at most ``bits``
-    bits: each axis multiplies the largest entry by at most the largest
-    absolute row sum of the Lagrange matrix."""
-    growth = max(sum(map(abs, row)) for row in _scaled_lagrange(nodes)[0])
-    return _slot_width(((1 << bits) - 1) * growth ** arity)
-
-
-def _grid_tensor(table: Iterable[int], top: int, nodes: tuple[int, ...],
+def _grid_tensor(table: Iterable[int], top: int, rows, growth: int,
                  arity: int) -> tuple[bytes, int]:
-    """Coefficients, times the scale ``_scaled_lagrange(nodes)[1] ** arity``,
-    of the unique polynomial matching the integer ``table`` on the grid of
-    integer nodes^arity with per-variable degree below len(nodes); entry i
-    belongs to the monomial whose exponent vector is the big-endian index i.
+    """The integer ``table`` on a grid of ``arity`` axes, with the integer
+    matrix ``rows`` applied along every axis (see ``_transform_leading_axis``),
+    packed (see ``_pack``), and its slot width.
 
-    ``top`` bounds the table's absolute values.  The tensor is returned
-    packed (see ``_pack``) with its slot width."""
-    rows = _scaled_lagrange(nodes)[0]
-    width = _grid_width(nodes, arity, top.bit_length())
+    ``top`` bounds the table's absolute values and ``growth``, the largest
+    absolute row sum of ``rows``, bounds how much one axis multiplies the
+    largest entry, so ``top * growth ** arity`` bounds every entry of every
+    stage and sets the width."""
+    width = _slot_width(top * growth ** arity)
     tensor = _pack(table, width, top)
     for _ in range(arity):
         tensor = _transform_leading_axis(tensor, width, rows)
@@ -371,16 +355,18 @@ def _grid_tensor(table: Iterable[int], top: int, nodes: tuple[int, ...],
 
 
 def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[bytes, int, int, int]:
-    """The packed coefficient tensor of f's interpolant in the integer nodes
-    y = stretch * x (see ``_grid_tensor``), its slot width, the positive
-    scale it carries, and the stretch: the x^e coefficient is entry e times
-    stretch^|e| over the scale."""
+    """The coefficients of f's interpolant in the integer nodes
+    y = stretch * x, packed (see ``_grid_tensor``), its slot width, the
+    positive scale it carries, and the stretch: entry e belongs to the
+    monomial whose exponent vector is the big-endian index e, and the x^e
+    coefficient is that entry times stretch^|e| over the scale."""
     check_enumeration(len(f.domain), f.arity, cap, "grid points")
     lifted, scale = _integer_scaled(f.codomain)
     nodes, stretch = _integer_scaled(f.domain)
+    rows, lagrange_scale, growth = _scaled_lagrange(nodes)
     tensor, width = _grid_tensor(map(lifted.__getitem__, f.values), max(map(abs, lifted)),
-                                 nodes, f.arity)
-    return tensor, width, scale * _scaled_lagrange(nodes)[1] ** f.arity, stretch
+                                 rows, growth, f.arity)
+    return tensor, width, scale * lagrange_scale ** f.arity, stretch
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
@@ -530,12 +516,13 @@ def boolean_restriction_witness(
     taken = sorted(set(f.values))
     if len(taken) < 2:
         raise InvalidInputError("constant functions admit no restriction certificate")
-    nodes, lifted = _integer_scaled(f.domain)[0], _integer_scaled(f.codomain)[0]
+    rows, _, growth = _scaled_lagrange(_integer_scaled(f.domain)[0])
+    lifted = _integer_scaled(f.codomain)[0]
     top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
     degrees = _digit_table([range(m)] * n)
     combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
     for b in taken:
-        indicator, width = _grid_tensor(map(b.__eq__, f.values), top, nodes, n)
+        indicator, width = _grid_tensor(map(b.__eq__, f.values), top, rows, growth, n)
         bias = _bias_run(width, len(f.values))
         combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
         component_degree = _largest(degrees, indicator, width)
@@ -544,10 +531,8 @@ def boolean_restriction_witness(
     total_degree = _largest(degrees, (combined + bias).to_bytes(len(indicator), "little"), width)
     target = -(-total_degree // (m - 1))
 
-    width = _slot_width(2 ** n)  # each axis at most doubles a 0/1 table's entries
-    tensor = _pack(map(pick.__eq__, f.values), width, 1)
-    for _ in range(n):
-        tensor = _transform_leading_axis(tensor, width, _difference_rows(m))
+    # each difference row has absolute sum 2 (m >= 2 here)
+    tensor, width = _grid_tensor(map(pick.__eq__, f.values), 1, _difference_rows(m), 2, n)
     supports = _digit_table([[0] + [1] * (m - 1)] * n)  # nonzero indices per entry
     good = bytes(map(operator.and_, map(bool, _nonzero_slots(tensor, width)),
                      map(target.__le__, supports)))
@@ -628,8 +613,10 @@ def lifted_tribes(
     marked alphabet value.
 
     For alphabet size m the result has degree (m-1)*tribe_count^2 and
-    sensitivity (m-1)*tribe_count, meeting s = sqrt((m-1)*deg).
+    sensitivity (m-1)*tribe_count, meeting s = sqrt((m-1)*deg).  The grid
+    is checked against ``cap`` before the alphabet is built.
     """
+    check_enumeration(len(domain), max(tribe_count * tribe_count, 1), cap, "grid points")
     dom = _as_rationals(domain)
     if len(set(dom)) != len(dom) or len(dom) < 2:
         raise InvalidInputError("domain must hold at least two distinct values")
@@ -639,7 +626,6 @@ def lifted_tribes(
     if tribe_count < 1:
         raise InvalidInputError(f"need at least one tribe, got {tribe_count}")
     width = tribe_count * tribe_count
-    check_enumeration(len(dom), width, cap, "grid points")
     # a point is 1 when some block is met: every coordinate of the first
     # block carries the marked value, or every one of a later block avoids it
     misses = [int(v != marked) for v in dom]

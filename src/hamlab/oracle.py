@@ -145,8 +145,11 @@ def exhaustive_function_check(
     each; any failure counts as a violation.
 
     Sampling requires an explicit seed; full enumeration must fit the
-    function budget.
+    function budget.  The grid and the codomain are checked against the
+    budget before either is built.
     """
+    check_enumeration(len(domain), max(arity, 1), budget.max_vertices, "grid points")
+    check_enumeration(len(codomain), 1, budget.max_functions, "codomain values")
     domain = tuple(Fraction(v) for v in domain)
     codomain = tuple(Fraction(v) for v in codomain)
     m, k = len(domain), len(codomain)
@@ -154,7 +157,6 @@ def exhaustive_function_check(
         raise InvalidInputError(f"need arity >= 1, got {arity}")
     if not codomain or len(set(codomain)) != k:
         raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
-    check_enumeration(m, arity, budget.max_vertices, "grid points")
     point_count = m ** arity
     if samples is None:
         if power_exceeds(k, point_count, budget.max_functions):

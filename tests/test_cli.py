@@ -208,12 +208,15 @@ def test_report_grid_empty_ranges(tmp_path):
 
 
 def test_usage_errors_exit_one(capsys):
-    assert run(["construct", "degree1", "--m", 1, "--n", 3]) == 1
-    capsys.readouterr()
-    assert run(["nonsense"]) == 1
-    capsys.readouterr()
-    assert run(["metrics", "/definitely/not/a/file.json"]) == 1
-    capsys.readouterr()
+    for argv in (["construct", "degree1", "--m", 1, "--n", 3],
+                 ["nonsense"],
+                 ["metrics", "/definitely/not/a/file.json"],
+                 ["report", "grid", "--m-range", "abc", "--n-range", 2, "--d-range", 1],
+                 ["construct", "degree1", "--m", 3, "--n", 2, "--cap-vertices", 0],
+                 ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 1, "--cap-subsets", -1]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_cap_violation_exits_one(tmp_path, capsys):
@@ -228,6 +231,11 @@ def test_env_cap_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HAMLAB_CAP_VERTICES", "2000")
     capsys.readouterr()
     assert run(["construct", "degree1", "--m", 6, "--n", 4]) == 0
+    monkeypatch.setenv("HAMLAB_CAP_VERTICES", "x")
+    capsys.readouterr()
+    assert run(["construct", "degree1", "--m", 6, "--n", 4]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -16,7 +16,10 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from hamlab import FiniteFunction
 from hamlab.cli import main
+from hamlab.errors import DEFAULT_VERTEX_CAP
+from hamlab.functions import _scaled_tensor
 
 TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
 
@@ -176,6 +179,14 @@ def test_transcripts_cover_every_subcommand_and_exit_status():
                 for case in expected}
     assert len(commands) == 25
     assert {case["code"] for case in expected} == {0, 1, 2}
+
+
+def test_wide_slot_inputs_keep_their_slot_widths():
+    # so the transcripts of these inputs keep exercising the kernel's wide
+    # slot runs
+    for name, width in (("sixty.fn", 48), ("stretch3.fn", 16)):
+        f = FiniteFunction.from_doc(INPUTS[name])
+        assert _scaled_tensor(f, DEFAULT_VERTEX_CAP)[1] == width, name
 
 
 if __name__ == "__main__":

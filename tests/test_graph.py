@@ -1,13 +1,17 @@
 """Vertex encoding, adjacency, and induced-degree checks."""
 
 import itertools
+import random
 import time
+from array import array
 
 import pytest
 
 from hamlab import (
+    FiniteFunction,
     GraphParams,
     InvalidInputError,
+    Partition,
     ResourceLimitError,
     VertexSet,
     hamming_distance,
@@ -187,3 +191,16 @@ def test_graph_params_validation():
     with pytest.raises(InvalidInputError):
         GraphParams(2, 0)
     assert GraphParams(1, 3).vertex_count == 1
+
+
+def test_byte_labels_given_in_a_wide_array_are_converted_by_value():
+    # bytes(array("H", ...)) would copy two raw bytes per label
+    rng = random.Random(7)
+    assignment = [rng.randrange(5) for _ in range(5 ** 3)]
+    params = GraphParams(5, 3)
+    assert Partition(params, array("H", assignment)) == Partition(params, assignment)
+    values = [rng.randrange(256) for _ in range(2 ** 8)]
+    values[0] = 255
+    wide, narrow = (FiniteFunction((0, 1), range(256), 8, table)
+                    for table in (array("H", values), values))
+    assert wide == narrow and type(wide.values) is bytes

@@ -1,5 +1,7 @@
 """Brute-force oracle checks and agreement with the fast paths."""
 
+from collections.abc import Sequence
+
 import pytest
 
 from hamlab import (
@@ -14,6 +16,7 @@ from hamlab import (
     exhaustive_function_check,
     independence_number,
     lift_partition,
+    lifted_tribes,
     min_max_degree_subsets,
     partition_metrics,
     sigma_exact,
@@ -77,6 +80,29 @@ def test_budgets_checked_before_exponentiating():
         )
     with pytest.raises(InvalidInputError):
         exhaustive_function_check((0, 1, 2), -1, (0, 1), samples=1, seed=1)
+
+
+class _Unbuilt(Sequence):
+    """Two million values that fail the test if any of them is read."""
+
+    def __len__(self):
+        return 2 * 10 ** 6
+
+    def __getitem__(self, index):
+        raise AssertionError("values read before their cap was checked")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lifted_tribes(_Unbuilt(), 0, 1, cap=1000),
+    lambda: exhaustive_function_check(_Unbuilt(), 1, range(2),
+                                      budget=SearchBudget(max_vertices=1000)),
+    lambda: exhaustive_function_check(range(2), 1, _Unbuilt(),
+                                      budget=SearchBudget(max_functions=1000),
+                                      samples=1, seed=1),
+], ids=["lifted-tribes-domain", "sweep-domain", "sweep-codomain"])
+def test_alphabets_are_checked_against_their_caps_before_they_are_built(build):
+    with pytest.raises(ResourceLimitError):
+        build()
 
 
 def test_sigma_exact_values():

@@ -363,16 +363,14 @@ def test_packed_axis_transform_matches_the_list_kernel(m, n, data):
     nodes, lifted = _integer_scaled(domain)[0], _integer_scaled(codomain)[0]
 
     table = [lifted[v] for v in values]
-    tensor, width = _grid_tensor(iter(table), max(map(abs, lifted)), nodes, n)
-    assert _unpacked(tensor, width) == _list_axes(table, [_scaled_lagrange(nodes)[0]] * n)
+    rows, _, growth = _scaled_lagrange(nodes)
+    tensor, width = _grid_tensor(iter(table), max(map(abs, lifted)), rows, growth, n)
+    assert _unpacked(tensor, width) == _list_axes(table, [rows] * n)
 
-    # a bool indicator table's difference tensor, at the width the
-    # restriction witness gives it
+    # a bool indicator table's difference tensor, built as the restriction
+    # witness builds it
     b = values[0]
-    width = _slot_width(2 ** n)
-    tensor = _pack(map(b.__eq__, values), width, 1)
-    for _ in range(n):
-        tensor = _transform_leading_axis(tensor, width, _difference_rows(m))
+    tensor, width = _grid_tensor(map(b.__eq__, values), 1, _difference_rows(m), 2, n)
     assert _unpacked(tensor, width) == _list_axes(map(b.__eq__, values),
                                                   [_difference_rows(m)] * n)
 
@@ -398,6 +396,7 @@ def test_packed_slots_hold_tables_that_attain_the_width_bound(width, nodes, kind
     rows = _scaled_lagrange(nodes)[0] if kind == "lagrange" else _difference_rows(len(nodes))
     row = max(rows, key=lambda row: sum(map(abs, row)))
     mass = sum(map(abs, row))
+    assert mass == (_scaled_lagrange(nodes)[2] if kind == "lagrange" else 2)
     top = ((1 << 8 * width - 1) - 1) // mass ** axes
     signs = [(c > 0) - (c < 0) for c in row]
     table = [top * math.prod(p) for p in itertools.product(signs, repeat=axes)]
@@ -438,11 +437,8 @@ def test_difference_tensor_keeps_the_monomial_support(data):
     monomial = max((sum(map(bool, exps)) for exps in interpolate(f).terms), default=0)
 
     lifted = _integer_scaled(f.codomain)[0]
-    top = max(map(abs, lifted))
-    width = _slot_width(top * 2 ** n)
-    tensor = _pack(map(lifted.__getitem__, f.values), width, top)
-    for _ in range(n):
-        tensor = _transform_leading_axis(tensor, width, _difference_rows(m))
+    tensor, width = _grid_tensor(map(lifted.__getitem__, f.values), max(map(abs, lifted)),
+                                 _difference_rows(m), 2, n)
     assert _largest(_digit_table([[0] + [1] * (m - 1)] * n), tensor, width) == monomial
 
 
