@@ -100,16 +100,17 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit
+        raise UsageError(f"cannot read {path}: {exc}")
     except RecursionError:
         raise UsageError(f"{path} is nested too deeply")
 
 
 def _write_json(doc, path: Optional[str]) -> None:
-    if path is None:
-        write_json(doc, sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            write_json(doc, handle)
+    try:
+        write_json(doc, sys.stdout if path is None else path)
+    except ValueError as exc:  # an integer past the int/str digit limit
+        raise UsageError(f"cannot write the result: {exc}")
 
 
 def _emit_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str, path: Optional[str]) -> None:

@@ -10,7 +10,7 @@ import re
 from array import array
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO, Union
 
 from .errors import InvalidInputError
 
@@ -174,7 +174,7 @@ def _json_chunks(doc, depth: int, out: list[str]) -> None:
         out.append(_flat_encoder(0).encode(doc))
 
 
-def write_json(doc, stream: TextIO) -> None:
+def write_json(doc, stream: Union[TextIO, str]) -> None:
     """One JSON artifact: sorted keys, 2-space indentation and one scalar per
     line, byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
     newline.
@@ -184,12 +184,17 @@ def write_json(doc, stream: TextIO) -> None:
     A ``bytes`` or ``array`` value, which the stdlib rejects, is written as
     the array of its ints; a ``bytes`` buffer of labels below 10 is laid out
     straight from its bytes.  The whole document is encoded before anything
-    is written.
+    is written, and a ``stream`` given as a path is opened only then, so a
+    document that cannot be encoded leaves that file as it was.
     """
     out: list[str] = []
     _json_chunks(doc, 0, out)
     out.append("\n")
-    stream.writelines(out)
+    if isinstance(stream, str):
+        with open(stream, "w", encoding="utf-8") as handle:
+            handle.writelines(out)
+    else:
+        stream.writelines(out)
 
 
 def write_csv(rows: Iterable[dict], fieldnames: Sequence[str], stream: TextIO) -> None:

@@ -42,8 +42,14 @@ def power_exceeds(base: int, exponent: int, limit: int) -> bool:
 
 
 def check_enumeration(base: int, exponent: int, cap: int, what: str = "vertices") -> None:
-    """Raise before enumerating base**exponent items past the cap."""
+    """Raise before enumerating base**exponent items past the cap, or words
+    of more than cap letters: with one value per letter the count stays 1
+    while the work still grows with the word length."""
     if power_exceeds(base, exponent, cap):
         raise ResourceLimitError(
             f"enumerating {base}^{exponent} {what} exceeds the configured cap of {cap}"
+        )
+    if exponent > cap:
+        raise ResourceLimitError(
+            f"enumerating {what} of {exponent} coordinates exceeds the configured cap of {cap}"
         )

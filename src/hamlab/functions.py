@@ -250,33 +250,8 @@ def _bias_run(width: int, count: int) -> int:
     return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
 
 
-def _pack(table: Iterable[int], width: int, top: int) -> bytes:
-    """The integers of ``table``, each at most ``top`` in absolute value, in
-    little-endian slots of ``width`` bytes, each slot holding its integer
-    plus the bias 2^(8*width - 1).
-
-    Slots wider than 8 bytes are filled from an array of the narrowest word
-    that holds ``top``: each word is copied to the low end of its slot, and
-    one big-int addition turns the word's bias into the slot's."""
-    code = _WORD_CODES.get(width) or _WORD_CODES.get(_slot_width(top))
-    if code is None:  # entries beyond 63 bits
-        return b"".join(map(functools.partial(int.to_bytes, length=width, byteorder="little"),
-                            map((1 << 8 * width - 1).__add__, table)))
-    word = array(code).itemsize
-    items = array(code, map((1 << 8 * word - 1).__add__, table))
-    if sys.byteorder == "big":
-        items.byteswap()
-    if word == width:
-        return items.tobytes()
-    spread = bytearray(len(items) * width)
-    memoryview(spread).cast(code)[::width // word] = items
-    bias = _bias_run(width, len(items))
-    spread = int.from_bytes(spread, "little") + bias - (bias >> 8 * (width - word))
-    return spread.to_bytes(len(items) * width, "little")
-
-
 def _slot_values(tensor: bytes, width: int) -> Iterator[int]:
-    """The integers packed by ``_pack``, in slot order."""
+    """The integers packed by ``_grid_tensor``, in slot order."""
     if width in _WORD_CODES:
         slots = array(_WORD_CODES[width], tensor)
         if sys.byteorder == "big":
@@ -307,9 +282,9 @@ def _largest(table: Iterable[int], tensor: bytes, width: int) -> int:
 
 def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
     """Apply the integer matrix ``rows`` along the leading axis of a tensor
-    packed in ``width``-byte slots (see ``_pack``) and move that axis last,
-    so that n calls over an n-axis tensor bring the axes back into their
-    original order.
+    packed in ``width``-byte slots (see ``_grid_tensor``) and move that axis
+    last, so that n calls over an n-axis tensor bring the axes back into
+    their original order.
 
     Each leading-axis fiber is one contiguous run of slots, read as one int;
     minus the bias run it is F_t = sum_j v_j 2^(8*width*j).  Output row k is
@@ -337,18 +312,32 @@ def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
     return out
 
 
-def _grid_tensor(table: Iterable[int], top: int, rows, growth: int,
-                 arity: int) -> tuple[bytes, int]:
-    """The integer ``table`` on a grid of ``arity`` axes, with the integer
-    matrix ``rows`` applied along every axis (see ``_transform_leading_axis``),
-    packed (see ``_pack``), and its slot width.
+# labels per run of the packer; each run's join holds one buffer view per
+# label, so runs keep that transient memory bounded
+_PACK_RUN = 1024
 
-    ``top`` bounds the table's absolute values and ``growth``, the largest
-    absolute row sum of ``rows``, bounds how much one axis multiplies the
-    largest entry, so ``top * growth ** arity`` bounds every entry of every
-    stage and sets the width."""
+
+def _grid_tensor(labels: Union[bytes, array], ints: Iterable[int], top: int, rows,
+                 growth: int, arity: int) -> tuple[bytearray, int]:
+    """The table ``ints[labels[i]]`` on a grid of ``arity`` axes, with the
+    integer matrix ``rows`` applied along every axis (see
+    ``_transform_leading_axis``), packed, and its slot width.
+
+    Slot i holds entry i plus the bias 2^(8*width - 1) in ``width``
+    little-endian bytes.  Each label value's slot is built once, and the
+    slots of every run of ``_PACK_RUN`` labels are joined straight into the
+    tensor.
+    ``top`` bounds the absolute values of ``ints`` and ``growth``, the
+    largest absolute row sum of ``rows``, bounds how much one axis
+    multiplies the largest entry, so ``top * growth ** arity`` bounds every
+    entry of every stage and sets the width."""
     width = _slot_width(top * growth ** arity)
-    tensor = _pack(table, width, top)
+    bias = 1 << 8 * width - 1
+    slots = [(bias + v).to_bytes(width, "little") for v in ints]
+    tensor = bytearray(len(labels) * width)
+    for i in range(0, len(labels), _PACK_RUN):
+        tensor[i * width:(i + _PACK_RUN) * width] = b"".join(
+            map(slots.__getitem__, labels[i:i + _PACK_RUN]))
     for _ in range(arity):
         tensor = _transform_leading_axis(tensor, width, rows)
     return tensor, width
@@ -364,8 +353,8 @@ def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[bytes, int, int, int]:
     lifted, scale = _integer_scaled(f.codomain)
     nodes, stretch = _integer_scaled(f.domain)
     rows, lagrange_scale, growth = _scaled_lagrange(nodes)
-    tensor, width = _grid_tensor(map(lifted.__getitem__, f.values), max(map(abs, lifted)),
-                                 rows, growth, f.arity)
+    tensor, width = _grid_tensor(f.values, lifted, max(map(abs, lifted)), rows, growth,
+                                 f.arity)
     return tensor, width, scale * lagrange_scale ** f.arity, stretch
 
 
@@ -495,9 +484,11 @@ def boolean_restriction_witness(
     retained.
 
     Each value the table takes has its indicator interpolated once, and the
-    indicators of absent values are zero.  The packed tensors share one scale
-    and f's slot width, so their codomain-weighted sum, one big-int
-    combination, is f's tensor under a positive scale.
+    indicators of absent values are zero.  An indicator is packed from one
+    slot per codomain value, so a codomain larger than the grid is first cut
+    to the values taken, which changes no degree and no pair.  The packed
+    tensors share one scale and f's slot width, so their codomain-weighted
+    sum, one big-int combination, is f's tensor under a positive scale.
 
     The pairs are read off the chosen indicator's difference tensor, which
     along each axis keeps the value at node 0 and replaces every other value
@@ -516,13 +507,19 @@ def boolean_restriction_witness(
     taken = sorted(set(f.values))
     if len(taken) < 2:
         raise InvalidInputError("constant functions admit no restriction certificate")
+    if len(f.codomain) > len(f.values):
+        index = {b: k for k, b in enumerate(taken)}
+        f = FiniteFunction(f.domain, tuple(f.codomain[b] for b in taken), n,
+                           list(map(index.__getitem__, f.values)))
+        taken = range(len(taken))
     rows, _, growth = _scaled_lagrange(_integer_scaled(f.domain)[0])
     lifted = _integer_scaled(f.codomain)[0]
     top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
     degrees = _digit_table([range(m)] * n)
     combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
+    codes = range(len(lifted))  # an indicator's ints are one-hot over them
     for b in taken:
-        indicator, width = _grid_tensor(map(b.__eq__, f.values), top, rows, growth, n)
+        indicator, width = _grid_tensor(f.values, map(b.__eq__, codes), top, rows, growth, n)
         bias = _bias_run(width, len(f.values))
         combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
         component_degree = _largest(degrees, indicator, width)
@@ -532,7 +529,7 @@ def boolean_restriction_witness(
     target = -(-total_degree // (m - 1))
 
     # each difference row has absolute sum 2 (m >= 2 here)
-    tensor, width = _grid_tensor(map(pick.__eq__, f.values), 1, _difference_rows(m), 2, n)
+    tensor, width = _grid_tensor(f.values, map(pick.__eq__, codes), 1, _difference_rows(m), 2, n)
     supports = _digit_table([[0] + [1] * (m - 1)] * n)  # nonzero indices per entry
     good = bytes(map(operator.and_, map(bool, _nonzero_slots(tensor, width)),
                      map(target.__le__, supports)))

@@ -212,6 +212,8 @@ def brute_force_metrics(
     count = params.vertex_count
     if count > cap:
         raise ResourceLimitError(f"{count} vertices exceed the oracle cap {cap}")
+    if params.n > cap:
+        raise ResourceLimitError(f"words of length {params.n} exceed the oracle cap {cap}")
     words = [unrank(r, params) for r in range(count)]
     degrees = [0] * count
     for i in range(count):

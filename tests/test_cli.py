@@ -501,3 +501,38 @@ def test_non_object_documents_exit_one(tmp_path, capsys, text):
     for command in (["metrics"], ["bounds", "check"]):
         assert run(command + [path]) == 1
         assert "neither a partition nor a vertex-set" in capsys.readouterr().err
+
+
+def _run_subprocess(argv, cwd):
+    return subprocess.run([sys.executable, "-m", "hamlab", *map(str, argv)], cwd=cwd,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("argv, culprit", [(["metrics", "big.part"], "big.part"),
+                                           (["metrics", "--config", "big.json", "p.part"],
+                                            "big.json")])
+def test_integers_past_the_digit_limit_fail_to_load_in_one_line(tmp_path, argv, culprit):
+    # Python refuses to convert an integer of more than 4,300 digits
+    digits = "7" * 5000
+    (tmp_path / "big.part").write_text('{"m": 2, "n": 1, "assignment": [0, ' + digits + ']}')
+    (tmp_path / "big.json").write_text('{"vertices": ' + digits + '}')
+    (tmp_path / "p.part").write_text('{"m": 2, "n": 1, "assignment": [0, 1]}')
+    done = _run_subprocess(argv, tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: cannot read {culprit}: ")
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "poly.json"]])
+def test_coefficients_past_the_digit_limit_fail_to_write_in_one_line(tmp_path, out):
+    # parity on 6 bits over the codomain {0, 10^4299 - 1}: its top
+    # coefficient is (-2)^5 times 10^4299 - 1, past 4,300 digits
+    (tmp_path / "big.fn").write_text(json.dumps({
+        "A": [0, 1], "B": [0, "9" * 4299], "n": 6,
+        "values": [bin(r).count("1") % 2 for r in range(64)]}))
+    done = _run_subprocess(["fn", "interpolate", "big.fn", *out], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cannot write the result: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "poly.json").exists()  # the document is encoded before --out opens

@@ -14,12 +14,17 @@ from hamlab import (
     Partition,
     ResourceLimitError,
     VertexSet,
+    brute_force_metrics,
+    degree,
     hamming_distance,
     independence_number,
     induced_max_degree,
     iter_vertices,
+    lift_partition,
     neighbors,
+    partition_metrics,
     rank,
+    sensitivity,
     unrank,
 )
 from hamlab.errors import power_exceeds
@@ -183,6 +188,19 @@ def test_power_exceeds_small_and_negative_bases_without_exponentiating():
     assert time.perf_counter() - start < 1
     for base, exponent, limit in itertools.product(range(-5, 6), range(7), range(-40, 41, 3)):
         assert power_exceeds(base, exponent, limit) == (base ** exponent > limit)
+
+
+def test_one_value_grids_fail_the_cap_on_their_word_length():
+    # one point, but the work still grows with n
+    n, cap = 10 ** 4, 1000
+    f = FiniteFunction([0], [0], n, [0])
+    part = Partition(GraphParams(1, n), [0])
+    for call in (lambda: degree(f, cap=cap), lambda: sensitivity(f, cap=cap),
+                 lambda: partition_metrics(part, cap=cap),
+                 lambda: lift_partition(Partition(GraphParams(1, 1), [0]), n, 1, cap=cap),
+                 lambda: brute_force_metrics(part, cap=cap)):
+        with pytest.raises(ResourceLimitError):
+            call()
 
 
 def test_graph_params_validation():

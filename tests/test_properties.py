@@ -51,11 +51,9 @@ from hamlab.functions import (
     _integer_scaled,
     _largest,
     _nonzero_slots,
-    _pack,
     _scaled_lagrange,
     _slot_values,
     _slot_width,
-    _transform_leading_axis,
 )
 from hamlab.graph import _digit_table
 
@@ -362,17 +360,33 @@ def test_packed_axis_transform_matches_the_list_kernel(m, n, data):
     values = [rng.randrange(len(codomain)) for _ in range(m ** n)]
     nodes, lifted = _integer_scaled(domain)[0], _integer_scaled(codomain)[0]
 
-    table = [lifted[v] for v in values]
+    labels = bytes(values)
     rows, _, growth = _scaled_lagrange(nodes)
-    tensor, width = _grid_tensor(iter(table), max(map(abs, lifted)), rows, growth, n)
-    assert _unpacked(tensor, width) == _list_axes(table, [rows] * n)
+    tensor, width = _grid_tensor(labels, lifted, max(map(abs, lifted)), rows, growth, n)
+    assert _unpacked(tensor, width) == _list_axes([lifted[v] for v in values], [rows] * n)
 
-    # a bool indicator table's difference tensor, built as the restriction
+    # a one-hot indicator's difference tensor, built as the restriction
     # witness builds it
     b = values[0]
-    tensor, width = _grid_tensor(map(b.__eq__, values), 1, _difference_rows(m), 2, n)
+    tensor, width = _grid_tensor(labels, map(b.__eq__, range(len(lifted))), 1,
+                                 _difference_rows(m), 2, n)
     assert _unpacked(tensor, width) == _list_axes(map(b.__eq__, values),
                                                   [_difference_rows(m)] * n)
+
+
+@pytest.mark.parametrize("make_labels, count", [(bytes, 256), (lambda v: array("H", v), 300)],
+                         ids=["bytes", "array"])
+def test_packed_labels_read_back_their_ints(make_labels, count):
+    # identity rows leave the table as packed; 3^7 = 2,187 labels span two
+    # full runs of the packer and a partial third, in slots of 16 bytes
+    rng = random.Random(count)
+    ints = [rng.randrange(-2 ** 100, 2 ** 100 + 1) for _ in range(count)]
+    ints[:2] = -2 ** 100, 2 ** 100
+    labels = make_labels([rng.randrange(count) for _ in range(3 ** 7)])
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    tensor, width = _grid_tensor(labels, ints, 2 ** 100, identity, 1, 7)
+    assert width == 16
+    assert _unpacked(tensor, width) == [ints[label] for label in labels]
 
 
 @pytest.mark.parametrize("width, nodes, kind, axes", [
@@ -399,17 +413,16 @@ def test_packed_slots_hold_tables_that_attain_the_width_bound(width, nodes, kind
     assert mass == (_scaled_lagrange(nodes)[2] if kind == "lagrange" else 2)
     top = ((1 << 8 * width - 1) - 1) // mass ** axes
     signs = [(c > 0) - (c < 0) for c in row]
-    table = [top * math.prod(p) for p in itertools.product(signs, repeat=axes)]
-    expected = _list_axes(table, [rows] * axes)
+    # labels 0, 1, 2 stand for -top, 0, top
+    labels = bytes(math.prod(p) + 1 for p in itertools.product(signs, repeat=axes))
+    expected = _list_axes([(label - 1) * top for label in labels], [rows] * axes)
     assert max(map(abs, expected)) == top * mass ** axes
 
-    slot = _slot_width(top * mass ** axes)
-    tensor = _pack(iter(table), slot, top)
-    for _ in range(axes):
-        tensor = _transform_leading_axis(tensor, slot, rows)
+    tensor, slot = _grid_tensor(labels, (-top, 0, top), top, rows, mass, axes)
     assert _unpacked(tensor, slot) == expected
     # the bound needs every byte of the slot: one byte less would overflow
-    assert slot == width and (top * mass ** axes).bit_length() == 8 * width - 1
+    assert slot == width == _slot_width(top * mass ** axes)
+    assert (top * mass ** axes).bit_length() == 8 * width - 1
 
 
 def _boxed_values(f, data):
@@ -437,8 +450,8 @@ def test_difference_tensor_keeps_the_monomial_support(data):
     monomial = max((sum(map(bool, exps)) for exps in interpolate(f).terms), default=0)
 
     lifted = _integer_scaled(f.codomain)[0]
-    tensor, width = _grid_tensor(map(lifted.__getitem__, f.values), max(map(abs, lifted)),
-                                 _difference_rows(m), 2, n)
+    tensor, width = _grid_tensor(f.values, lifted, max(map(abs, lifted)), _difference_rows(m),
+                                 2, n)
     assert _largest(_digit_table([[0] + [1] * (m - 1)] * n), tensor, width) == monomial
 
 
