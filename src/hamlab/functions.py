@@ -312,28 +312,37 @@ def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
     return out
 
 
-# labels per run of the packer; each run's join holds one buffer view per
-# label, so runs keep that transient memory bounded
-_PACK_RUN = 1024
+_PACK_RUN = 1024  # labels per join of the packer, which holds a buffer view per label
 
 
-def _grid_tensor(labels: Union[bytes, array], ints: Iterable[int], top: int, rows,
+class _Slots(dict):
+    """The packed slot of each label, ``ints[label]`` plus the bias, built on
+    the label's first use, so label values a table never takes cost nothing."""
+    __slots__ = ("ints", "width", "bias")
+
+    def __init__(self, ints: Sequence[int], width: int) -> None:
+        self.ints, self.width, self.bias = ints, width, 1 << 8 * width - 1
+
+    def __missing__(self, label: int) -> bytes:
+        slot = self[label] = (self.bias + self.ints[label]).to_bytes(self.width, "little")
+        return slot
+
+
+def _grid_tensor(labels: Union[bytes, array], ints: Sequence[int], top: int, rows,
                  growth: int, arity: int) -> tuple[bytearray, int]:
     """The table ``ints[labels[i]]`` on a grid of ``arity`` axes, with the
     integer matrix ``rows`` applied along every axis (see
     ``_transform_leading_axis``), packed, and its slot width.
 
     Slot i holds entry i plus the bias 2^(8*width - 1) in ``width``
-    little-endian bytes.  Each label value's slot is built once, and the
-    slots of every run of ``_PACK_RUN`` labels are joined straight into the
-    tensor.
+    little-endian bytes; the slots (see ``_Slots``) of each run of
+    ``_PACK_RUN`` labels are joined straight into the tensor.
     ``top`` bounds the absolute values of ``ints`` and ``growth``, the
     largest absolute row sum of ``rows``, bounds how much one axis
     multiplies the largest entry, so ``top * growth ** arity`` bounds every
     entry of every stage and sets the width."""
     width = _slot_width(top * growth ** arity)
-    bias = 1 << 8 * width - 1
-    slots = [(bias + v).to_bytes(width, "little") for v in ints]
+    slots = _Slots(ints, width)
     tensor = bytearray(len(labels) * width)
     for i in range(0, len(labels), _PACK_RUN):
         tensor[i * width:(i + _PACK_RUN) * width] = b"".join(
@@ -353,8 +362,7 @@ def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[bytes, int, int, int]:
     lifted, scale = _integer_scaled(f.codomain)
     nodes, stretch = _integer_scaled(f.domain)
     rows, lagrange_scale, growth = _scaled_lagrange(nodes)
-    tensor, width = _grid_tensor(f.values, lifted, max(map(abs, lifted)), rows, growth,
-                                 f.arity)
+    tensor, width = _grid_tensor(f.values, lifted, max(map(abs, lifted)), rows, growth, f.arity)
     return tensor, width, scale * lagrange_scale ** f.arity, stretch
 
 
@@ -484,11 +492,10 @@ def boolean_restriction_witness(
     retained.
 
     Each value the table takes has its indicator interpolated once, and the
-    indicators of absent values are zero.  An indicator is packed from one
-    slot per codomain value, so a codomain larger than the grid is first cut
-    to the values taken, which changes no degree and no pair.  The packed
-    tensors share one scale and f's slot width, so their codomain-weighted
-    sum, one big-int combination, is f's tensor under a positive scale.
+    indicators of absent values are zero.  An indicator is packed from 0/1
+    labels, so its cost does not grow with the codomain.  The packed tensors
+    share one scale and f's slot width, so their codomain-weighted sum, one
+    big-int combination, is f's tensor under a positive scale.
 
     The pairs are read off the chosen indicator's difference tensor, which
     along each axis keeps the value at node 0 and replaces every other value
@@ -507,29 +514,24 @@ def boolean_restriction_witness(
     taken = sorted(set(f.values))
     if len(taken) < 2:
         raise InvalidInputError("constant functions admit no restriction certificate")
-    if len(f.codomain) > len(f.values):
-        index = {b: k for k, b in enumerate(taken)}
-        f = FiniteFunction(f.domain, tuple(f.codomain[b] for b in taken), n,
-                           list(map(index.__getitem__, f.values)))
-        taken = range(len(taken))
     rows, _, growth = _scaled_lagrange(_integer_scaled(f.domain)[0])
     lifted = _integer_scaled(f.codomain)[0]
     top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
     degrees = _digit_table([range(m)] * n)
     combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
-    codes = range(len(lifted))  # an indicator's ints are one-hot over them
     for b in taken:
-        indicator, width = _grid_tensor(f.values, map(b.__eq__, codes), top, rows, growth, n)
+        labels = bytes(map(b.__eq__, f.values))  # b's indicator as 0/1 labels
+        indicator, width = _grid_tensor(labels, (0, 1), top, rows, growth, n)
         bias = _bias_run(width, len(f.values))
         combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
         component_degree = _largest(degrees, indicator, width)
         if component_degree > pick_degree:
-            pick, pick_degree = b, component_degree
+            pick, chosen, pick_degree = b, labels, component_degree
     total_degree = _largest(degrees, (combined + bias).to_bytes(len(indicator), "little"), width)
     target = -(-total_degree // (m - 1))
 
     # each difference row has absolute sum 2 (m >= 2 here)
-    tensor, width = _grid_tensor(f.values, map(pick.__eq__, codes), 1, _difference_rows(m), 2, n)
+    tensor, width = _grid_tensor(chosen, (0, 1), 1, _difference_rows(m), 2, n)
     supports = _digit_table([[0] + [1] * (m - 1)] * n)  # nonzero indices per entry
     good = bytes(map(operator.and_, map(bool, _nonzero_slots(tensor, width)),
                      map(target.__le__, supports)))
@@ -547,7 +549,7 @@ def boolean_restriction_witness(
 
     ranks = _digit_table([(0, t * m ** (n - 1 - j)) for j, t in enumerate(kept)])
     zero_one = (Fraction(0), Fraction(1))
-    table = tuple(1 if f.values[r] == pick else 0 for r in ranks)
+    table = tuple(map(chosen.__getitem__, ranks))
     return RestrictionWitness(
         f.codomain[pick],
         tuple((f.domain[0], f.domain[t]) for t in kept),

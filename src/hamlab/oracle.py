@@ -209,11 +209,8 @@ def brute_force_metrics(
     """Recompute partition metrics by scanning all vertex pairs; must agree
     with the fast path."""
     params = part.params
+    check_enumeration(params.m, params.n, cap)
     count = params.vertex_count
-    if count > cap:
-        raise ResourceLimitError(f"{count} vertices exceed the oracle cap {cap}")
-    if params.n > cap:
-        raise ResourceLimitError(f"words of length {params.n} exceed the oracle cap {cap}")
     words = [unrank(r, params) for r in range(count)]
     degrees = [0] * count
     for i in range(count):

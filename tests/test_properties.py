@@ -365,10 +365,10 @@ def test_packed_axis_transform_matches_the_list_kernel(m, n, data):
     tensor, width = _grid_tensor(labels, lifted, max(map(abs, lifted)), rows, growth, n)
     assert _unpacked(tensor, width) == _list_axes([lifted[v] for v in values], [rows] * n)
 
-    # a one-hot indicator's difference tensor, built as the restriction
-    # witness builds it
+    # an indicator's difference tensor, built as the restriction witness
+    # builds it, from 0/1 labels
     b = values[0]
-    tensor, width = _grid_tensor(labels, map(b.__eq__, range(len(lifted))), 1,
+    tensor, width = _grid_tensor(bytes(map(b.__eq__, values)), (0, 1), 1,
                                  _difference_rows(m), 2, n)
     assert _unpacked(tensor, width) == _list_axes(map(b.__eq__, values),
                                                   [_difference_rows(m)] * n)
