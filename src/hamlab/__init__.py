@@ -4,10 +4,10 @@ oracles."""
 
 from .bounds import (
     BoundsReport,
-    SubgraphStats,
     cayley_degree_bound,
+    check_partition,
+    check_subgraph,
     complete_graph_imbalance,
-    consistency_check,
     construction_degree_upper_bound,
     degree_one_imbalance,
     domination_threshold,
@@ -16,7 +16,6 @@ from .bounds import (
     sensitivity_floor,
     sigma_closed_form,
     sigma_report,
-    subgraph_stats,
     theorem_imbalance_bound,
     tribes_degree_sensitivity,
 )

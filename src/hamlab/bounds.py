@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .encoding import value_token
-from .errors import BoundNotApplicableError, DEFAULT_VERTEX_CAP, InvalidInputError
-from .graph import VertexSet, induced_max_degree
-from .partitions import PartitionMetrics, _theorem_base
+from .errors import BoundNotApplicableError, InvalidInputError
+from .partitions import _theorem_base
 
 FLOAT_SLACK = 1e-9
 
@@ -129,7 +128,9 @@ def construction_degree_upper_bound(m: int, n: int, eps: Fraction) -> BoundValue
     if not 0 < eps <= Fraction(m - 1, m):
         raise InvalidInputError(f"need 0 < eps <= (m-1)/m, got {eps}")
     if eps < Fraction(1, m):
-        return n / math.log(1 / float(eps), m)
+        # log_m(1/eps) from the exact numerator and denominator: 1/float(eps)
+        # overflows, or eps rounds to 0, once eps falls below about 1e-308
+        return n / (math.log(eps.denominator, m) - math.log(eps.numerator, m))
     return math.ceil(eps * m) * n
 
 
@@ -194,75 +195,49 @@ def sensitivity_floor(m: int, degree: int) -> float:
     return math.sqrt(degree / (m - 1)) if degree else 0.0
 
 
-@dataclass(frozen=True)
-class SubgraphStats:
-    """Measured size and induced maximum degree of one vertex set."""
-
-    m: int
-    n: int
-    size: int
-    max_degree: int
-
-
-def subgraph_stats(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> SubgraphStats:
-    return SubgraphStats(
-        vset.params.m, vset.params.n, vset.size, induced_max_degree(vset, cap=cap)
-    )
-
-
-def _check_one(m: int, n: int, size: int, measured_degree: int) -> list[BoundsReport]:
+def check_subgraph(m: int, n: int, size: int, max_degree: int) -> list[BoundsReport]:
+    """Check every lower bound applicable at this size against the measured
+    maximum degree of one induced subgraph of the graph on (m, n).
+    Failures come back as report entries, never as exceptions."""
     reports = []
     if size > m ** (n - 1):
         value = markov_degree_lower_bound(m, n, size)
         reports.append(
             BoundsReport(
-                "markov", m, n, f"size={size}", value, measured_degree,
-                Fraction(measured_degree) >= value,
+                "markov", m, n, f"size={size}", value, max_degree,
+                Fraction(max_degree) >= value,
             )
         )
     if m >= 3 and 2 * size > m ** n:
         value = cayley_degree_bound(m, n)
         reports.append(
             BoundsReport(
-                "cayley", m, n, f"size={size}", value, measured_degree,
-                measured_degree >= value - FLOAT_SLACK,
+                "cayley", m, n, f"size={size}", value, max_degree,
+                max_degree >= value - FLOAT_SLACK,
             )
         )
     threshold, implied = domination_threshold(m, n)
     if size > threshold:
         reports.append(
             BoundsReport(
-                "domination", m, n, f"size={size}", implied, measured_degree,
-                measured_degree >= implied,
+                "domination", m, n, f"size={size}", implied, max_degree,
+                max_degree >= implied,
             )
         )
     return reports
 
 
-def consistency_check(
-    measured: Union[SubgraphStats, PartitionMetrics],
-    m: Optional[int] = None,
-    n: Optional[int] = None,
+def check_partition(
+    m: int, n: int, part_sizes: Sequence[int], max_degree: int
 ) -> list[BoundsReport]:
-    """Check every applicable lower bound against a measured degree.
-
-    Accepts the stats of a single vertex set, or partition metrics (with the
-    graph parameters supplied); for a partition, each part must respect every
-    bound applicable at its size, using the partition-wide maximum degree.
-    Failures come back as report entries, never as exceptions.
-    """
-    if isinstance(measured, SubgraphStats):
-        return _check_one(measured.m, measured.n, measured.size, measured.max_degree)
-    if isinstance(measured, PartitionMetrics):
-        if m is None or n is None:
-            raise InvalidInputError("partition metrics need explicit m and n")
-        reports = [
-            BoundsReport(
-                "partition-total", m, n, f"parts={len(measured.part_sizes)}",
-                m ** n, sum(measured.part_sizes), sum(measured.part_sizes) == m ** n,
-            )
-        ]
-        for size in measured.part_sizes:
-            reports.extend(_check_one(m, n, size, measured.max_degree))
-        return reports
-    raise InvalidInputError(f"cannot check object of type {type(measured).__name__}")
+    """Check that the parts cover the graph on (m, n), then check each part
+    with ``check_subgraph`` at the partition-wide maximum degree."""
+    total = sum(part_sizes)
+    reports = [
+        BoundsReport(
+            "partition-total", m, n, f"parts={len(part_sizes)}", m ** n, total, total == m ** n
+        )
+    ]
+    for size in part_sizes:
+        reports.extend(check_subgraph(m, n, size, max_degree))
+    return reports

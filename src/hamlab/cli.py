@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from io import StringIO
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import functions as fn_mod
@@ -40,7 +40,7 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     ResourceLimitError,
-    check_enumeration,
+    item_count,
     power_exceeds,
 )
 from .graph import VertexSet, induced_max_degree
@@ -92,6 +92,13 @@ def _int_range(text: str) -> Sequence[int]:
         raise UsageError(f"bad range {text!r}: {exc}")
 
 
+def _message(exc: ValueError) -> str:
+    """The error's text, with Python's advice on the int/str digit limit
+    replaced by the setting a command-line user can change."""
+    return str(exc).replace("use sys.set_int_max_str_digits()",
+                            "set the PYTHONINTMAXSTRDIGITS environment variable")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -101,7 +108,7 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
     except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit
-        raise UsageError(f"cannot read {path}: {exc}")
+        raise UsageError(f"cannot read {path}: {_message(exc)}")
     except RecursionError:
         raise UsageError(f"{path} is nested too deeply")
 
@@ -110,10 +117,12 @@ def _write_json(doc, path: Optional[str]) -> None:
     try:
         write_json(doc, sys.stdout if path is None else path)
     except ValueError as exc:  # an integer past the int/str digit limit
-        raise UsageError(f"cannot write the result: {exc}")
+        raise UsageError(f"cannot write the result: {_message(exc)}")
 
 
-def _emit_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str, path: Optional[str]) -> None:
+def _emit_rows(
+    rows: Iterable[dict], fieldnames: Sequence[str], fmt: str, path: Optional[str]
+) -> None:
     buffer = StringIO()
     if fmt == "csv":
         write_csv(rows, fieldnames, buffer)
@@ -306,14 +315,13 @@ def _cmd_bounds(args, caps) -> int:
     cap = caps["vertices"]
     if args.subcommand == "check":
         loaded = _load_measured(args.path)
+        m, n = loaded.params.m, loaded.params.n
         if isinstance(loaded, part_mod.Partition):
             metrics = part_mod.partition_metrics(loaded, cap=cap)
-            reports = bounds_mod.consistency_check(
-                metrics, m=loaded.params.m, n=loaded.params.n
-            )
+            reports = bounds_mod.check_partition(m, n, metrics.part_sizes, metrics.max_degree)
         else:
-            stats = bounds_mod.subgraph_stats(loaded, cap=cap)
-            reports = bounds_mod.consistency_check(stats)
+            max_degree = induced_max_degree(loaded, cap=cap)
+            reports = bounds_mod.check_subgraph(m, n, loaded.size, max_degree)
         return _emit_bound_reports(args, reports)
 
     m, n = args.m, args.n
@@ -358,9 +366,6 @@ def _cmd_fn(args, caps) -> int:
         if args.subcommand == "tribes":
             f = fn_mod.tribes(args.s, cap=cap)
         else:
-            # lifted_tribes checks its grid too, but len(range(m)) overflows
-            # past sys.maxsize, so huge alphabets are rejected here first
-            check_enumeration(args.m, max(args.s * args.s, 1), cap, "grid points")
             f = fn_mod.lifted_tribes(range(args.m), args.a, args.s, cap=cap)
         _write_json(f.to_doc(), args.out)
         if not args.verify:
@@ -466,10 +471,6 @@ def _cmd_oracle(args, caps) -> int:
                                     "minMaxDegree": value, "witness": witness.to_doc()})
         return 0
     if args.subcommand == "functions":
-        # the sweep checks these too, but len(range(m)) overflows past
-        # sys.maxsize, so huge alphabets and codomains are rejected here first
-        check_enumeration(args.m, max(args.n, 1), budget.max_vertices, "grid points")
-        check_enumeration(args.b, 1, budget.max_functions, "codomain values")
         report = oracle_mod.exhaustive_function_check(
             range(args.m), args.n, range(args.b), budget=budget,
             samples=args.samples, seed=args.seed,
@@ -510,11 +511,10 @@ def _cmd_oracle(args, caps) -> int:
 
 def _check_grid_size(args, cap: int) -> None:
     """Reject a sweep of more cells than the vertex cap before anything
-    lists its ranges.  The count comes from the range bounds: ``len`` of a
-    range overflows past ``sys.maxsize``."""
+    lists its ranges."""
     cells = 1
     for values in (args.m_range, args.n_range, args.d_range):
-        cells *= max(values.stop - values.start, 0) if isinstance(values, range) else len(values)
+        cells *= item_count(values)
     if cells > cap:
         raise ResourceLimitError(
             f"sweeping {cells} grid cells exceeds the configured cap of {cap}"
@@ -526,29 +526,32 @@ def _cmd_report(args, caps) -> int:
     for m in args.m_range:  # before any cell, so no cap check sees such an m
         if m < 3:
             raise InvalidInputError(f"need m >= 3, got {m}")
-    rows = []
     any_fail = False
-    for m, n, d in itertools.product(args.m_range, args.n_range, args.d_range):
-        if power_exceeds(m, n, cap):
-            rows.append({"m": m, "n": n, "d": d, **dict.fromkeys(GRID_FIELDS[3:-1]),
-                         "verdict": "SKIPPED"})
-            continue
-        paper, achieved = bounds_mod.theorem_imbalance_bound(m, d, n)
-        partition = part_mod.theorem_partition(m, d, n, cap=cap)
-        metrics = part_mod.partition_metrics(partition, cap=cap)
-        if metrics.max_degree > d or metrics.imbalance != achieved:
-            verdict = "FAIL"
-        elif Fraction(achieved) >= paper:
-            verdict = "PASS"
-        else:
-            verdict = "FLAG" if d >= n else "FAIL"
-        any_fail = any_fail or verdict == "FAIL"
-        rows.append({
-            "m": m, "n": n, "d": d, "paper_bound": value_token(paper),
-            "achieved_imbalance": achieved, "measured_imbalance": metrics.imbalance,
-            "measured_max_degree": metrics.max_degree, "verdict": verdict,
-        })
-    _emit_rows(rows, GRID_FIELDS, args.format or "records", args.out)
+
+    def rows():  # one cell at a time, so no list of every row is held
+        nonlocal any_fail
+        for m, n, d in itertools.product(args.m_range, args.n_range, args.d_range):
+            if power_exceeds(m, n, cap):
+                yield {"m": m, "n": n, "d": d, **dict.fromkeys(GRID_FIELDS[3:-1]),
+                       "verdict": "SKIPPED"}
+                continue
+            paper, achieved = bounds_mod.theorem_imbalance_bound(m, d, n)
+            partition = part_mod.theorem_partition(m, d, n, cap=cap)
+            metrics = part_mod.partition_metrics(partition, cap=cap)
+            if metrics.max_degree > d or metrics.imbalance != achieved:
+                verdict = "FAIL"
+            elif Fraction(achieved) >= paper:
+                verdict = "PASS"
+            else:
+                verdict = "FLAG" if d >= n else "FAIL"
+            any_fail = any_fail or verdict == "FAIL"
+            yield {
+                "m": m, "n": n, "d": d, "paper_bound": value_token(paper),
+                "achieved_imbalance": achieved, "measured_imbalance": metrics.imbalance,
+                "measured_max_degree": metrics.max_degree, "verdict": verdict,
+            }
+
+    _emit_rows(rows(), GRID_FIELDS, args.format or "records", args.out)
     if any_fail:
         raise VerificationFailure("a grid cell failed its construction guarantee")
     return 0

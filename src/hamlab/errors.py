@@ -41,6 +41,14 @@ def power_exceeds(base: int, exponent: int, limit: int) -> bool:
     return base ** exponent > limit
 
 
+def item_count(values) -> int:
+    """len(values), counted from the bounds for a range: ``len`` of a range
+    overflows past ``sys.maxsize``."""
+    if isinstance(values, range):
+        return max(-((values.start - values.stop) // values.step), 0)
+    return len(values)
+
+
 def check_enumeration(base: int, exponent: int, cap: int, what: str = "vertices") -> None:
     """Raise before enumerating base**exponent items past the cap, or words
     of more than cap letters: with one value per letter the count stays 1

@@ -27,6 +27,7 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     check_enumeration,
+    item_count,
 )
 from .graph import (
     GraphParams,
@@ -615,7 +616,7 @@ def lifted_tribes(
     sensitivity (m-1)*tribe_count, meeting s = sqrt((m-1)*deg).  The grid
     is checked against ``cap`` before the alphabet is built.
     """
-    check_enumeration(len(domain), max(tribe_count * tribe_count, 1), cap, "grid points")
+    check_enumeration(item_count(domain), max(tribe_count * tribe_count, 1), cap, "grid points")
     dom = _as_rationals(domain)
     if len(set(dom)) != len(dom) or len(dom) < 2:
         raise InvalidInputError("domain must hold at least two distinct values")

@@ -23,6 +23,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
     check_enumeration,
+    item_count,
     power_exceeds,
 )
 from .functions import FiniteFunction, boolean_restriction_witness, verify_sensitivity_bound
@@ -148,8 +149,8 @@ def exhaustive_function_check(
     function budget.  The grid and the codomain are checked against the
     budget before either is built.
     """
-    check_enumeration(len(domain), max(arity, 1), budget.max_vertices, "grid points")
-    check_enumeration(len(codomain), 1, budget.max_functions, "codomain values")
+    check_enumeration(item_count(domain), max(arity, 1), budget.max_vertices, "grid points")
+    check_enumeration(item_count(codomain), 1, budget.max_functions, "codomain values")
     domain = tuple(Fraction(v) for v in domain)
     codomain = tuple(Fraction(v) for v in codomain)
     m, k = len(domain), len(codomain)

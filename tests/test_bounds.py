@@ -10,17 +10,17 @@ from hamlab import (
     BoundNotApplicableError,
     GraphParams,
     InvalidInputError,
-    PartitionMetrics,
-    SubgraphStats,
     VertexSet,
     cayley_degree_bound,
+    check_partition,
+    check_subgraph,
     complete_graph_imbalance,
     complete_graph_partition,
-    consistency_check,
     construction_degree_upper_bound,
     degree_one_imbalance,
     degree_one_partition,
     domination_threshold,
+    induced_max_degree,
     lift_imbalance,
     lift_partition,
     low_degree_subgraph,
@@ -29,7 +29,6 @@ from hamlab import (
     sensitivity_floor,
     sigma_closed_form,
     sigma_report,
-    subgraph_stats,
     theorem_imbalance_bound,
     tribes_degree_sensitivity,
 )
@@ -117,10 +116,18 @@ def test_markov_monotone_in_size():
 def test_construction_upper_bound():
     assert construction_degree_upper_bound(3, 9, Fraction(1, 9)) == pytest.approx(4.5, abs=1e-9)
     assert construction_degree_upper_bound(3, 7, Fraction(1, 3)) == 7
+    assert construction_degree_upper_bound(3, 4, Fraction(1, 9)) == 2.0
     with pytest.raises(InvalidInputError):
         construction_degree_upper_bound(3, 5, Fraction(3, 4))  # above (m-1)/m
     with pytest.raises(InvalidInputError):
         construction_degree_upper_bound(3, 5, Fraction(0))
+
+
+@pytest.mark.parametrize("exponent", [310, 400])
+def test_construction_upper_bound_at_tiny_eps(exponent):
+    # 1/eps past the float range: log_m(1/eps) = exponent * log_m(10)
+    value = construction_degree_upper_bound(3, 4, Fraction(1, 10 ** exponent))
+    assert value == pytest.approx(4 / (exponent * math.log(10, 3)), rel=1e-12)
 
 
 def test_cayley_bound_values():
@@ -167,9 +174,8 @@ def test_domination_threshold_consistent_with_true_domination_number(m, n, gamma
 
 def test_consistency_check_subgraph_pass():
     vset = low_degree_subgraph(4, 3, 1)
-    stats = subgraph_stats(vset)
-    assert stats.size == 17
-    reports = consistency_check(stats)
+    assert vset.size == 17
+    reports = check_subgraph(4, 3, vset.size, induced_max_degree(vset))
     markov = [r for r in reports if r.bound == "markov"]
     assert len(markov) == 1
     assert markov[0].value == Fraction(2, 17)
@@ -179,31 +185,26 @@ def test_consistency_check_subgraph_pass():
 def test_consistency_check_full_vertex_set():
     params = GraphParams(3, 2)
     everything = VertexSet(params, frozenset(range(9)))
-    reports = consistency_check(subgraph_stats(everything))
+    reports = check_subgraph(3, 2, everything.size, induced_max_degree(everything))
     assert {r.bound for r in reports} == {"markov", "cayley", "domination"}
     assert all(r.satisfied for r in reports)
 
 
 def test_consistency_check_flags_understated_degree():
     # a corrupted record claiming degree 0 for the full graph must fail
-    corrupted = SubgraphStats(3, 2, 9, 0)
-    reports = consistency_check(corrupted)
+    reports = check_subgraph(3, 2, 9, 0)
     assert any(r.satisfied is False for r in reports)
     assert any(r.verdict == "FAIL" for r in reports)
 
 
 def test_consistency_check_partition_metrics():
-    metrics = PartitionMetrics(1, 2, (16, 17, 16, 15), (0, 0, 0))
-    reports = consistency_check(metrics, m=4, n=3)
+    reports = check_partition(4, 3, (16, 17, 16, 15), 1)
     assert reports[0].bound == "partition-total" and reports[0].satisfied
     assert all(r.satisfied for r in reports)
-    with pytest.raises(InvalidInputError):
-        consistency_check(metrics)
 
 
 def test_report_emission_formats():
-    stats = SubgraphStats(3, 2, 9, 4)
-    rows = [r.to_record() for r in consistency_check(stats)]
+    rows = [r.to_record() for r in check_subgraph(3, 2, 9, 4)]
     records = StringIO()
     write_records(rows, records)
     assert len(records.getvalue().strip().splitlines()) == len(rows)

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, artifacts, headers, caps."""
 
 import builtins
+import dataclasses
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 import hamlab
 from hamlab.cli import main
+from hamlab.encoding import write_json
 
 SRC = Path(hamlab.__file__).resolve().parent.parent
 
@@ -376,6 +379,14 @@ def test_exponent_tokens_exit_one(tmp_path, capsys):
     assert "eps=1/10" in capsys.readouterr().out
 
 
+def test_bounds_upper_at_an_eps_below_the_float_range(capsys):
+    # 1/eps = 10^400 overflows a float; log_3(10^400) is about 728
+    assert run(["bounds", "upper", "--m", 3, "--n", 4, "--eps", "1/1" + "0" * 400]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert '"value": 0.0047712125471966' in captured.out
+
+
 def test_tribes_and_grid_respect_the_vertex_cap(tmp_path, capsys):
     start = time.perf_counter()
     assert run(["fn", "tribes", "--s", 6, "--cap-vertices", 1000]) == 1
@@ -466,6 +477,57 @@ def test_verification_failure_exits_two(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def _replace(**changes):
+    return lambda result: dataclasses.replace(result, **changes)
+
+
+# every site that exits 2, each reached by tampering with one of the two
+# values it compares: the command, the function that computes that value, and
+# how its result is changed
+_TAMPERED_RUNS = {
+    "construct subgraph": (["construct", "subgraph", "--m", 4, "--n", 3, "--d", 1, "--verify"],
+                           "hamlab.cli.induced_max_degree", lambda degree: degree + 1),
+    "construct degree1": (["construct", "degree1", "--m", 3, "--n", 2, "--verify"],
+                          "hamlab.partitions.partition_metrics", _replace(imbalance=0)),
+    "bounds check partition": (["bounds", "check", "p.part"],
+                               "hamlab.partitions.partition_metrics", _replace(max_degree=0)),
+    "bounds check vertex set": (["bounds", "check", "s.vset"],
+                                "hamlab.cli.induced_max_degree", lambda degree: 0),
+    "fn lifted-tribes": (["fn", "lifted-tribes", "--m", 3, "--a", 0, "--s", 2, "--verify"],
+                         "hamlab.functions.sensitivity", lambda found: (0, found[1])),
+    "fn restrict": (["fn", "restrict", "t.fn"], "hamlab.functions.RestrictionWitness.check",
+                    lambda checked: (*checked[:2], False)),
+    "fn verify": (["fn", "verify", "t.fn"], "hamlab.functions.sensitivity",
+                  lambda found: (0, found[1])),
+    "oracle sigma": (["oracle", "sigma", "--m", 3, "--n", 2], "hamlab.oracle.sigma_exact",
+                     lambda sigma: sigma + 1),
+    "oracle functions": (["oracle", "functions", "--m", 2, "--b", 2, "--n", 1],
+                         "hamlab.oracle.exhaustive_function_check", _replace(violations=1)),
+    "oracle metrics": (["oracle", "metrics", "p.part", "--verify"],
+                       "hamlab.oracle.brute_force_metrics", _replace(imbalance=0)),
+    # the lift measures its base with partition_metrics too, so the grid's
+    # promise is changed instead
+    "report grid": (["report", "grid", "--m-range", 3, "--n-range", 2, "--d-range", 1],
+                    "hamlab.bounds.theorem_imbalance_bound",
+                    lambda bound: (bound[0], bound[1] + 1)),
+}
+
+
+@pytest.mark.parametrize("name", _TAMPERED_RUNS)
+def test_every_failed_claim_exits_two(tmp_path, monkeypatch, capsys, name):
+    argv, target, tamper = _TAMPERED_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    for path, doc in (("p.part", hamlab.degree_one_partition(3, 2).to_doc()),
+                      ("s.vset", hamlab.low_degree_subgraph(4, 3, 1).to_doc()),
+                      ("t.fn", hamlab.tribes(2).to_doc())):
+        write_json(doc, str(tmp_path / path))
+    measure = pkgutil.resolve_name(target)
+    monkeypatch.setattr(target, lambda *args, **kwargs: tamper(measure(*args, **kwargs)))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+
+
 def test_header_reports_seed_and_caps(capsys):
     run(["oracle", "functions", "--m", 2, "--b", 2, "--n", 2, "--seed", 9,
          "--samples", 3])
@@ -530,6 +592,8 @@ def test_integers_past_the_digit_limit_fail_to_load_in_one_line(tmp_path, argv, 
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: cannot read {culprit}: ")
     assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.endswith(
+        "; set the PYTHONINTMAXSTRDIGITS environment variable to increase the limit\n")
 
 
 @needs_digit_limit
@@ -544,4 +608,6 @@ def test_coefficients_past_the_digit_limit_fail_to_write_in_one_line(tmp_path, o
     assert done.returncode == 1
     assert done.stderr.startswith("error: cannot write the result: ")
     assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.endswith(
+        "; set the PYTHONINTMAXSTRDIGITS environment variable to increase the limit\n")
     assert not (tmp_path / "poly.json").exists()  # the document is encoded before --out opens

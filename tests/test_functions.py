@@ -201,6 +201,9 @@ def test_tribes_checks_cap_before_enumerating():
     with pytest.raises(ResourceLimitError):
         lifted_tribes((0, 1, 2), 0, 6, cap=1000)
     assert tribes(2, cap=16).arity == 4
+    for tribe_count in (0, 1, 2):  # len(range(10**20)) would overflow
+        with pytest.raises(ResourceLimitError, match="grid points"):
+            lifted_tribes(range(10 ** 20), 0, tribe_count)
 
 
 def test_local_sensitivity_validates_point():

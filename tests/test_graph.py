@@ -27,7 +27,7 @@ from hamlab import (
     sensitivity,
     unrank,
 )
-from hamlab.errors import power_exceeds
+from hamlab.errors import item_count, power_exceeds
 
 
 def test_rank_mixed_radix_example():
@@ -188,6 +188,14 @@ def test_power_exceeds_small_and_negative_bases_without_exponentiating():
     assert time.perf_counter() - start < 1
     for base, exponent, limit in itertools.product(range(-5, 6), range(7), range(-40, 41, 3)):
         assert power_exceeds(base, exponent, limit) == (base ** exponent > limit)
+
+
+def test_item_count_counts_ranges_from_their_bounds():
+    for start, stop, step in itertools.product(range(-7, 8), range(-7, 8), (-3, -2, -1, 1, 2, 3)):
+        assert item_count(range(start, stop, step)) == len(range(start, stop, step))
+    assert item_count(range(10 ** 20)) == 10 ** 20  # past sys.maxsize, where len() overflows
+    assert item_count(range(0, -(10 ** 20), -3)) == -(-(10 ** 20) // 3)
+    assert item_count([0, 1, 2]) == 3
 
 
 def test_one_value_grids_fail_the_cap_on_their_word_length():

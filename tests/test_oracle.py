@@ -74,6 +74,10 @@ def test_budgets_checked_before_exponentiating():
         min_max_degree_subsets(3, huge, 2)
     with pytest.raises(ResourceLimitError):
         exhaustive_function_check((0, 1, 2), huge, (0, 1), samples=1, seed=1)
+    with pytest.raises(ResourceLimitError, match="grid points"):  # len() would overflow
+        exhaustive_function_check(range(10 ** 20), 2, (0, 1))
+    with pytest.raises(ResourceLimitError, match="codomain values"):
+        exhaustive_function_check((0, 1), 2, range(10 ** 20), samples=1, seed=1)
     with pytest.raises(ResourceLimitError):  # 3^(3^17) functions
         exhaustive_function_check(
             (0, 1, 2), 17, (0, 1, 2), budget=SearchBudget(max_vertices=200_000_000)
