@@ -60,6 +60,11 @@ INPUTS = {
     "steps.fn": {"A": [0, "1/2", -3, "7/5", 2], "B": [0, 1, "-2/3"], "n": 3,
                  "values": [((i // 25 >= 4) + 2 * (i // 5 % 5 >= 3) + (i % 5 >= 2)) % 3
                             for i in range(125)]},
+    # a table that is zero everywhere: the empty polynomial
+    "zero.fn": {"A": [0, 1, 2], "B": [0, 1], "n": 2, "values": [0] * 9},
+    # one coordinate whose polynomial has negative "p/q" coefficients
+    "negative.fn": {"A": [0, "1/2", -3, 2], "B": [0, 1, "-2/3"], "n": 1,
+                    "values": [2, 0, 1, 2]},
 }
 
 CASES = [
@@ -119,6 +124,8 @@ CASES = [
     ["fn", "interpolate", "stretch3.fn"],
     ["fn", "restrict", "stretch3.fn", "--out", "stretch3.restrict.json"],
     ["fn", "degree", "sixty.fn"],
+    ["fn", "interpolate", "zero.fn", "--out", "zero.poly.json"],
+    ["fn", "interpolate", "negative.fn", "--out", "negative.poly.json"],
     ["fn", "restrict", "bigvalue.fn"],
     ["fn", "restrict", "twovalued6.fn", "--out", "twovalued6.restrict.json"],
     ["fn", "restrict", "lastisthree.fn"],
