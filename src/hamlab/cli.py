@@ -202,8 +202,8 @@ def _print_header(args, caps) -> None:
         value = getattr(args, key)
         if value is None:
             continue
-        if isinstance(value, range):
-            value = list(value)
+        if isinstance(value, range):  # in the flag's own inclusive syntax
+            value = f"{value.start}:{value.stop - 1}"
         shown.append(f"{key.replace('_', '-')}={value}")
     name = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
     print(f"# hamlab {name}")
@@ -652,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         caps = _resolve_caps(args)
-        if args.command == "report":  # the header lists the ranges
+        if args.command == "report":  # a refused sweep prints no header
             _check_grid_size(args, caps["vertices"])
         _print_header(args, caps)
         return _COMMANDS[args.command][0](args, caps)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hamlab
-from hamlab.cli import main
+from hamlab.cli import _print_header, build_parser, main
 from hamlab.encoding import write_json
 
 SRC = Path(hamlab.__file__).resolve().parent.parent
@@ -208,6 +208,14 @@ def test_report_grid_empty_ranges(tmp_path):
         "m,n,d,paper_bound,achieved_imbalance,measured_imbalance,"
         "measured_max_degree,verdict"
     ]
+
+
+def test_report_header_shows_a_colon_range_as_given(capsys):
+    args = build_parser().parse_args(["report", "grid", "--m-range", "3:1000000",
+                                      "--n-range", "5:3", "--d-range", "1,4"])
+    _print_header(args, {"vertices": 1, "subsets": 1, "functions": 1})
+    params = capsys.readouterr().out.splitlines()[1]
+    assert params == "# params: d-range=[1, 4] m-range=3:1000000 n-range=5:3"
 
 
 def test_usage_errors_exit_one(capsys):
