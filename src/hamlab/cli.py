@@ -28,6 +28,7 @@ from .encoding import (
     value_token,
     write_csv,
     write_json,
+    write_polynomial,
     write_records,
 )
 from .errors import (
@@ -113,9 +114,9 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is nested too deeply")
 
 
-def _write_json(doc, path: Optional[str]) -> None:
+def _write_json(doc, path: Optional[str], write=write_json) -> None:
     try:
-        write_json(doc, sys.stdout if path is None else path)
+        write(doc, sys.stdout if path is None else path)
     except ValueError as exc:  # an integer past the int/str digit limit
         raise UsageError(f"cannot write the result: {_message(exc)}")
 
@@ -389,7 +390,7 @@ def _cmd_fn(args, caps) -> int:
     if args.subcommand == "interpolate":
         poly = fn_mod.interpolate(f, cap=cap)
         print(f"degree {poly.degree()}, {len(poly.terms)} terms")
-        _write_json(poly.to_doc(), args.out)
+        _write_json(poly, args.out, write_polynomial)
     elif args.subcommand == "degree":
         value = fn_mod.degree(f, cap=cap)
         print(f"degree {value}")

@@ -10,9 +10,12 @@ import re
 from array import array
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO, Union
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    from .functions import GridPolynomial
 
 
 def rational_to_token(value: Fraction) -> int | str:
@@ -174,6 +177,16 @@ def _json_chunks(doc, depth: int, out: list[str]) -> None:
         out.append(_flat_encoder(0).encode(doc))
 
 
+def _write_chunks(chunks: list[str], stream: Union[TextIO, str]) -> None:
+    """Write encoded text to ``stream``, or to a file opened only now when
+    ``stream`` is a path."""
+    if isinstance(stream, str):
+        with open(stream, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    else:
+        stream.writelines(chunks)
+
+
 def write_json(doc, stream: Union[TextIO, str]) -> None:
     """One JSON artifact: sorted keys, 2-space indentation and one scalar per
     line, byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
@@ -190,11 +203,35 @@ def write_json(doc, stream: Union[TextIO, str]) -> None:
     out: list[str] = []
     _json_chunks(doc, 0, out)
     out.append("\n")
-    if isinstance(stream, str):
-        with open(stream, "w", encoding="utf-8") as handle:
-            handle.writelines(out)
-    else:
-        stream.writelines(out)
+    _write_chunks(out, stream)
+
+
+def polynomial_text(poly: "GridPolynomial") -> str:
+    """The artifact of a polynomial, byte for byte ``json.dumps(poly.to_doc(),
+    sort_keys=True, indent=2)`` plus a newline.
+
+    Each term fills one template, its coefficient followed by one exponent
+    per line, where the generic writer would build and walk two dicts and a
+    list per term.  A coefficient is an integer, or a "p/q" string.
+    """
+    if not poly.terms:
+        return "[]\n"
+    exponents = ",\n      ".join(["%d"] * poly.arity)
+    tail = (',\n    "exponents": ' + (f"[\n      {exponents}\n    ]" if exponents else "[]")
+            + "\n  }")
+    whole = '  {\n    "coefficient": %d' + tail
+    ratio = '  {\n    "coefficient": "%d/%d"' + tail
+    out = []
+    for exps, coeff in poly.sorted_terms():
+        num, den = coeff.as_integer_ratio()
+        out.append(whole % (num, *exps) if den == 1 else ratio % (num, den, *exps))
+    return "[\n" + ",\n".join(out) + "\n]\n"
+
+
+def write_polynomial(poly: "GridPolynomial", stream: Union[TextIO, str]) -> None:
+    """A polynomial artifact, laid out by ``polynomial_text``; like
+    ``write_json``, the whole text is built before a path is opened."""
+    _write_chunks([polynomial_text(poly)], stream)
 
 
 def write_csv(rows: Iterable[dict], fieldnames: Sequence[str], stream: TextIO) -> None:

@@ -172,7 +172,9 @@ class GridPolynomial:
         return total
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        """Terms by total degree, then by exponent vector: a lexicographic
+        sort, then a stable one by degree, so no key tuple is built per term."""
+        return [(exps, self.terms[exps]) for exps in sorted(sorted(self.terms), key=sum)]
 
     def to_doc(self) -> list[dict]:
         return [

@@ -3,12 +3,14 @@
 import io
 import json
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamlab import FiniteFunction, GridPolynomial, interpolate
 from hamlab.cli import main
-from hamlab.encoding import write_json
+from hamlab.encoding import polynomial_text, write_json, write_polynomial
 
 
 def encoded(doc) -> str:
@@ -129,3 +131,71 @@ def test_cli_artifacts_reencode_to_their_own_bytes(tmp_path, capsys):
     capsys.readouterr()
     run("metrics", part)
     assert capsys.readouterr().out.endswith(artifacts[3].read_text(encoding="utf-8"))
+
+
+# polynomial artifacts: the layout writer against the indented dump of to_doc
+big_ints = st.one_of(st.integers(), st.integers(2 ** 63, 2 ** 200), st.integers(-2 ** 200, -2 ** 63))
+coefficients = st.one_of(
+    big_ints.map(Fraction),
+    st.fractions(),
+    st.builds(Fraction, big_ints, st.integers(2, 2 ** 80)),
+)
+
+
+@st.composite
+def polynomials(draw):
+    arity = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 12)] * arity)
+    return GridPolynomial(arity, draw(st.dictionaries(exponents, coefficients, max_size=12)))
+
+
+@st.composite
+def interpolated(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    domain = draw(st.lists(st.fractions(max_denominator=9), min_size=m, max_size=m,
+                           unique=True))
+    codomain = draw(st.lists(coefficients, min_size=1, max_size=3, unique=True))
+    values = draw(st.lists(st.integers(0, len(codomain) - 1), min_size=m ** n,
+                           max_size=m ** n))
+    return interpolate(FiniteFunction(domain, codomain, n, values))
+
+
+def polynomial_reference(poly) -> str:
+    return reference(poly.to_doc())
+
+
+@given(poly=st.one_of(polynomials(), interpolated()))
+@settings(max_examples=200, deadline=None)
+def test_polynomial_layout_matches_indented_dumps(poly):
+    assert polynomial_text(poly) == polynomial_reference(poly)
+
+
+@pytest.mark.parametrize("arity, terms", [
+    (0, {}), (3, {}), (0, {(): Fraction(-7, 3)}), (1, {(0,): 1}),
+    (1, {(2,): Fraction(-2, 7), (0,): Fraction(-2, 3), (1,): Fraction(94, 63)}),
+    (2, {(0, 1): 2 ** 63, (1, 0): -2 ** 63 - 1, (0, 0): Fraction(-2 ** 70, 3 ** 50)}),
+    (2, {(3, 0): 1, (0, 3): 1, (1, 2): 1, (2, 1): 1, (1, 1): 5}),
+])
+def test_polynomial_layout_edge_cases(arity, terms):
+    poly = GridPolynomial(arity, terms)
+    stream = io.StringIO()
+    write_polynomial(poly, stream)
+    assert stream.getvalue() == polynomial_text(poly) == polynomial_reference(poly)
+
+
+def test_fn_interpolate_writes_the_same_bytes_with_and_without_out(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the generic walker stays out of the polynomial path
+    def walker(*args):
+        raise AssertionError("fn interpolate went through the generic JSON walker")
+
+    fn, poly = tmp_path / "f.json", tmp_path / "p.json"
+    fn.write_text(json.dumps({"A": [0, "1/2", -3, 2], "B": [0, 1, "-2/3"], "n": 2,
+                              "values": [2, 0, 1, 2, 1, 1, 0, 2, 0, 2, 2, 1, 0, 0, 1, 2]}))
+    monkeypatch.setattr("hamlab.encoding._json_chunks", walker)
+    assert main(["fn", "interpolate", str(fn), "--out", str(poly)]) == 0
+    header = capsys.readouterr().out
+    assert main(["fn", "interpolate", str(fn)]) == 0
+    text = poly.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == header + text
+    assert text == reference(json.loads(text)) and '"-' in text and "/" in text
