@@ -160,14 +160,10 @@ def interpolated(draw):
     return interpolate(FiniteFunction(domain, codomain, n, values))
 
 
-def polynomial_reference(poly) -> str:
-    return reference(poly.to_doc())
-
-
 @given(poly=st.one_of(polynomials(), interpolated()))
 @settings(max_examples=200, deadline=None)
 def test_polynomial_layout_matches_indented_dumps(poly):
-    assert polynomial_text(poly) == polynomial_reference(poly)
+    assert polynomial_text(poly) == reference(poly.to_doc())
 
 
 @pytest.mark.parametrize("arity, terms", [
@@ -180,7 +176,7 @@ def test_polynomial_layout_edge_cases(arity, terms):
     poly = GridPolynomial(arity, terms)
     stream = io.StringIO()
     write_polynomial(poly, stream)
-    assert stream.getvalue() == polynomial_text(poly) == polynomial_reference(poly)
+    assert stream.getvalue() == polynomial_text(poly) == reference(poly.to_doc())
 
 
 def test_fn_interpolate_writes_the_same_bytes_with_and_without_out(tmp_path, capsys,
