@@ -141,6 +141,12 @@ CASES = [
     ["oracle", "functions", "--m", "3", "--b", "2", "--n", "2", "--samples", "5",
      "--seed", "3", "--out", "functions.json"],
     ["oracle", "functions", "--m", "2", "--b", "2", "--n", "2", "--config", "config.json"],
+    # a Boolean domain, sampled: 1,500 tables of 8 points, more than one packed chunk
+    ["oracle", "functions", "--m", "2", "--b", "3", "--n", "3", "--samples", "1500",
+     "--seed", "2", "--out", "functions-boolean.json"],
+    # every table on 3^2 points: 4,608 labels, more than one packed chunk
+    ["oracle", "functions", "--m", "3", "--b", "2", "--n", "2", "--out",
+     "functions-chunks.json"],
     ["oracle", "metrics", "base.part", "--verify", "--verbose", "--out",
      "oracle.metrics.json"],
     ["report", "grid", "--m-range", "3:4", "--n-range", "2", "--d-range", "1:5",
