@@ -33,6 +33,7 @@ from .functions import (
     SensitivityBoundReport,
     boolean_restriction_witness,
     degree,
+    degrees,
     indicator_decomposition,
     interpolate,
     lifted_tribes,

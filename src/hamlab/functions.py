@@ -19,7 +19,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .encoding import int_token, int_tokens, rational_from_token, rational_to_token
 from .errors import (
@@ -34,7 +34,7 @@ from .graph import (
     _digit_table,
     _grid_labels,
     _label_planes,
-    _same_label_degree_extreme,
+    _same_label_degree_extremes,
     unrank,
 )
 
@@ -49,6 +49,24 @@ def _as_rationals(values) -> tuple[Fraction, ...]:
         return tuple(Fraction(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"expected rational values: {exc}") from exc
+
+
+def _alphabets(domain, codomain, arity: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The domain and codomain of functions on ``arity`` coordinates as
+    rationals, checked: both nonempty and pairwise distinct, arity >= 1."""
+    domain, codomain = _as_rationals(domain), _as_rationals(codomain)
+    if arity < 1:
+        raise InvalidInputError(f"need arity >= 1, got {arity}")
+    if not domain or len(set(domain)) != len(domain):
+        raise InvalidInputError("domain values must be nonempty and pairwise distinct")
+    if not codomain or len(set(codomain)) != len(codomain):
+        raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
+    return domain, codomain
+
+
+def _value_labels(values: Sequence[int], domain, codomain, arity: int) -> Union[bytes, array]:
+    """A value table checked and stored as the label buffer of its grid."""
+    return _grid_labels(values, len(domain), arity, len(codomain), ("value table", "value index"))
 
 
 @dataclass(frozen=True)
@@ -69,20 +87,11 @@ class FiniteFunction:
     values: Union[bytes, array]
 
     def __post_init__(self) -> None:
-        domain = _as_rationals(self.domain)
-        codomain = _as_rationals(self.codomain)
+        domain, codomain = _alphabets(self.domain, self.codomain, self.arity)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        if self.arity < 1:
-            raise InvalidInputError(f"need arity >= 1, got {self.arity}")
-        if not domain or len(set(domain)) != len(domain):
-            raise InvalidInputError("domain values must be nonempty and pairwise distinct")
-        if not codomain or len(set(codomain)) != len(codomain):
-            raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
-        values = _grid_labels(
-            self.values, len(domain), self.arity, len(codomain), ("value table", "value index")
-        )
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _value_labels(self.values, domain, codomain,
+                                                         self.arity))
 
     @property
     def point_count(self) -> int:
@@ -277,10 +286,14 @@ def _nonzero_slots(tensor: bytes, width: int) -> bytes:
     return (((bits & low) + low | bits) & bias).to_bytes(len(tensor), "little")[width - 1::width]
 
 
-def _largest(table: Iterable[int], tensor: bytes, width: int) -> int:
-    """The largest entry of ``table`` at a nonzero slot of the packed
-    ``tensor``, or 0 when every slot is zero."""
-    return max(itertools.compress(table, _nonzero_slots(tensor, width)), default=0)
+def _block_maxima(weights: Sequence[int], tensor: bytes, width: int,
+                  blocks: Iterable[int]) -> list[int]:
+    """For each t in ``blocks``, the largest entry of ``weights`` at a
+    nonzero slot of block t of the packed ``tensor``, its t-th run of
+    len(weights) slots, or 0 when every slot of that block is zero."""
+    flags, size = _nonzero_slots(tensor, width), len(weights)
+    return [max(itertools.compress(weights, flags[t * size:(t + 1) * size]), default=0)
+            for t in blocks]
 
 
 def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
@@ -316,6 +329,40 @@ def _transform_leading_axis(tensor: bytes, width: int, rows) -> bytearray:
 
 
 _PACK_RUN = 1024  # labels per join of the packer, which holds a buffer view per label
+# labels per chunk of tables packed into one tensor (at least one table);
+# chunks four times larger ran no faster and raised a sweep's peak memory
+_CHUNK_SLOTS = 1024
+
+
+def _chunks(tables: Iterable, point_count: int) -> Iterator[list]:
+    """Consecutive lists of the value ``tables``, each of at most
+    ``_CHUNK_SLOTS`` labels in all but never empty, drawn lazily."""
+    tables, size = iter(tables), max(_CHUNK_SLOTS // max(point_count, 1), 1)
+    while chunk := list(itertools.islice(tables, size)):
+        yield chunk
+
+
+def _interleaved(labels: Sequence[Union[bytes, array]]) -> Union[bytes, bytearray, array]:
+    """One label buffer of T equal label buffers of one type, interleaved:
+    slot r*T + t holds labels[t][r].  On a grid it is a table with one more
+    axis, of size T, after the last; ``_grid_tensor`` transforms the grid
+    axes and leaves the batch axis leading, so the tensor of labels[t] is
+    block t of the result (see ``_block_maxima``)."""
+    count = len(labels)
+    if count == 1:
+        return labels[0]
+    first = labels[0]
+    batch = first * count if isinstance(first, array) else bytearray(len(first) * count)
+    for t, table in enumerate(labels):
+        batch[t::count] = table
+    return batch
+
+
+def _indicator(labels: Union[bytes, bytearray, array], value: int) -> bytes:
+    """The 0/1 labels of where a label buffer holds ``value``."""
+    if isinstance(labels, array):
+        return bytes(map(value.__eq__, labels))
+    return labels.translate(bytes(value) + b"\1" + bytes(255 - value))
 
 
 class _Slots(dict):
@@ -343,7 +390,9 @@ def _grid_tensor(labels: Union[bytes, array], ints: Sequence[int], top: int, row
     ``top`` bounds the absolute values of ``ints`` and ``growth``, the
     largest absolute row sum of ``rows``, bounds how much one axis
     multiplies the largest entry, so ``top * growth ** arity`` bounds every
-    entry of every stage and sets the width."""
+    entry of every stage and sets the width.  ``labels`` may hold T tables
+    interleaved (see ``_interleaved``), a last axis of size T that the
+    transforms leave leading."""
     width = _slot_width(top * growth ** arity)
     slots = _Slots(ints, width)
     tensor = bytearray(len(labels) * width)
@@ -382,13 +431,40 @@ def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynom
                                            if c})
 
 
-def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """Total degree of the interpolating polynomial; 0 for constants.
+def _degrees(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
+             labels: Sequence[Union[bytes, array]]) -> list[int]:
+    """Total degree of each checked value table in ``labels``, from one
+    tensor of them all, interleaved: the largest exponent sum of a nonzero
+    entry of each table's block, with no rational polynomial built."""
+    lifted = _integer_scaled(codomain)[0]
+    rows, _, growth = _scaled_lagrange(_integer_scaled(domain)[0])
+    tensor, width = _grid_tensor(_interleaved(labels), lifted, max(map(abs, lifted)), rows,
+                                 growth, arity)
+    return _block_maxima(_digit_table([range(len(domain))] * arity), tensor, width,
+                         range(len(labels)))
 
-    Read off the integer tensor: the largest exponent sum of a nonzero
-    entry, with no rational polynomial built."""
-    tensor, width = _scaled_tensor(f, cap)[:2]
-    return _largest(_digit_table([range(len(f.domain))] * f.arity), tensor, width)
+
+def degrees(domain, codomain, arity: int, tables: Iterable[Sequence[int]],
+            cap: int = DEFAULT_VERTEX_CAP) -> list[int]:
+    """Total degree of the interpolating polynomial of each value table (see
+    ``FiniteFunction``) on domain^arity -> codomain; 0 for constants.
+
+    The tables are drawn lazily and packed in chunks of at most
+    ``_CHUNK_SLOTS`` labels, one transform per chunk."""
+    domain, codomain = _alphabets(domain, codomain, arity)
+    check_enumeration(len(domain), arity, cap, "grid points")
+    found = []
+    for chunk in _chunks(tables, len(domain) ** arity):
+        found += _degrees(domain, codomain, arity,
+                          [_value_labels(table, domain, codomain, arity) for table in chunk])
+    return found
+
+
+def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
+    """Total degree of the interpolating polynomial; 0 for constants: the
+    one-table case of ``degrees``."""
+    check_enumeration(len(f.domain), f.arity, cap, "grid points")
+    return _degrees(f.domain, f.codomain, f.arity, (f.values,))[0]
 
 
 def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
@@ -418,10 +494,26 @@ def sensitivity(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, 
     """
     m = len(f.domain)
     check_enumeration(m, f.arity, cap, "grid points")
-    params = GraphParams(m, f.arity)
-    planes = _label_planes(f.values, (len(f.codomain) - 1).bit_length())
-    same, first = _same_label_degree_extreme(planes, params, largest=False)
-    return params.regular_degree - same, tuple(f.domain[i] for i in unrank(first, params))
+    ((value, first),) = _label_sensitivities((f.values,), m, f.arity, len(f.codomain))
+    return value, tuple(f.domain[i] for i in unrank(first, GraphParams(m, f.arity)))
+
+
+def _label_sensitivities(labels: Sequence[Union[bytes, array]], m: int, n: int,
+                         count: int) -> list[tuple[int, int]]:
+    """Sensitivity of each label buffer in ``labels`` on the m^n grid, with
+    labels in 0..count-1, and the first rank attaining it (see
+    ``sensitivity``), from one count over the buffers laid end to end."""
+    if not labels:
+        return []
+    params = GraphParams(m, n)
+    joined = labels[0]
+    if len(labels) > 1:
+        joined = b"".join(labels)
+        if isinstance(labels[0], array):
+            joined = array(labels[0].typecode, joined)
+    planes = _label_planes(joined, (count - 1).bit_length())
+    return [(params.regular_degree - same, first) for same, first in
+            _same_label_degree_extremes(planes, params, largest=False, blocks=len(labels))]
 
 
 def indicator_decomposition(f: FiniteFunction) -> list[FiniteFunction]:
@@ -475,32 +567,67 @@ class RestrictionWitness:
         g = self.boolean_function
         g_degree = degree(g, cap=cap)
         g_sensitivity, _ = sensitivity(g, cap=cap)
-        holds = (
-            g_degree >= self.target_support
-            and g_sensitivity <= f_sensitivity
-            and g_sensitivity * g_sensitivity >= self.target_support
-        )
-        return g_degree, g_sensitivity, holds
+        return g_degree, g_sensitivity, _certified(self.target_support, g_degree, g_sensitivity,
+                                                   f_sensitivity)
+
+
+def _certified(target: int, g_degree: int, g_sensitivity: int, f_sensitivity: int) -> bool:
+    """Whether a restriction certificate holds (see ``RestrictionWitness.check``)."""
+    return (g_degree >= target and g_sensitivity <= f_sensitivity
+            and g_sensitivity * g_sensitivity >= target)
+
+
+class _Restriction(NamedTuple):
+    """A value table's restriction witness as ``_restrictions`` finds it."""
+
+    value: int  # the codomain index whose indicator is restricted
+    kept: tuple[int, ...]  # p of each coordinate's retained pair (0, p)
+    target: int  # the support target ceil(degree/(m-1))
+    degree: int  # the table's degree, read off its indicators' combined sum
+    table: bytes  # the Boolean table g, as 0/1 labels
 
 
 def boolean_restriction_witness(
     f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
 ) -> RestrictionWitness:
-    """Reduce f to a Boolean function while certifying a degree floor.
+    """Reduce f to a Boolean function while certifying a degree floor: the
+    one-table case of ``_restrictions``.
 
     Picks the output value whose indicator has the largest degree, sets the
     support target D = ceil(deg(f)/(m-1)), then walks the coordinates in
     order: for each coordinate the lexicographically first pair of domain
     values whose restriction keeps a monomial on at least D coordinates is
     retained.
+    """
+    m, n = len(f.domain), f.arity
+    if m < 2:
+        raise InvalidInputError("need at least two domain values to restrict")
+    check_enumeration(m, n, cap, "grid points")
+    (found,) = _restrictions(f.domain, f.codomain, n, (f.values,))
+    zero_one = (Fraction(0), Fraction(1))
+    return RestrictionWitness(
+        f.codomain[found.value],
+        tuple((f.domain[0], f.domain[t]) for t in found.kept),
+        found.target,
+        FiniteFunction(zero_one, zero_one, n, found.table),
+    )
 
-    Each value the table takes has its indicator interpolated once, and the
+
+def _restrictions(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
+                  labels: Sequence[Union[bytes, array]]) -> list[_Restriction]:
+    """The restriction witness (see ``boolean_restriction_witness``) of each
+    checked, non-constant value table in ``labels``, on at least two domain
+    values, from tensors of all the tables interleaved (see ``_interleaved``).
+
+    For each value the chunk takes, in codomain order, its indicator on
+    every table is interpolated in one tensor, and each table keeps the
+    first indicator of largest degree among the values it takes.  The
     indicators of absent values are zero.  An indicator is packed from 0/1
     labels, so its cost does not grow with the codomain.  The packed tensors
     share one scale and f's slot width, so their codomain-weighted sum, one
-    big-int combination, is f's tensor under a positive scale.
+    big-int combination, is the chunk's tensor under a positive scale.
 
-    The pairs are read off the chosen indicator's difference tensor, which
+    The pairs are read off the chosen indicators' difference tensor, which
     along each axis keeps the value at node 0 and replaces every other value
     by its difference from it.  The largest number of nonzero indices of a
     nonzero entry is the same in that basis as in the monomial one (it is
@@ -508,57 +635,64 @@ def boolean_restriction_witness(
     coordinate to nodes 0 and t keeps exactly slices 0 and t of its axis.
     So an entry on at least D coordinates in slice t makes (0, t) work, one
     in slice 0 makes (0, 1) work, and the first pair that works is (0, t)
-    for the first t whose two slices hold such an entry.
+    for the first t whose two slices hold such an entry.  With two domain
+    values every pair is (0, 1), and g is the chosen indicator itself.
     """
-    m, n = len(f.domain), f.arity
-    if m < 2:
-        raise InvalidInputError("need at least two domain values to restrict")
-    check_enumeration(m, n, cap, "grid points")
-    taken = sorted(set(f.values))
-    if len(taken) < 2:
-        raise InvalidInputError("constant functions admit no restriction certificate")
-    rows, _, growth = _scaled_lagrange(_integer_scaled(f.domain)[0])
-    lifted = _integer_scaled(f.codomain)[0]
+    m, n, count = len(domain), arity, len(labels)
+    if not count:
+        return []
+    takers: dict[int, list[int]] = {}  # the tables that take each value
+    for t, table in enumerate(labels):
+        taken = set(table)
+        if len(taken) < 2:
+            raise InvalidInputError("constant functions admit no restriction certificate")
+        for b in taken:
+            takers.setdefault(b, []).append(t)
+    rows, _, growth = _scaled_lagrange(_integer_scaled(domain)[0])
+    lifted = _integer_scaled(codomain)[0]
     top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
-    degrees = _digit_table([range(m)] * n)
-    combined, pick_degree = 0, -1  # sum of lifted[b] times b's tensor, unbiased
-    for b in taken:
-        labels = bytes(map(b.__eq__, f.values))  # b's indicator as 0/1 labels
-        indicator, width = _grid_tensor(labels, (0, 1), top, rows, growth, n)
-        bias = _bias_run(width, len(f.values))
+    sums = _digit_table([range(m)] * n)
+    batch = _interleaved(labels)
+    picks, pick_degrees = [0] * count, [-1] * count
+    combined = 0  # sum of lifted[b] times b's tensor, unbiased
+    for b in sorted(takers):
+        indicator, width = _grid_tensor(_indicator(batch, b), (0, 1), top, rows, growth, n)
+        bias = _bias_run(width, len(batch))
         combined += lifted[b] * (int.from_bytes(indicator, "little") - bias)
-        component_degree = _largest(degrees, indicator, width)
-        if component_degree > pick_degree:
-            pick, chosen, pick_degree = b, labels, component_degree
-    total_degree = _largest(degrees, (combined + bias).to_bytes(len(indicator), "little"), width)
-    target = -(-total_degree // (m - 1))
+        for t, component in zip(takers[b], _block_maxima(sums, indicator, width, takers[b])):
+            if component > pick_degrees[t]:
+                picks[t], pick_degrees[t] = b, component
+    totals = _block_maxima(sums, (combined + bias).to_bytes(len(indicator), "little"), width,
+                           range(count))
+    targets = [-(-total // (m - 1)) for total in totals]
+    chosen = [_indicator(table, b) for table, b in zip(labels, picks)]
+    if m == 2:
+        return [_Restriction(b, (1,) * n, target, total, g)
+                for b, target, total, g in zip(picks, targets, totals, chosen)]
 
-    # each difference row has absolute sum 2 (m >= 2 here)
-    tensor, width = _grid_tensor(chosen, (0, 1), 1, _difference_rows(m), 2, n)
+    # each difference row has absolute sum 2
+    tensor, width = _grid_tensor(_interleaved(chosen), (0, 1), 1, _difference_rows(m), 2, n)
+    flags = _nonzero_slots(tensor, width)
     supports = _digit_table([[0] + [1] * (m - 1)] * n)  # nonzero indices per entry
-    good = bytes(map(operator.and_, map(bool, _nonzero_slots(tensor, width)),
-                     map(target.__le__, supports)))
-    if 1 not in good:
-        raise ContractViolationError("chosen indicator exposes no monomial on the "
-                                     "target support")
-    kept = []  # t of each coordinate's pair (0, t)
-    for _ in range(n):  # keep slices 0 and t of the leading axis and move that axis last
-        span = len(good) // m
-        slices = [good[k * span:(k + 1) * span] for k in range(m)]
-        t = next(t for t in range(1, m) if 1 in slices[0] or 1 in slices[t])
-        good = bytearray(2 * span)
-        good[::2], good[1::2] = slices[0], slices[t]
-        kept.append(t)
-
-    ranks = _digit_table([(0, t * m ** (n - 1 - j)) for j, t in enumerate(kept)])
-    zero_one = (Fraction(0), Fraction(1))
-    table = tuple(map(chosen.__getitem__, ranks))
-    return RestrictionWitness(
-        f.codomain[pick],
-        tuple((f.domain[0], f.domain[t]) for t in kept),
-        target,
-        FiniteFunction(zero_one, zero_one, n, table),
-    )
+    size, found = len(supports), []
+    for t, (b, target, total, indicator) in enumerate(zip(picks, targets, totals, chosen)):
+        good = bytes(map(operator.and_, map(bool, flags[t * size:(t + 1) * size]),
+                         map(target.__le__, supports)))
+        if 1 not in good:
+            raise ContractViolationError("chosen indicator exposes no monomial on the "
+                                         "target support")
+        kept = []  # p of each coordinate's pair (0, p)
+        for _ in range(n):  # keep slices 0 and p of the leading axis and move that axis last
+            span = len(good) // m
+            slices = [good[k * span:(k + 1) * span] for k in range(m)]
+            pair = next(p for p in range(1, m) if 1 in slices[0] or 1 in slices[p])
+            good = bytearray(2 * span)
+            good[::2], good[1::2] = slices[0], slices[pair]
+            kept.append(pair)
+        ranks = _digit_table([(0, p * m ** (n - 1 - j)) for j, p in enumerate(kept)])
+        found.append(_Restriction(b, tuple(kept), target, total,
+                                  bytes(map(indicator.__getitem__, ranks))))
+    return found
 
 
 @dataclass(frozen=True)

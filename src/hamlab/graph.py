@@ -209,20 +209,25 @@ def _label_sizes(planes: list[int], total: int, count: int) -> tuple[int, ...]:
     return tuple(mask.bit_count() for mask in masks[:count])
 
 
-def _same_label_degree_extreme(
+def _same_label_degree_extremes(
     planes: list[int],
     params: GraphParams,
     largest: bool = True,
     among: Optional[int] = None,
-) -> tuple[int, int]:
-    """Extreme same-label degree of a labelling, and the first rank attaining it.
+    blocks: int = 1,
+) -> list[tuple[int, int]]:
+    """Extreme same-label degree of each of ``blocks`` labellings, and the
+    first rank attaining it.
 
-    ``planes`` are the bit planes of the labelling (see :func:`_label_planes`),
-    whose entry r is a non-negative integer label of the vertex of rank r; a
-    vertex's same-label degree counts its neighbours that carry its label.
-    Returns the maximum (the minimum when ``largest`` is false) over all
-    vertices, or over the vertices labelled ``among`` when it is given (it
-    must label at least one), with the lowest rank attaining it.
+    ``planes`` are the bit planes (see :func:`_label_planes`) of the
+    labellings laid end to end: entry t*m^n + r is a non-negative integer
+    label of the vertex of rank r in labelling t.  That is one grid with a
+    further leading axis of ``blocks`` values and no edges along it, so one
+    count serves every labelling.  A vertex's same-label degree counts its
+    neighbours that carry its label.  For each labelling, returns the
+    maximum (the minimum when ``largest`` is false) over all vertices, or
+    over the vertices labelled ``among`` when it is given (it must label at
+    least one), with the lowest rank attaining it.
 
     Bit-parallel and exact: vertex rank r is bit r of Python ints.  For each
     axis with stride s and each shift t in 1..m-1, the vertices whose digit
@@ -231,7 +236,8 @@ def _same_label_degree_extreme(
     added into a bit-sliced counter, whose plane j holds bit j of every
     vertex's degree.
     """
-    m, n, total = params.m, params.n, params.vertex_count
+    m, n, size = params.m, params.n, params.vertex_count
+    total = size * blocks
     full = (1 << total) - 1
     counter: list[int] = []
     for axis in range(n):
@@ -258,19 +264,23 @@ def _same_label_degree_extreme(
                         break
                 if carry:
                     counter.append(carry)
-    candidates = full
+    members = full
     if among is not None:
         for p, plane in enumerate(planes):
-            candidates &= plane if among >> p & 1 else ~plane
-    # walk the counter planes from the top, keeping the vertices still tied
-    value = 0
-    for j in range(len(counter) - 1, -1, -1):
-        keep = candidates & (counter[j] if largest else ~counter[j])
-        if keep:
-            candidates = keep
-        if bool(keep) == largest:
-            value |= 1 << j
-    return value, (candidates & -candidates).bit_length() - 1
+            members &= plane if among >> p & 1 else ~plane
+    found = []
+    for start in range(0, total, size):
+        candidates = members & ((1 << size) - 1) << start
+        # walk the counter planes from the top, keeping the vertices still tied
+        value = 0
+        for j in range(len(counter) - 1, -1, -1):
+            keep = candidates & (counter[j] if largest else ~counter[j])
+            if keep:
+                candidates = keep
+            if bool(keep) == largest:
+                value |= 1 << j
+        found.append((value, (candidates & -candidates).bit_length() - 1 - start))
+    return found
 
 
 def induced_max_degree(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -285,7 +295,7 @@ def induced_max_degree(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> int:
     member = bytearray(params.vertex_count)
     for r in vset.ranks:
         member[r] = 1
-    return _same_label_degree_extreme(_label_planes(member, 1), params, among=1)[0]
+    return _same_label_degree_extremes(_label_planes(member, 1), params, among=1)[0][0]
 
 
 def independence_number(params: GraphParams) -> int:

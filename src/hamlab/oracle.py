@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    ContractViolationError,
     DEFAULT_FUNCTION_CAP,
     DEFAULT_ORACLE_METRICS_CAP,
     DEFAULT_ORACLE_VERTEX_CAP,
@@ -26,7 +27,14 @@ from .errors import (
     item_count,
     power_exceeds,
 )
-from .functions import FiniteFunction, boolean_restriction_witness, verify_sensitivity_bound
+from .functions import (
+    _certified,
+    _chunks,
+    _label_sensitivities,
+    _restrictions,
+    _value_labels,
+    degrees,
+)
 from .graph import GraphParams, VertexSet, neighbors, rank, unrank
 from .partitions import Partition, PartitionMetrics
 
@@ -148,6 +156,14 @@ def exhaustive_function_check(
     Sampling requires an explicit seed; full enumeration must fit the
     function budget.  The grid and the codomain are checked against the
     budget before either is built.
+
+    A harness over the fast paths, not an independent oracle: the tables are
+    drawn lazily in chunks (see ``functions._chunks``), and each chunk is
+    packed into one tensor for its degrees, one per value it takes plus one
+    for its restriction witnesses, and one for the degrees of their Boolean
+    tables; one bit-sliced count gives the sensitivities of each set of
+    tables.  The witness's own reading of each degree must match the degree
+    kernel's.
     """
     check_enumeration(item_count(domain), max(arity, 1), budget.max_vertices, "grid points")
     check_enumeration(item_count(codomain), 1, budget.max_functions, "codomain values")
@@ -178,25 +194,36 @@ def exhaustive_function_check(
 
     report = FunctionCheckReport()
     best_key: Optional[Fraction] = None
-    for table in tables:
-        f = FiniteFunction(domain, codomain, arity, table)
-        bound = verify_sensitivity_bound(f)
-        ok = bound.holds
-        if bound.degree >= 1:
-            _, _, certified = boolean_restriction_witness(f).check(bound.sensitivity)
-            ok = ok and certified
-            ratio_key = Fraction(
-                bound.sensitivity * bound.sensitivity * (m - 1), bound.degree
-            )
-            if best_key is None or ratio_key < best_key:
-                best_key = ratio_key
-                report.min_ratio = math.sqrt(ratio_key)
-                report.min_ratio_table = table
-        report.functions_checked += 1
-        if not ok:
-            report.violations += 1
-            if len(report.violation_tables) < 10:
-                report.violation_tables.append(table)
+    zero_one = (Fraction(0), Fraction(1))
+    for chunk in _chunks(tables, point_count):
+        labels = [_value_labels(table, domain, codomain, arity) for table in chunk]
+        found = degrees(domain, codomain, arity, labels)  # checks the domain first
+        varied = [t for t, d in enumerate(found) if d]
+        restricted = _restrictions(domain, codomain, arity, [labels[t] for t in varied])
+        g_degrees = degrees(zero_one, zero_one, arity, [w.table for w in restricted])
+        g_sensitivities = _label_sensitivities([w.table for w in restricted], 2, arity, 2)
+        witnesses = dict(zip(varied, zip(restricted, g_degrees, g_sensitivities)))
+        sensitivities = _label_sensitivities(labels, m, arity, k)
+        for t, table in enumerate(chunk):
+            d, s = found[t], sensitivities[t][0]
+            ok = s * s * (m - 1) >= d  # the sensitivity bound, as verify_sensitivity_bound
+            if d >= 1:
+                witness, g_degree, (g_sensitivity, _) = witnesses[t]
+                if witness.degree != d:
+                    raise ContractViolationError(
+                        f"the restriction witness reads degree {witness.degree} where the "
+                        f"degree kernel reads {d}, on table {list(table)}")
+                ok = ok and _certified(witness.target, g_degree, g_sensitivity, s)
+                ratio_key = Fraction(s * s * (m - 1), d)
+                if best_key is None or ratio_key < best_key:
+                    best_key = ratio_key
+                    report.min_ratio = math.sqrt(ratio_key)
+                    report.min_ratio_table = table
+            report.functions_checked += 1
+            if not ok:
+                report.violations += 1
+                if len(report.violation_tables) < 10:
+                    report.violation_tables.append(table)
     return report
 
 

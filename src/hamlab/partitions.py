@@ -29,7 +29,7 @@ from .graph import (
     _grid_labels,
     _label_planes,
     _label_sizes,
-    _same_label_degree_extreme,
+    _same_label_degree_extremes,
     unrank,
 )
 
@@ -258,7 +258,7 @@ def partition_metrics(part: Partition, cap: int = DEFAULT_VERTEX_CAP) -> Partiti
     m, n = params.m, params.n
     check_enumeration(m, n, cap)
     planes = _label_planes(part.assignment, (m - 1).bit_length())
-    best, first = _same_label_degree_extreme(planes, params)
+    ((best, first),) = _same_label_degree_extremes(planes, params)
     sizes = _label_sizes(planes, params.vertex_count, m)
     balanced = m ** (n - 1)
     imbalance = sum(abs(s - balanced) for s in sizes)

@@ -18,6 +18,7 @@ from hamlab import (
     ResourceLimitError,
     boolean_restriction_witness,
     degree,
+    degrees,
     indicator_decomposition,
     interpolate,
     lifted_tribes,
@@ -258,6 +259,20 @@ def test_indicator_sensitive_point_transfer():
         for point in f.points():
             for comp in components:
                 assert local_sensitivity(comp, point) <= local_sensitivity(f, point)
+
+
+def test_degrees_checks_every_table_and_the_alphabets():
+    # the messages a FiniteFunction of the same table would raise
+    with pytest.raises(InvalidInputError, match=r"value index 2 outside 0\.\.1"):
+        degrees((0, 1), (0, 1), 1, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidInputError, match=r"value table length 3 != vertex count 2\^1"):
+        degrees((0, 1), (0, 1), 1, [(0, 1, 1)])
+    with pytest.raises(InvalidInputError, match="domain values must be nonempty"):
+        degrees((0, 0), (0, 1), 1, [(0, 1)])
+    with pytest.raises(ResourceLimitError):
+        degrees((0, 1), (0, 1), 30, [], cap=1000)
+    assert degrees((0, 1), (0, 1), 2, []) == []
+    assert degrees((0, 1), (0, 1), 2, [(0, 1, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]) == [2, 2, 0]
 
 
 def test_restriction_hand_example():

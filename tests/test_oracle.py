@@ -1,15 +1,23 @@
 """Brute-force oracle checks and agreement with the fast paths."""
 
+import itertools
+import math
+import random
 from collections.abc import Sequence
+from fractions import Fraction
 
 import pytest
 
 from hamlab import (
+    ContractViolationError,
+    FiniteFunction,
+    FunctionCheckReport,
     GraphParams,
     InvalidInputError,
     Partition,
     ResourceLimitError,
     SearchBudget,
+    boolean_restriction_witness,
     brute_force_metrics,
     complete_graph_partition,
     degree_one_partition,
@@ -20,7 +28,10 @@ from hamlab import (
     min_max_degree_subsets,
     partition_metrics,
     sigma_exact,
+    verify_sensitivity_bound,
 )
+from hamlab import functions, oracle
+from hamlab.cli import main
 
 
 def test_min_max_degree_known_values():
@@ -163,6 +174,106 @@ def test_sampling_reproducible():
     second = exhaustive_function_check((0, 1, 2, 3), 2, (0, 1), samples=25, seed=11)
     assert first.to_doc() == second.to_doc()
     assert first.violations == 0
+
+
+def _per_table_sweep(domain, arity, codomain, samples=None, seed=None):
+    """The function sweep one table at a time: a FiniteFunction per table
+    through the one-table bound and witness calls."""
+    m, k = len(domain), len(codomain)
+    if samples is None:
+        tables = itertools.product(range(k), repeat=m ** arity)
+    else:
+        rng = random.Random(seed)
+        tables = (tuple(rng.randrange(k) for _ in range(m ** arity)) for _ in range(samples))
+    report, best_key = FunctionCheckReport(), None
+    for table in tables:
+        f = FiniteFunction(domain, codomain, arity, table)
+        bound = verify_sensitivity_bound(f)
+        ok = bound.holds
+        if bound.degree >= 1:
+            ok = ok and boolean_restriction_witness(f).check(bound.sensitivity)[2]
+            ratio_key = Fraction(bound.sensitivity ** 2 * (m - 1), bound.degree)
+            if best_key is None or ratio_key < best_key:
+                best_key = ratio_key
+                report.min_ratio = math.sqrt(ratio_key)
+                report.min_ratio_table = table
+        report.functions_checked += 1
+        if not ok:
+            report.violations += 1
+            if len(report.violation_tables) < 10:
+                report.violation_tables.append(table)
+    return report
+
+
+SWEEPS = [
+    ((0, 1), 2, (0, 1), None, None),
+    ((0, 1, 2), 2, (0, 1), None, None),  # 512 tables of 9 points: two chunks
+    ((0, 1), 3, (0, 1, 2), 600, 2),  # 600 tables of 8 points: two chunks
+    ((Fraction(-1, 2), Fraction(1, 3), 2), 2, (0, Fraction(3, 4), -2), 150, 5),
+    ((0, 1, 2, 3), 2, (0, 1), 120, 11),
+    ((0, 1), 4, (0, 1), 200, 3),
+    ((0, 1), 2, tuple(range(300)), 40, 7),  # labels past 255: array tables
+    ((0,), 3, (0, 1), None, None),  # one domain value: every table constant
+]
+
+
+@pytest.mark.parametrize("slots", [None, 10], ids=["default-chunks", "tiny-chunks"])
+@pytest.mark.parametrize("domain, arity, codomain, samples, seed", SWEEPS)
+def test_chunked_sweep_reports_as_the_per_table_loop(monkeypatch, slots, domain, arity,
+                                                     codomain, samples, seed):
+    if slots is not None:
+        monkeypatch.setattr(functions, "_CHUNK_SLOTS", slots)
+    report = exhaustive_function_check(domain, arity, codomain, samples=samples, seed=seed)
+    expected = _per_table_sweep(domain, arity, codomain, samples, seed)
+    assert report.to_doc() == expected.to_doc()
+
+
+def test_a_degree_the_witness_reads_otherwise_fails_the_sweep(monkeypatch):
+    # the degree kernel misreads one table in the middle of the first chunk
+    real = oracle.degrees
+
+    def misread(domain, codomain, arity, labels):
+        found = real(domain, codomain, arity, labels)
+        if len(domain) == 3 and len(found) > 100:  # f's tables, not the Boolean g tables
+            found[next(t for t in range(100, len(found)) if found[t])] += 1
+        return found
+
+    monkeypatch.setattr(oracle, "degrees", misread)
+    with pytest.raises(ContractViolationError, match="the degree kernel reads"):
+        exhaustive_function_check((0, 1, 2), 2, (0, 1))
+
+
+def test_a_restriction_that_misses_its_target_is_a_violation(monkeypatch):
+    # a constant Boolean table certifies nothing: every non-constant table fails
+    real = oracle._restrictions
+
+    def flattened(domain, codomain, arity, labels):
+        return [w._replace(table=bytes(len(w.table)))
+                for w in real(domain, codomain, arity, labels)]
+
+    monkeypatch.setattr(oracle, "_restrictions", flattened)
+    report = exhaustive_function_check((0, 1, 2), 2, (0, 1))
+    assert (report.functions_checked, report.violations) == (512, 510)
+    assert report.violation_tables[0] == (0,) * 8 + (1,)
+
+
+def test_a_witness_failure_in_one_table_of_a_chunk_propagates(monkeypatch, capsys):
+    # zero the difference tensor of the fourth table of each chunk only
+    real = functions._grid_tensor
+
+    def blanked(labels, ints, top, rows, growth, arity):
+        tensor, width = real(labels, ints, top, rows, growth, arity)
+        block = 9 * width
+        if rows == functions._difference_rows(3) and len(tensor) >= 4 * block:
+            tensor[3 * block:4 * block] = (1 << 8 * width - 1).to_bytes(width, "little") * 9
+        return tensor, width
+
+    monkeypatch.setattr(functions, "_grid_tensor", blanked)
+    with pytest.raises(ContractViolationError, match="exposes no monomial"):
+        exhaustive_function_check((0, 1, 2), 2, (0, 1))
+    assert main(["oracle", "functions", "--m", "3", "--b", "2", "--n", "2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("exposes no monomial on the "
+                                                            "target support")
 
 
 def test_brute_force_metrics_agrees_with_fast_path():

@@ -9,6 +9,7 @@ import operator
 import random
 from array import array
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from hamlab import (
     coordinate_blocks,
     degree,
     degree_one_partition,
+    degrees,
     hamming_distance,
     induced_max_degree,
     interpolate,
@@ -43,14 +45,17 @@ from hamlab import (
     tribes,
     verify_sensitivity_bound,
 )
+from hamlab import functions
 from hamlab.cli import main
 from hamlab.encoding import write_json
 from hamlab.functions import (
+    _block_maxima,
     _difference_rows,
     _grid_tensor,
     _integer_scaled,
-    _largest,
+    _label_sensitivities,
     _nonzero_slots,
+    _restrictions,
     _scaled_lagrange,
     _slot_values,
     _slot_width,
@@ -452,7 +457,8 @@ def test_difference_tensor_keeps_the_monomial_support(data):
     lifted = _integer_scaled(f.codomain)[0]
     tensor, width = _grid_tensor(f.values, lifted, max(map(abs, lifted)), _difference_rows(m),
                                  2, n)
-    assert _largest(_digit_table([[0] + [1] * (m - 1)] * n), tensor, width) == monomial
+    assert _block_maxima(_digit_table([[0] + [1] * (m - 1)] * n), tensor, width,
+                         [0]) == [monomial]
 
 
 def _naive_witness(f):
@@ -525,6 +531,96 @@ def test_restriction_witness_when_the_last_indicator_carries_the_top_degree():
     summary = _witness_summary(f)
     assert summary[0] == 0 and summary[2] == 2
     assert summary == _naive_witness(f)
+
+
+def _random_space(data, min_m=1, max_m=4):
+    """A rational domain, a codomain and an arity; now and then the codomain
+    has more than 256 values, so its tables are stored as arrays."""
+    m = data.draw(st.integers(min_value=min_m, max_value=max_m), label="m")
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    domain = data.draw(st.lists(rationals, min_size=m, max_size=m, unique=True), label="domain")
+    if data.draw(st.booleans(), label="wide"):
+        codomain = [Fraction(v, 3) for v in range(-150, 150)]
+    else:
+        codomain = data.draw(st.lists(outputs, min_size=2, max_size=4, unique=True),
+                             label="codomain")
+    return domain, codomain, n
+
+
+def _random_tables(data, domain, codomain, n, count):
+    """``count`` tables, each over one to three codomain values, so that
+    constants and low degrees come up beside full ones."""
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    tables = []
+    for _ in range(count):
+        values = rng.sample(range(len(codomain)), rng.randint(1, min(3, len(codomain))))
+        tables.append([rng.choice(values) for _ in range(len(domain) ** n)])
+    return tables
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_degrees_match_per_table_degree(data):
+    domain, codomain, n = _random_space(data)
+    points = len(domain) ** n
+    tables = _random_tables(data, domain, codomain, n,
+                            data.draw(st.integers(min_value=0, max_value=12), label="count"))
+    # from one table per chunk (a budget below one table) to several, with
+    # chunks cut in the middle of the table stream
+    budget = data.draw(st.integers(min_value=1, max_value=4 * points), label="budget")
+    with mock.patch.object(functions, "_CHUNK_SLOTS", budget):
+        found = degrees(domain, codomain, n, iter(tables))
+    assert found == [degree(FiniteFunction(domain, codomain, n, t)) for t in tables]
+
+
+def test_degrees_cross_the_default_slot_budget():
+    # 1,000 tables of 3^2 points fill 9,000 slots: nine chunks
+    domain, codomain = (Fraction(-1, 2), Fraction(1, 3), 2), (0, Fraction(3, 4), -2)
+    rng = random.Random(18)
+    tables = [[rng.randrange(3) for _ in range(9)] for _ in range(1000)]
+    tables[500] = [1] * 9  # a constant
+    assert [len(chunk) for chunk in functions._chunks(tables, 9)] == [113] * 8 + [96]
+    found = degrees(domain, codomain, 2, tables)
+    assert found == [degree(FiniteFunction(domain, codomain, 2, t)) for t in tables]
+    assert found[500] == 0 and max(found) == 4
+    # a chunk of one table
+    assert degrees(domain, codomain, 2, tables[:1]) == found[:1]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_sensitivities_match_per_table_sensitivity(data):
+    # one count over the tables laid end to end: no neighbour may reach
+    # across two tables
+    domain, codomain, n = _random_space(data)
+    count = data.draw(st.integers(min_value=1, max_value=8), label="count")
+    fs = [FiniteFunction(domain, codomain, n, t)
+          for t in _random_tables(data, domain, codomain, n, count)]
+    found = _label_sensitivities([f.values for f in fs], len(domain), n, len(codomain))
+    params = GraphParams(len(domain), n)
+    assert [(s, tuple(domain[i] for i in unrank(first, params))) for s, first in found] == [
+        sensitivity(f) for f in fs]
+    assert [s for s, _ in found] == [
+        max(local_sensitivity(f, p) for p in f.points()) for f in fs]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_batched_restrictions_match_the_naive_walk(data):
+    # one packed chunk of several tables against the walk that re-interpolates
+    # every candidate sub-table of each, two-valued domains included
+    domain, codomain, n = _random_space(data, min_m=2, max_m=4)
+    count = data.draw(st.integers(min_value=1, max_value=5), label="count")
+    fs = [FiniteFunction(domain, codomain, n, t)
+          for t in _random_tables(data, domain, codomain, n, count)]
+    fs = [f for f in fs if len(set(f.values)) > 1]
+    found = _restrictions(fs[0].domain, fs[0].codomain, n, [f.values for f in fs]) if fs else []
+    assert len(found) == len(fs)
+    for f, witness in zip(fs, found):
+        pairs = tuple((f.domain[0], f.domain[p]) for p in witness.kept)
+        assert (f.codomain[witness.value], pairs, witness.target,
+                tuple(witness.table)) == _naive_witness(f)
+        assert witness.degree == degree(f)
 
 
 @given(data=st.data())
