@@ -33,7 +33,6 @@ from .functions import (
     SensitivityBoundReport,
     boolean_restriction_witness,
     degree,
-    degrees,
     indicator_decomposition,
     interpolate,
     lifted_tribes,

@@ -404,25 +404,27 @@ def _grid_tensor(labels: Union[bytes, array], ints: Sequence[int], top: int, row
     return tensor, width
 
 
-def _scaled_tensor(f: FiniteFunction, cap: int) -> tuple[bytes, int, int, int]:
-    """The coefficients of f's interpolant in the integer nodes
+def _scaled_tensor(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
+                   labels: Union[bytes, bytearray, array]) -> tuple[bytearray, int, int, int]:
+    """The coefficients of the interpolant of the value table ``labels`` (or
+    of T tables interleaved, see ``_interleaved``) in the integer nodes
     y = stretch * x, packed (see ``_grid_tensor``), its slot width, the
     positive scale it carries, and the stretch: entry e belongs to the
     monomial whose exponent vector is the big-endian index e, and the x^e
     coefficient is that entry times stretch^|e| over the scale."""
-    check_enumeration(len(f.domain), f.arity, cap, "grid points")
-    lifted, scale = _integer_scaled(f.codomain)
-    nodes, stretch = _integer_scaled(f.domain)
+    lifted, scale = _integer_scaled(codomain)
+    nodes, stretch = _integer_scaled(domain)
     rows, lagrange_scale, growth = _scaled_lagrange(nodes)
-    tensor, width = _grid_tensor(f.values, lifted, max(map(abs, lifted)), rows, growth, f.arity)
-    return tensor, width, scale * lagrange_scale ** f.arity, stretch
+    tensor, width = _grid_tensor(labels, lifted, max(map(abs, lifted)), rows, growth, arity)
+    return tensor, width, scale * lagrange_scale ** arity, stretch
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
-    tensor, width, scale, stretch = _scaled_tensor(f, cap)
+    check_enumeration(len(f.domain), f.arity, cap, "grid points")
+    tensor, width, scale, stretch = _scaled_tensor(f.domain, f.codomain, f.arity, f.values)
     powers = [stretch ** k for k in range((len(f.domain) - 1) * f.arity + 1)]
     exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
     return GridPolynomial._exact(f.arity, {exps: Fraction(c * powers[sum(exps)], scale)
@@ -436,10 +438,9 @@ def _degrees(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity
     """Total degree of each checked value table in ``labels``, from one
     tensor of them all, interleaved: the largest exponent sum of a nonzero
     entry of each table's block, with no rational polynomial built."""
-    lifted = _integer_scaled(codomain)[0]
-    rows, _, growth = _scaled_lagrange(_integer_scaled(domain)[0])
-    tensor, width = _grid_tensor(_interleaved(labels), lifted, max(map(abs, lifted)), rows,
-                                 growth, arity)
+    if not labels:
+        return []
+    tensor, width, _, _ = _scaled_tensor(domain, codomain, arity, _interleaved(labels))
     return _block_maxima(_digit_table([range(len(domain))] * arity), tensor, width,
                          range(len(labels)))
 
@@ -575,6 +576,12 @@ def _certified(target: int, g_degree: int, g_sensitivity: int, f_sensitivity: in
     """Whether a restriction certificate holds (see ``RestrictionWitness.check``)."""
     return (g_degree >= target and g_sensitivity <= f_sensitivity
             and g_sensitivity * g_sensitivity >= target)
+
+
+def _bound_holds(s: int, d: int, m: int) -> bool:
+    """Whether sensitivity s and degree d on m domain values meet the
+    theorem's bound s^2 * (m-1) >= d, in exact integers."""
+    return s * s * (m - 1) >= d
 
 
 class _Restriction(NamedTuple):
@@ -725,7 +732,7 @@ def verify_sensitivity_bound(
     s, witness = sensitivity(f, cap=cap)
     d = degree(f, cap=cap)
     m = len(f.domain)
-    holds = s * s * (m - 1) >= d
+    holds = _bound_holds(s, d, m)
     ratio = None if d == 0 else math.sqrt(s * s * (m - 1) / d)
     return SensitivityBoundReport(s, d, m, holds, ratio, witness)
 

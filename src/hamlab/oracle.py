@@ -28,12 +28,17 @@ from .errors import (
     power_exceeds,
 )
 from .functions import (
+    FiniteFunction,
+    _alphabets,
+    _bound_holds,
     _certified,
     _chunks,
+    _degrees,
     _label_sensitivities,
     _restrictions,
     _value_labels,
-    degrees,
+    boolean_restriction_witness,
+    verify_sensitivity_bound,
 )
 from .graph import GraphParams, VertexSet, neighbors, rank, unrank
 from .partitions import Partition, PartitionMetrics
@@ -163,7 +168,8 @@ def exhaustive_function_check(
     for its restriction witnesses, and one for the degrees of their Boolean
     tables; one bit-sliced count gives the sensitivities of each set of
     tables.  The witness's own reading of each degree must match the degree
-    kernel's.
+    kernel's, and the table of least ratio is checked again through the
+    one-table public path (see ``_replay``).
     """
     check_enumeration(item_count(domain), max(arity, 1), budget.max_vertices, "grid points")
     check_enumeration(item_count(codomain), 1, budget.max_functions, "codomain values")
@@ -192,21 +198,24 @@ def exhaustive_function_check(
             tuple(rng.randrange(k) for _ in range(point_count)) for _ in range(samples)
         )
 
+    domain, codomain = _alphabets(domain, codomain, arity)
     report = FunctionCheckReport()
     best_key: Optional[Fraction] = None
+    best_ok = True
     zero_one = (Fraction(0), Fraction(1))
     for chunk in _chunks(tables, point_count):
         labels = [_value_labels(table, domain, codomain, arity) for table in chunk]
-        found = degrees(domain, codomain, arity, labels)  # checks the domain first
+        found = _degrees(domain, codomain, arity, labels)
         varied = [t for t, d in enumerate(found) if d]
         restricted = _restrictions(domain, codomain, arity, [labels[t] for t in varied])
-        g_degrees = degrees(zero_one, zero_one, arity, [w.table for w in restricted])
-        g_sensitivities = _label_sensitivities([w.table for w in restricted], 2, arity, 2)
+        g_tables = [w.table for w in restricted]
+        g_degrees = _degrees(zero_one, zero_one, arity, g_tables)
+        g_sensitivities = _label_sensitivities(g_tables, 2, arity, 2)
         witnesses = dict(zip(varied, zip(restricted, g_degrees, g_sensitivities)))
         sensitivities = _label_sensitivities(labels, m, arity, k)
         for t, table in enumerate(chunk):
             d, s = found[t], sensitivities[t][0]
-            ok = s * s * (m - 1) >= d  # the sensitivity bound, as verify_sensitivity_bound
+            ok = _bound_holds(s, d, m)
             if d >= 1:
                 witness, g_degree, (g_sensitivity, _) = witnesses[t]
                 if witness.degree != d:
@@ -216,7 +225,7 @@ def exhaustive_function_check(
                 ok = ok and _certified(witness.target, g_degree, g_sensitivity, s)
                 ratio_key = Fraction(s * s * (m - 1), d)
                 if best_key is None or ratio_key < best_key:
-                    best_key = ratio_key
+                    best_key, best_ok = ratio_key, ok
                     report.min_ratio = math.sqrt(ratio_key)
                     report.min_ratio_table = table
             report.functions_checked += 1
@@ -224,7 +233,25 @@ def exhaustive_function_check(
                 report.violations += 1
                 if len(report.violation_tables) < 10:
                     report.violation_tables.append(table)
+    if report.min_ratio_table is not None:
+        _replay(FiniteFunction(domain, codomain, arity, report.min_ratio_table), best_key,
+                best_ok)
     return report
+
+
+def _replay(f: FiniteFunction, ratio_key: Fraction, ok: bool) -> None:
+    """Check one table of a sweep again through the one-table public path
+    that ``fn verify`` and ``fn restrict`` take: its squared ratio and
+    its verdict must be the chunked sweep's."""
+    bound = verify_sensitivity_bound(f)
+    _, _, certified = boolean_restriction_witness(f).check(bound.sensitivity)
+    m = len(f.domain)
+    key = Fraction(bound.sensitivity ** 2 * (m - 1), bound.degree)
+    verdict = bound.holds and certified
+    if (key, verdict) != (ratio_key, ok):
+        raise ContractViolationError(
+            f"the one-table path reads squared ratio {key} and verdict {verdict} where the "
+            f"sweep reads {ratio_key} and {ok}, on table {list(f.values)}")
 
 
 def _all_tables(k: int, length: int):

@@ -18,7 +18,6 @@ from hamlab import (
     ResourceLimitError,
     boolean_restriction_witness,
     degree,
-    degrees,
     indicator_decomposition,
     interpolate,
     lifted_tribes,
@@ -28,6 +27,7 @@ from hamlab import (
     verify_sensitivity_bound,
 )
 from hamlab.encoding import write_json
+from hamlab.functions import degrees
 
 ZERO_ONE = (0, 1)
 

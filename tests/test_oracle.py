@@ -230,7 +230,7 @@ def test_chunked_sweep_reports_as_the_per_table_loop(monkeypatch, slots, domain,
 
 def test_a_degree_the_witness_reads_otherwise_fails_the_sweep(monkeypatch):
     # the degree kernel misreads one table in the middle of the first chunk
-    real = oracle.degrees
+    real = oracle._degrees
 
     def misread(domain, codomain, arity, labels):
         found = real(domain, codomain, arity, labels)
@@ -238,7 +238,7 @@ def test_a_degree_the_witness_reads_otherwise_fails_the_sweep(monkeypatch):
             found[next(t for t in range(100, len(found)) if found[t])] += 1
         return found
 
-    monkeypatch.setattr(oracle, "degrees", misread)
+    monkeypatch.setattr(oracle, "_degrees", misread)
     with pytest.raises(ContractViolationError, match="the degree kernel reads"):
         exhaustive_function_check((0, 1, 2), 2, (0, 1))
 
@@ -251,10 +251,28 @@ def test_a_restriction_that_misses_its_target_is_a_violation(monkeypatch):
         return [w._replace(table=bytes(len(w.table)))
                 for w in real(domain, codomain, arity, labels)]
 
+    # in the sweep and in the one-table path that replays its least-ratio table
     monkeypatch.setattr(oracle, "_restrictions", flattened)
+    monkeypatch.setattr(functions, "_restrictions", flattened)
     report = exhaustive_function_check((0, 1, 2), 2, (0, 1))
     assert (report.functions_checked, report.violations) == (512, 510)
     assert report.violation_tables[0] == (0,) * 8 + (1,)
+
+
+def test_the_one_table_path_replays_the_least_ratio_table(monkeypatch):
+    # a sweep-only fault: the chunked witnesses miss their targets, the
+    # one-table path that replays the least-ratio table does not
+    real = oracle._restrictions
+
+    def flattened(domain, codomain, arity, labels):
+        return [w._replace(table=bytes(len(w.table)))
+                for w in real(domain, codomain, arity, labels)]
+
+    monkeypatch.setattr(oracle, "_restrictions", flattened)
+    with pytest.raises(ContractViolationError, match="the one-table path reads squared "
+                                                     "ratio 2 and verdict True where the "
+                                                     "sweep reads 2 and False"):
+        exhaustive_function_check((0, 1, 2), 2, (0, 1))
 
 
 def test_a_witness_failure_in_one_table_of_a_chunk_propagates(monkeypatch, capsys):

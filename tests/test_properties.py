@@ -28,7 +28,6 @@ from hamlab import (
     coordinate_blocks,
     degree,
     degree_one_partition,
-    degrees,
     hamming_distance,
     induced_max_degree,
     interpolate,
@@ -59,6 +58,7 @@ from hamlab.functions import (
     _scaled_lagrange,
     _slot_values,
     _slot_width,
+    degrees,
 )
 from hamlab.graph import _digit_table
 
