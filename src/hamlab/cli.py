@@ -403,7 +403,7 @@ def _cmd_fn(args, caps) -> int:
             args.out,
         )
     elif args.subcommand == "decompose":
-        components = fn_mod.indicator_decomposition(f)
+        components = fn_mod.indicator_decomposition(f, cap=cap)
         doc = [
             {"value": rational_to_token(f.codomain[i]), "indicator": comp.to_doc()}
             for i, comp in enumerate(components)

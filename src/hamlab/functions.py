@@ -26,6 +26,7 @@ from .errors import (
     DEFAULT_VERTEX_CAP,
     ContractViolationError,
     InvalidInputError,
+    ResourceLimitError,
     check_enumeration,
     item_count,
 )
@@ -40,6 +41,7 @@ from .graph import (
 
 Point = tuple[Fraction, ...]
 Exponents = tuple[int, ...]
+_ZERO_ONE = (Fraction(0), Fraction(1))  # the Boolean alphabet
 
 
 def _as_rationals(values) -> tuple[Fraction, ...]:
@@ -517,20 +519,20 @@ def _label_sensitivities(labels: Sequence[Union[bytes, array]], m: int, n: int,
             _same_label_degree_extremes(planes, params, largest=False, blocks=len(labels))]
 
 
-def indicator_decomposition(f: FiniteFunction) -> list[FiniteFunction]:
+def indicator_decomposition(f: FiniteFunction,
+                            cap: int = DEFAULT_VERTEX_CAP) -> list[FiniteFunction]:
     """The 0/1 indicator of each output value, in codomain order.
 
     The indicators sum to 1 pointwise, their codomain-weighted sum recovers f,
-    and the largest indicator degree is at least deg(f).
+    and the largest indicator degree is at least deg(f).  Their |B| * m^n
+    labels in all are checked against ``cap`` before any is built.
     """
-    zero_one = (Fraction(0), Fraction(1))
-    return [
-        FiniteFunction(
-            f.domain, zero_one, f.arity,
-            tuple(1 if v == b else 0 for v in f.values),
-        )
-        for b in range(len(f.codomain))
-    ]
+    k, points = len(f.codomain), f.point_count
+    if k * points > cap:
+        raise ResourceLimitError(f"decomposing into {k} indicators of {points} points "
+                                 f"exceeds the configured cap of {cap}")
+    return [FiniteFunction(f.domain, _ZERO_ONE, f.arity, _indicator(f.values, b))
+            for b in range(k)]
 
 
 @dataclass(frozen=True)
@@ -578,10 +580,16 @@ def _certified(target: int, g_degree: int, g_sensitivity: int, f_sensitivity: in
             and g_sensitivity * g_sensitivity >= target)
 
 
+def _squared_ratio(s: int, d: int, m: int) -> Fraction:
+    """The square of the ratio of sensitivity s to the floor sqrt(d/(m-1))
+    that degree d >= 1 on m domain values sets, exactly."""
+    return Fraction(s * s * (m - 1), d)
+
+
 def _bound_holds(s: int, d: int, m: int) -> bool:
     """Whether sensitivity s and degree d on m domain values meet the
-    theorem's bound s^2 * (m-1) >= d, in exact integers."""
-    return s * s * (m - 1) >= d
+    theorem's bound s^2 * (m-1) >= d, exactly."""
+    return d == 0 or _squared_ratio(s, d, m) >= 1
 
 
 class _Restriction(NamedTuple):
@@ -611,12 +619,11 @@ def boolean_restriction_witness(
         raise InvalidInputError("need at least two domain values to restrict")
     check_enumeration(m, n, cap, "grid points")
     (found,) = _restrictions(f.domain, f.codomain, n, (f.values,))
-    zero_one = (Fraction(0), Fraction(1))
     return RestrictionWitness(
         f.codomain[found.value],
         tuple((f.domain[0], f.domain[t]) for t in found.kept),
         found.target,
-        FiniteFunction(zero_one, zero_one, n, found.table),
+        FiniteFunction(_ZERO_ONE, _ZERO_ONE, n, found.table),
     )
 
 
@@ -702,6 +709,41 @@ def _restrictions(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], 
     return found
 
 
+def _sweep(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
+           tables: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], int, int, bool]]:
+    """Each value table of ``tables`` on checked alphabets (see ``_alphabets``)
+    with its sensitivity s, its degree d and its verdict, in order: whether s
+    and d meet the bound and, for d >= 1, its restriction certificate holds.
+
+    Each chunk of tables (see ``_chunks``) is packed into one tensor for its
+    degrees, one per value it takes plus one for its restriction witnesses,
+    and one for the degrees of their Boolean tables; one bit-sliced count
+    gives the sensitivities of each set.  Each witness must read its table's
+    degree as the degree kernel does."""
+    m, k = len(domain), len(codomain)
+    for chunk in _chunks(tables, m ** arity):
+        labels = [_value_labels(table, domain, codomain, arity) for table in chunk]
+        found = _degrees(domain, codomain, arity, labels)
+        varied = [t for t, d in enumerate(found) if d]
+        restricted = _restrictions(domain, codomain, arity, [labels[t] for t in varied])
+        g_tables = [w.table for w in restricted]
+        g_degrees = _degrees(_ZERO_ONE, _ZERO_ONE, arity, g_tables)
+        g_sensitivities = _label_sensitivities(g_tables, 2, arity, 2)
+        witnesses = dict(zip(varied, zip(restricted, g_degrees, g_sensitivities)))
+        sensitivities = _label_sensitivities(labels, m, arity, k)
+        for t, table in enumerate(chunk):
+            d, s = found[t], sensitivities[t][0]
+            ok = _bound_holds(s, d, m)
+            if d:
+                witness, g_degree, (g_sensitivity, _) = witnesses[t]
+                if witness.degree != d:
+                    raise ContractViolationError(
+                        f"the restriction witness reads degree {witness.degree} where the "
+                        f"degree kernel reads {d}, on table {list(table)}")
+                ok = ok and _certified(witness.target, g_degree, g_sensitivity, s)
+            yield table, s, d, ok
+
+
 @dataclass(frozen=True)
 class SensitivityBoundReport:
     """Both sides of the sensitivity/degree inequality for one function."""
@@ -733,7 +775,7 @@ def verify_sensitivity_bound(
     d = degree(f, cap=cap)
     m = len(f.domain)
     holds = _bound_holds(s, d, m)
-    ratio = None if d == 0 else math.sqrt(s * s * (m - 1) / d)
+    ratio = None if d == 0 else math.sqrt(_squared_ratio(s, d, m))
     return SensitivityBoundReport(s, d, m, holds, ratio, witness)
 
 
@@ -777,4 +819,4 @@ def lifted_tribes(
         for axis in (misses, [1 - x for x in misses])
     )
     met = _digit_table([first] + [later] * (tribe_count - 1))
-    return FiniteFunction(dom, (Fraction(0), Fraction(1)), width, tuple(int(c > 0) for c in met))
+    return FiniteFunction(dom, _ZERO_ONE, width, tuple(int(c > 0) for c in met))

@@ -30,13 +30,8 @@ from .errors import (
 from .functions import (
     FiniteFunction,
     _alphabets,
-    _bound_holds,
-    _certified,
-    _chunks,
-    _degrees,
-    _label_sensitivities,
-    _restrictions,
-    _value_labels,
+    _squared_ratio,
+    _sweep,
     boolean_restriction_witness,
     verify_sensitivity_bound,
 )
@@ -162,24 +157,14 @@ def exhaustive_function_check(
     function budget.  The grid and the codomain are checked against the
     budget before either is built.
 
-    A harness over the fast paths, not an independent oracle: the tables are
-    drawn lazily in chunks (see ``functions._chunks``), and each chunk is
-    packed into one tensor for its degrees, one per value it takes plus one
-    for its restriction witnesses, and one for the degrees of their Boolean
-    tables; one bit-sliced count gives the sensitivities of each set of
-    tables.  The witness's own reading of each degree must match the degree
-    kernel's, and the table of least ratio is checked again through the
+    The chunk pipeline is ``functions._sweep``; this function keeps the
+    budget, the report and the replay of the least-ratio table through the
     one-table public path (see ``_replay``).
     """
     check_enumeration(item_count(domain), max(arity, 1), budget.max_vertices, "grid points")
     check_enumeration(item_count(codomain), 1, budget.max_functions, "codomain values")
-    domain = tuple(Fraction(v) for v in domain)
-    codomain = tuple(Fraction(v) for v in codomain)
+    domain, codomain = _alphabets(domain, codomain, arity)
     m, k = len(domain), len(codomain)
-    if arity < 1:
-        raise InvalidInputError(f"need arity >= 1, got {arity}")
-    if not codomain or len(set(codomain)) != k:
-        raise InvalidInputError("codomain values must be nonempty and pairwise distinct")
     point_count = m ** arity
     if samples is None:
         if power_exceeds(k, point_count, budget.max_functions):
@@ -187,52 +172,30 @@ def exhaustive_function_check(
                 f"{k}^{point_count} functions exceed the budget {budget.max_functions}; "
                 "use sampling with an explicit seed"
             )
-        tables = _all_tables(k, point_count)
+        tables = itertools.product(range(k), repeat=point_count)
     else:
         if seed is None:
             raise InvalidInputError("sampling requires an explicit seed")
         if samples <= 0 or samples > budget.max_functions:
             raise InvalidInputError(f"bad sample count {samples}")
         rng = random.Random(seed)
-        tables = (
-            tuple(rng.randrange(k) for _ in range(point_count)) for _ in range(samples)
-        )
+        tables = (tuple(rng.randrange(k) for _ in range(point_count))
+                  for _ in range(samples))
 
-    domain, codomain = _alphabets(domain, codomain, arity)
     report = FunctionCheckReport()
-    best_key: Optional[Fraction] = None
-    best_ok = True
-    zero_one = (Fraction(0), Fraction(1))
-    for chunk in _chunks(tables, point_count):
-        labels = [_value_labels(table, domain, codomain, arity) for table in chunk]
-        found = _degrees(domain, codomain, arity, labels)
-        varied = [t for t, d in enumerate(found) if d]
-        restricted = _restrictions(domain, codomain, arity, [labels[t] for t in varied])
-        g_tables = [w.table for w in restricted]
-        g_degrees = _degrees(zero_one, zero_one, arity, g_tables)
-        g_sensitivities = _label_sensitivities(g_tables, 2, arity, 2)
-        witnesses = dict(zip(varied, zip(restricted, g_degrees, g_sensitivities)))
-        sensitivities = _label_sensitivities(labels, m, arity, k)
-        for t, table in enumerate(chunk):
-            d, s = found[t], sensitivities[t][0]
-            ok = _bound_holds(s, d, m)
-            if d >= 1:
-                witness, g_degree, (g_sensitivity, _) = witnesses[t]
-                if witness.degree != d:
-                    raise ContractViolationError(
-                        f"the restriction witness reads degree {witness.degree} where the "
-                        f"degree kernel reads {d}, on table {list(table)}")
-                ok = ok and _certified(witness.target, g_degree, g_sensitivity, s)
-                ratio_key = Fraction(s * s * (m - 1), d)
-                if best_key is None or ratio_key < best_key:
-                    best_key, best_ok = ratio_key, ok
-                    report.min_ratio = math.sqrt(ratio_key)
-                    report.min_ratio_table = table
-            report.functions_checked += 1
-            if not ok:
-                report.violations += 1
-                if len(report.violation_tables) < 10:
-                    report.violation_tables.append(table)
+    best_key, best_ok = None, True
+    for table, s, d, ok in _sweep(domain, codomain, arity, tables):
+        if d:
+            ratio_key = _squared_ratio(s, d, m)
+            if best_key is None or ratio_key < best_key:
+                best_key, best_ok = ratio_key, ok
+                report.min_ratio = math.sqrt(ratio_key)
+                report.min_ratio_table = table
+        report.functions_checked += 1
+        if not ok:
+            report.violations += 1
+            if len(report.violation_tables) < 10:
+                report.violation_tables.append(table)
     if report.min_ratio_table is not None:
         _replay(FiniteFunction(domain, codomain, arity, report.min_ratio_table), best_key,
                 best_ok)
@@ -245,17 +208,12 @@ def _replay(f: FiniteFunction, ratio_key: Fraction, ok: bool) -> None:
     its verdict must be the chunked sweep's."""
     bound = verify_sensitivity_bound(f)
     _, _, certified = boolean_restriction_witness(f).check(bound.sensitivity)
-    m = len(f.domain)
-    key = Fraction(bound.sensitivity ** 2 * (m - 1), bound.degree)
+    key = _squared_ratio(bound.sensitivity, bound.degree, len(f.domain))
     verdict = bound.holds and certified
     if (key, verdict) != (ratio_key, ok):
         raise ContractViolationError(
             f"the one-table path reads squared ratio {key} and verdict {verdict} where the "
             f"sweep reads {ratio_key} and {ok}, on table {list(f.values)}")
-
-
-def _all_tables(k: int, length: int):
-    return itertools.product(range(k), repeat=length)
 
 
 def brute_force_metrics(

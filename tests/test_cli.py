@@ -406,6 +406,18 @@ def test_tribes_and_grid_respect_the_vertex_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 2
 
 
+def test_decompose_checks_its_output_against_the_vertex_cap(tmp_path, capsys):
+    # 20 indicators of 10 points each: 200 labels, over a cap of 100
+    path = tmp_path / "wide.fn"
+    path.write_text(json.dumps({"A": list(range(10)), "B": list(range(20)), "n": 1,
+                                "values": list(range(10))}))
+    assert run(["fn", "decompose", path, "--cap-vertices", 100]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: decomposing into 20 indicators of 10 points exceeds the configured cap of 100"
+    ]
+    assert run(["fn", "decompose", path, "--cap-vertices", 200]) == 0
+
+
 def test_report_grid_rejects_small_m_before_the_cap_check(capsys):
     start = time.perf_counter()
     assert run(["report", "grid", "--m-range=-3", "--n-range", 99_999_999,

@@ -235,6 +235,15 @@ def test_indicator_decomposition_single_value_range():
     assert tuple(component.values) == (1, 1)
 
 
+def test_indicator_decomposition_is_capped_by_its_labels():
+    f = FiniteFunction((0, 1, 2), tuple(range(300)), 1, (0, 299, 7))  # array labels
+    with pytest.raises(ResourceLimitError, match="300 indicators of 3 points"):
+        indicator_decomposition(f, cap=899)
+    components = indicator_decomposition(f, cap=900)
+    assert [tuple(components[b].values) for b in (0, 7, 299, 1)] == [
+        (1, 0, 0), (0, 0, 1), (0, 1, 0), (0, 0, 0)]
+
+
 def test_indicator_decomposition_degree_cover_exhaustive():
     # over every function {0,1,2}^1 -> {0,1,2}: some indicator reaches deg(f)
     domain = (0, 1, 2)

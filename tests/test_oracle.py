@@ -30,7 +30,7 @@ from hamlab import (
     sigma_exact,
     verify_sensitivity_bound,
 )
-from hamlab import functions, oracle
+from hamlab import functions
 from hamlab.cli import main
 
 
@@ -164,6 +164,13 @@ def test_function_sweep_rejects_a_bad_codomain(codomain, samples, seed):
         exhaustive_function_check((0, 1), 2, codomain, samples=samples, seed=seed)
 
 
+@pytest.mark.parametrize("domain, codomain", [(["x"], (0, 1)), ((0, 1), (0, None))],
+                         ids=["bad-domain", "bad-codomain"])
+def test_function_sweep_rejects_non_rational_alphabets(domain, codomain):
+    with pytest.raises(InvalidInputError, match="expected rational values"):
+        exhaustive_function_check(domain, 1, codomain)
+
+
 def test_sampling_requires_seed():
     with pytest.raises(InvalidInputError):
         exhaustive_function_check((0, 1, 2, 3), 2, (0, 1), samples=10)
@@ -230,7 +237,7 @@ def test_chunked_sweep_reports_as_the_per_table_loop(monkeypatch, slots, domain,
 
 def test_a_degree_the_witness_reads_otherwise_fails_the_sweep(monkeypatch):
     # the degree kernel misreads one table in the middle of the first chunk
-    real = oracle._degrees
+    real = functions._degrees
 
     def misread(domain, codomain, arity, labels):
         found = real(domain, codomain, arity, labels)
@@ -238,21 +245,20 @@ def test_a_degree_the_witness_reads_otherwise_fails_the_sweep(monkeypatch):
             found[next(t for t in range(100, len(found)) if found[t])] += 1
         return found
 
-    monkeypatch.setattr(oracle, "_degrees", misread)
+    monkeypatch.setattr(functions, "_degrees", misread)
     with pytest.raises(ContractViolationError, match="the degree kernel reads"):
         exhaustive_function_check((0, 1, 2), 2, (0, 1))
 
 
 def test_a_restriction_that_misses_its_target_is_a_violation(monkeypatch):
     # a constant Boolean table certifies nothing: every non-constant table fails
-    real = oracle._restrictions
+    real = functions._restrictions
 
     def flattened(domain, codomain, arity, labels):
         return [w._replace(table=bytes(len(w.table)))
                 for w in real(domain, codomain, arity, labels)]
 
     # in the sweep and in the one-table path that replays its least-ratio table
-    monkeypatch.setattr(oracle, "_restrictions", flattened)
     monkeypatch.setattr(functions, "_restrictions", flattened)
     report = exhaustive_function_check((0, 1, 2), 2, (0, 1))
     assert (report.functions_checked, report.violations) == (512, 510)
@@ -262,13 +268,15 @@ def test_a_restriction_that_misses_its_target_is_a_violation(monkeypatch):
 def test_the_one_table_path_replays_the_least_ratio_table(monkeypatch):
     # a sweep-only fault: the chunked witnesses miss their targets, the
     # one-table path that replays the least-ratio table does not
-    real = oracle._restrictions
+    real = functions._restrictions
 
     def flattened(domain, codomain, arity, labels):
-        return [w._replace(table=bytes(len(w.table)))
-                for w in real(domain, codomain, arity, labels)]
+        found = real(domain, codomain, arity, labels)
+        if len(labels) == 1:  # the replay's one table
+            return found
+        return [w._replace(table=bytes(len(w.table))) for w in found]
 
-    monkeypatch.setattr(oracle, "_restrictions", flattened)
+    monkeypatch.setattr(functions, "_restrictions", flattened)
     with pytest.raises(ContractViolationError, match="the one-table path reads squared "
                                                      "ratio 2 and verdict True where the "
                                                      "sweep reads 2 and False"):
