@@ -136,6 +136,11 @@ CASES = [
     ["oracle", "subsets", "--m", "2", "--n", "2", "--k", "3", "--prune", "--out",
      "subsets.json"],
     ["oracle", "subsets", "--m", "2", "--n", "2", "--k", "3", "--format", "csv"],
+    # the first optimal 6-subset of K5 x K5 in enumeration order, unpruned and
+    # pruned: pins the witness ranks
+    ["oracle", "subsets", "--m", "5", "--n", "2", "--k", "6", "--out", "subsets-k6.json"],
+    ["oracle", "subsets", "--m", "5", "--n", "2", "--k", "6", "--prune", "--out",
+     "subsets-k6-pruned.json"],
     ["oracle", "functions", "--m", "2", "--b", "2", "--n", "2", "--format", "csv"],
     ["oracle", "functions", "--m", "3", "--b", "2", "--n", "2", "--samples", "5",
      "--seed", "3", "--out", "functions.json"],
@@ -148,6 +153,10 @@ CASES = [
      "functions-chunks.json"],
     ["oracle", "metrics", "base.part", "--verify", "--verbose", "--out",
      "oracle.metrics.json"],
+    # part sizes 16, 17, 16, 15: the all-pairs oracle on an imbalanced partition
+    ["construct", "theorem1", "--m", "4", "--d", "1", "--n", "3", "--out",
+     "imbalanced.part"],
+    ["oracle", "metrics", "imbalanced.part", "--verify", "--out", "imbalanced.oracle.json"],
     ["report", "grid", "--m-range", "3:4", "--n-range", "2", "--d-range", "1:5",
      "--format", "csv"],
     ["report", "grid", "--m-range", "3,5", "--n-range", "3", "--d-range", "1",
