@@ -214,6 +214,23 @@ def _integer_scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
+class _Scales(NamedTuple):
+    """A checked domain and codomain as integers (see ``_integer_scaled``),
+    computed once for every table on them."""
+
+    nodes: tuple[int, ...]  # each domain value times the stretch
+    stretch: int
+    lifted: tuple[int, ...]  # each codomain value times the scale
+    scale: int
+    top: int  # the largest absolute lifted value
+
+
+def _scales(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...]) -> _Scales:
+    nodes, stretch = _integer_scaled(domain)
+    lifted, scale = _integer_scaled(codomain)
+    return _Scales(nodes, stretch, lifted, scale, max(map(abs, lifted)))
+
+
 @functools.lru_cache(maxsize=64)
 def _scaled_lagrange(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     """The Lagrange matrix of the integer ``nodes``, its positive scale, and
@@ -406,7 +423,7 @@ def _grid_tensor(labels: Union[bytes, array], ints: Sequence[int], top: int, row
     return tensor, width
 
 
-def _scaled_tensor(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
+def _scaled_tensor(scales: _Scales, arity: int,
                    labels: Union[bytes, bytearray, array]) -> tuple[bytearray, int, int, int]:
     """The coefficients of the interpolant of the value table ``labels`` (or
     of T tables interleaved, see ``_interleaved``) in the integer nodes
@@ -414,11 +431,9 @@ def _scaled_tensor(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...],
     positive scale it carries, and the stretch: entry e belongs to the
     monomial whose exponent vector is the big-endian index e, and the x^e
     coefficient is that entry times stretch^|e| over the scale."""
-    lifted, scale = _integer_scaled(codomain)
-    nodes, stretch = _integer_scaled(domain)
-    rows, lagrange_scale, growth = _scaled_lagrange(nodes)
-    tensor, width = _grid_tensor(labels, lifted, max(map(abs, lifted)), rows, growth, arity)
-    return tensor, width, scale * lagrange_scale ** arity, stretch
+    rows, lagrange_scale, growth = _scaled_lagrange(scales.nodes)
+    tensor, width = _grid_tensor(labels, scales.lifted, scales.top, rows, growth, arity)
+    return tensor, width, scales.scale * lagrange_scale ** arity, scales.stretch
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
@@ -426,7 +441,8 @@ def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynom
     per-variable degree at most len(domain)-1 and exact rational
     coefficients."""
     check_enumeration(len(f.domain), f.arity, cap, "grid points")
-    tensor, width, scale, stretch = _scaled_tensor(f.domain, f.codomain, f.arity, f.values)
+    tensor, width, scale, stretch = _scaled_tensor(_scales(f.domain, f.codomain), f.arity,
+                                                   f.values)
     powers = [stretch ** k for k in range((len(f.domain) - 1) * f.arity + 1)]
     exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
     return GridPolynomial._exact(f.arity, {exps: Fraction(c * powers[sum(exps)], scale)
@@ -435,15 +451,14 @@ def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynom
                                            if c})
 
 
-def _degrees(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
-             labels: Sequence[Union[bytes, array]]) -> list[int]:
+def _degrees(scales: _Scales, arity: int, labels: Sequence[Union[bytes, array]]) -> list[int]:
     """Total degree of each checked value table in ``labels``, from one
     tensor of them all, interleaved: the largest exponent sum of a nonzero
     entry of each table's block, with no rational polynomial built."""
     if not labels:
         return []
-    tensor, width, _, _ = _scaled_tensor(domain, codomain, arity, _interleaved(labels))
-    return _block_maxima(_digit_table([range(len(domain))] * arity), tensor, width,
+    tensor, width, _, _ = _scaled_tensor(scales, arity, _interleaved(labels))
+    return _block_maxima(_digit_table([range(len(scales.nodes))] * arity), tensor, width,
                          range(len(labels)))
 
 
@@ -456,9 +471,9 @@ def degrees(domain, codomain, arity: int, tables: Iterable[Sequence[int]],
     ``_CHUNK_SLOTS`` labels, one transform per chunk."""
     domain, codomain = _alphabets(domain, codomain, arity)
     check_enumeration(len(domain), arity, cap, "grid points")
-    found = []
+    scales, found = _scales(domain, codomain), []
     for chunk in _chunks(tables, len(domain) ** arity):
-        found += _degrees(domain, codomain, arity,
+        found += _degrees(scales, arity,
                           [_value_labels(table, domain, codomain, arity) for table in chunk])
     return found
 
@@ -467,7 +482,7 @@ def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Total degree of the interpolating polynomial; 0 for constants: the
     one-table case of ``degrees``."""
     check_enumeration(len(f.domain), f.arity, cap, "grid points")
-    return _degrees(f.domain, f.codomain, f.arity, (f.values,))[0]
+    return _degrees(_scales(f.domain, f.codomain), f.arity, (f.values,))[0]
 
 
 def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
@@ -618,7 +633,7 @@ def boolean_restriction_witness(
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
     check_enumeration(m, n, cap, "grid points")
-    (found,) = _restrictions(f.domain, f.codomain, n, (f.values,))
+    (found,) = _restrictions(_scales(f.domain, f.codomain), n, (f.values,))
     return RestrictionWitness(
         f.codomain[found.value],
         tuple((f.domain[0], f.domain[t]) for t in found.kept),
@@ -627,7 +642,7 @@ def boolean_restriction_witness(
     )
 
 
-def _restrictions(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: int,
+def _restrictions(scales: _Scales, arity: int,
                   labels: Sequence[Union[bytes, array]]) -> list[_Restriction]:
     """The restriction witness (see ``boolean_restriction_witness``) of each
     checked, non-constant value table in ``labels``, on at least two domain
@@ -652,7 +667,7 @@ def _restrictions(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], 
     for the first t whose two slices hold such an entry.  With two domain
     values every pair is (0, 1), and g is the chosen indicator itself.
     """
-    m, n, count = len(domain), arity, len(labels)
+    m, n, count = len(scales.nodes), arity, len(labels)
     if not count:
         return []
     takers: dict[int, list[int]] = {}  # the tables that take each value
@@ -662,9 +677,8 @@ def _restrictions(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], 
             raise InvalidInputError("constant functions admit no restriction certificate")
         for b in taken:
             takers.setdefault(b, []).append(t)
-    rows, _, growth = _scaled_lagrange(_integer_scaled(domain)[0])
-    lifted = _integer_scaled(codomain)[0]
-    top = max(map(abs, lifted))  # every indicator gets f's width, so the sum fits
+    rows, _, growth = _scaled_lagrange(scales.nodes)
+    lifted, top = scales.lifted, scales.top  # every indicator gets f's width, so the sum fits
     sums = _digit_table([range(m)] * n)
     batch = _interleaved(labels)
     picks, pick_degrees = [0] * count, [-1] * count
@@ -719,15 +733,17 @@ def _sweep(domain: tuple[Fraction, ...], codomain: tuple[Fraction, ...], arity: 
     degrees, one per value it takes plus one for its restriction witnesses,
     and one for the degrees of their Boolean tables; one bit-sliced count
     gives the sensitivities of each set.  Each witness must read its table's
-    degree as the degree kernel does."""
+    degree as the degree kernel does.  The alphabets, f's and the Boolean
+    one, are scaled to integers once for the whole sweep (see ``_scales``)."""
     m, k = len(domain), len(codomain)
+    scales, boolean = _scales(domain, codomain), _scales(_ZERO_ONE, _ZERO_ONE)
     for chunk in _chunks(tables, m ** arity):
         labels = [_value_labels(table, domain, codomain, arity) for table in chunk]
-        found = _degrees(domain, codomain, arity, labels)
+        found = _degrees(scales, arity, labels)
         varied = [t for t, d in enumerate(found) if d]
-        restricted = _restrictions(domain, codomain, arity, [labels[t] for t in varied])
+        restricted = _restrictions(scales, arity, [labels[t] for t in varied])
         g_tables = [w.table for w in restricted]
-        g_degrees = _degrees(_ZERO_ONE, _ZERO_ONE, arity, g_tables)
+        g_degrees = _degrees(boolean, arity, g_tables)
         g_sensitivities = _label_sensitivities(g_tables, 2, arity, 2)
         witnesses = dict(zip(varied, zip(restricted, g_degrees, g_sensitivities)))
         sensitivities = _label_sensitivities(labels, m, arity, k)

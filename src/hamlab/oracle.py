@@ -1,7 +1,7 @@
 """Brute-force ground truth for tiny instances.
 
 Everything here recomputes quantities from the definitions: subset
-enumeration for graph sensitivity, all-pairs scans for partition metrics,
+enumeration for graph sensitivity, same-part pair scans for partition metrics,
 full function-space sweeps for the sensitivity/degree inequality.  Results
 are the reference the fast paths and closed forms must match.
 """
@@ -52,12 +52,10 @@ class SearchBudget:
             raise InvalidInputError("budget limits must be positive")
 
 
-def _neighbor_ranks(params: GraphParams) -> list[tuple[int, ...]]:
-    table = []
-    for r in range(params.vertex_count):
-        digits = unrank(r, params)
-        table.append(tuple(rank(v, params) for v in neighbors(digits, params)))
-    return table
+def _neighbor_masks(params: GraphParams) -> list[int]:
+    """For each rank, the bitmask with bit u set for every neighbour rank u."""
+    return [sum(1 << rank(v, params) for v in neighbors(unrank(r, params), params))
+            for r in range(params.vertex_count)]
 
 
 def min_max_degree_subsets(
@@ -86,7 +84,8 @@ def min_max_degree_subsets(
     )
     if total > budget.max_subsets:
         raise ResourceLimitError(f"{total} subsets exceed the budget {budget.max_subsets}")
-    neighbor_table = _neighbor_ranks(params)
+    adjacent = _neighbor_masks(params)
+    bits = [1 << r for r in range(count)]
     if fix_first_vertex:
         candidates = ((0,) + rest for rest in itertools.combinations(range(1, count), k - 1))
     else:
@@ -94,10 +93,12 @@ def min_max_degree_subsets(
     best = count  # above any possible degree
     witness: tuple[int, ...] = ()
     for subset in candidates:
-        members = set(subset)
+        members = 0
+        for r in subset:
+            members |= bits[r]
         subset_max = 0
         for r in subset:
-            deg = sum(1 for u in neighbor_table[r] if u in members)
+            deg = (adjacent[r] & members).bit_count()
             if deg > subset_max:
                 subset_max = deg
                 if subset_max >= best:
@@ -219,17 +220,18 @@ def _replay(f: FiniteFunction, ratio_key: Fraction, ok: bool) -> None:
 def brute_force_metrics(
     part: Partition, cap: int = DEFAULT_ORACLE_METRICS_CAP
 ) -> PartitionMetrics:
-    """Recompute partition metrics by scanning all vertex pairs; must agree
-    with the fast path."""
+    """Recompute partition metrics by scanning every pair of vertices in the
+    same part; must agree with the fast path."""
     params = part.params
     check_enumeration(params.m, params.n, cap)
     count = params.vertex_count
     words = [unrank(r, params) for r in range(count)]
+    groups: list[list[int]] = [[] for _ in range(params.m)]  # the ranks of each part
+    for r, a in enumerate(part.assignment):
+        groups[a].append(r)
     degrees = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if part.assignment[i] != part.assignment[j]:
-                continue
+    for group in groups:
+        for i, j in itertools.combinations(group, 2):
             differing = 0
             for a, b in zip(words[i], words[j]):
                 if a != b:
@@ -239,9 +241,7 @@ def brute_force_metrics(
             if differing == 1:
                 degrees[i] += 1
                 degrees[j] += 1
-    sizes = [0] * params.m
-    for a in part.assignment:
-        sizes[a] += 1
+    sizes = [len(group) for group in groups]
     balanced = params.m ** (params.n - 1)
     max_degree = max(degrees)
     witness = words[degrees.index(max_degree)]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from hamlab import FiniteFunction
 from hamlab.cli import main
-from hamlab.functions import _scaled_tensor
+from hamlab.functions import _scaled_tensor, _scales
 
 TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
 
@@ -207,7 +207,7 @@ def test_wide_slot_inputs_keep_their_slot_widths():
     # slot runs
     for name, width in (("sixty.fn", 48), ("stretch3.fn", 16)):
         f = FiniteFunction.from_doc(INPUTS[name])
-        assert _scaled_tensor(f.domain, f.codomain, f.arity, f.values)[1] == width, name
+        assert _scaled_tensor(_scales(f.domain, f.codomain), f.arity, f.values)[1] == width, name
 
 
 if __name__ == "__main__":

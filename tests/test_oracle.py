@@ -21,6 +21,7 @@ from hamlab import (
     brute_force_metrics,
     complete_graph_partition,
     degree_one_partition,
+    hamming_distance,
     exhaustive_function_check,
     independence_number,
     lift_partition,
@@ -28,6 +29,7 @@ from hamlab import (
     min_max_degree_subsets,
     partition_metrics,
     sigma_exact,
+    unrank,
     verify_sensitivity_bound,
 )
 from hamlab import functions
@@ -68,6 +70,44 @@ def test_pruned_search_matches_unpruned():
         full = min_max_degree_subsets(m, n, k)[0]
         pruned = min_max_degree_subsets(m, n, k, fix_first_vertex=True)[0]
         assert full == pruned
+
+
+def _reference_min_max_degree(m, n, k, fix_first_vertex):
+    """The first k-subset of least induced maximum degree in
+    ``itertools.combinations`` order, rank 0 kept when ``fix_first_vertex``,
+    with neighbours counted pair by pair."""
+    params = GraphParams(m, n)
+    count = params.vertex_count
+    if k == 0:
+        return 0, ()
+    words = [unrank(r, params) for r in range(count)]
+    adjacent = [[hamming_distance(x, y) == 1 for y in words] for x in words]
+    if fix_first_vertex:
+        candidates = ((0,) + rest for rest in itertools.combinations(range(1, count), k - 1))
+    else:
+        candidates = itertools.combinations(range(count), k)
+    best, witness = None, None
+    for subset in candidates:
+        top = max(sum(adjacent[i][j] for j in subset) for i in subset)
+        if best is None or top < best:
+            best, witness = top, subset
+    return best, witness
+
+
+# every graph of at most 9 vertices, each k; and the 4-cube up to k = 9
+SUBSET_SEARCHES = [pytest.param(m, n, m ** n, id=f"{m}^{n}")
+                   for n in (1, 2, 3) for m in range(2, 10) if m ** n <= 9]
+SUBSET_SEARCHES.append(pytest.param(2, 4, 9, id="2^4"))
+
+
+@pytest.mark.parametrize("fix_first_vertex", [False, True], ids=["unpruned", "pruned"])
+@pytest.mark.parametrize("m, n, top", SUBSET_SEARCHES)
+def test_subset_search_keeps_the_first_optimum_in_combinations_order(m, n, top,
+                                                                     fix_first_vertex):
+    for k in range(top + 1):
+        value, witness = min_max_degree_subsets(m, n, k, fix_first_vertex=fix_first_vertex)
+        expected = _reference_min_max_degree(m, n, k, fix_first_vertex)
+        assert (value, tuple(sorted(witness.ranks))) == expected, k
 
 
 def test_budget_enforced_before_enumeration():
@@ -235,13 +275,36 @@ def test_chunked_sweep_reports_as_the_per_table_loop(monkeypatch, slots, domain,
     assert report.to_doc() == expected.to_doc()
 
 
+def test_a_sweep_scales_its_alphabets_once_not_per_chunk(monkeypatch):
+    # 2,000 samples fill more chunks than 200; the 10^5-value codomain makes
+    # each rescaling cost more than the chunk it would serve
+    real = functions._integer_scaled
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(functions, "_integer_scaled", counted)
+    counts, docs = [], []
+    for samples in (200, 2000):
+        calls.clear()
+        report = exhaustive_function_check(range(2), 1, range(100_000), samples=samples, seed=1)
+        counts.append(len(calls))
+        docs.append(report.to_doc())
+    assert counts[0] == counts[1]
+    assert docs == [{"functionsChecked": samples, "violations": 0, "violationTables": [],
+                     "minRatio": 1.0, "minRatioTable": [17611, 74606]}
+                    for samples in (200, 2000)]
+
+
 def test_a_degree_the_witness_reads_otherwise_fails_the_sweep(monkeypatch):
     # the degree kernel misreads one table in the middle of the first chunk
     real = functions._degrees
 
-    def misread(domain, codomain, arity, labels):
-        found = real(domain, codomain, arity, labels)
-        if len(domain) == 3 and len(found) > 100:  # f's tables, not the Boolean g tables
+    def misread(scales, arity, labels):
+        found = real(scales, arity, labels)
+        if len(scales.nodes) == 3 and len(found) > 100:  # f's tables, not the Boolean g tables
             found[next(t for t in range(100, len(found)) if found[t])] += 1
         return found
 
@@ -254,9 +317,8 @@ def test_a_restriction_that_misses_its_target_is_a_violation(monkeypatch):
     # a constant Boolean table certifies nothing: every non-constant table fails
     real = functions._restrictions
 
-    def flattened(domain, codomain, arity, labels):
-        return [w._replace(table=bytes(len(w.table)))
-                for w in real(domain, codomain, arity, labels)]
+    def flattened(scales, arity, labels):
+        return [w._replace(table=bytes(len(w.table))) for w in real(scales, arity, labels)]
 
     # in the sweep and in the one-table path that replays its least-ratio table
     monkeypatch.setattr(functions, "_restrictions", flattened)
@@ -270,8 +332,8 @@ def test_the_one_table_path_replays_the_least_ratio_table(monkeypatch):
     # one-table path that replays the least-ratio table does not
     real = functions._restrictions
 
-    def flattened(domain, codomain, arity, labels):
-        found = real(domain, codomain, arity, labels)
+    def flattened(scales, arity, labels):
+        found = real(scales, arity, labels)
         if len(labels) == 1:  # the replay's one table
             return found
         return [w._replace(table=bytes(len(w.table))) for w in found]
@@ -319,6 +381,16 @@ def test_brute_force_metrics_single_part_square():
     assert metrics.max_degree == 2
     assert metrics.imbalance == 4
     assert metrics.part_sizes == (4, 0)
+
+
+@pytest.mark.parametrize("params, assignment", [
+    (GraphParams(3, 2), (0, 2, 0, 2, 2, 0, 0, 0, 2)),  # part 1 is empty
+    (GraphParams(3, 3), (1,) * 27),  # every vertex in one part
+    (GraphParams(6, 2), tuple((7 * r * r + r // 6) % 6 for r in range(36))),
+], ids=["empty-part", "one-part", "m6"])
+def test_brute_force_metrics_agrees_on_uneven_parts(params, assignment):
+    partition = Partition(params, assignment)
+    assert brute_force_metrics(partition) == partition_metrics(partition)
 
 
 def test_brute_force_metrics_cap():

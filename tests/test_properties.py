@@ -56,6 +56,7 @@ from hamlab.functions import (
     _nonzero_slots,
     _restrictions,
     _scaled_lagrange,
+    _scales,
     _slot_values,
     _slot_width,
     degrees,
@@ -614,7 +615,8 @@ def test_batched_restrictions_match_the_naive_walk(data):
     fs = [FiniteFunction(domain, codomain, n, t)
           for t in _random_tables(data, domain, codomain, n, count)]
     fs = [f for f in fs if len(set(f.values)) > 1]
-    found = _restrictions(fs[0].domain, fs[0].codomain, n, [f.values for f in fs]) if fs else []
+    found = (_restrictions(_scales(fs[0].domain, fs[0].codomain), n, [f.values for f in fs])
+             if fs else [])
     assert len(found) == len(fs)
     for f, witness in zip(fs, found):
         pairs = tuple((f.domain[0], f.domain[p]) for p in witness.kept)
