@@ -22,7 +22,13 @@ from hamlab.functions import _scaled_tensor, _scales
 
 TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
 
-# input files written before the first case
+# the 3 x 3 partition of ``construct degree1 --m 3 --n 2`` and its labels as
+# text, for the hand-written layouts below
+_BASE = {"m": 3, "n": 2, "assignment": [0, 1, 1, 1, 2, 2, 1, 0, 0]}
+_BASE_LABELS = "0, 1, 1, 1, 2, 2, 1, 0, 0"
+
+# input files written before the first case: a document is written as its
+# compact ``json.dumps``, a string as it stands
 INPUTS = {
     "rational.fn": {"A": ["-1/2", "0.5", 2], "B": [0, "3/4"], "n": 2,
                     "values": [0, 1, 1, 0, 0, 1, 1, 1, 0]},
@@ -64,6 +70,20 @@ INPUTS = {
     # one coordinate whose polynomial has negative "p/q" coefficients
     "negative.fn": {"A": [0, "1/2", -3, 2], "B": [0, 1, "-2/3"], "n": 1,
                     "values": [2, 0, 1, 2]},
+    # one partition in the layouts a hand or another tool may write
+    "compact.part": _BASE,
+    "indent4.part": json.dumps(_BASE, indent=4),
+    # json keeps the last of two equal keys
+    "dupassignment.part": '{"m": 3, "n": 2, "assignment": [0, 0, 0, 0, 0, 0, 0, 0, 0], '
+                          f'"assignment": [{_BASE_LABELS}]}}',
+    "dupm.part": f'{{"m": "[0]", "n": 2, "assignment": [{_BASE_LABELS}], "m": 3}}',
+    "bom.part": "\ufeff" + json.dumps(_BASE),
+    "leadingzero.part": '{"m": 3, "n": 2, "assignment": [0, 1, 01, 1, 2, 2, 1, 0, 0]}',
+    "trailingcomma.part": f'{{"m": 3, "n": 2, "assignment": [{_BASE_LABELS},]}}',
+    # labels 10 and 11 in a compact file
+    "twodigit.part": {"m": 12, "n": 1, "assignment": [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]},
+    "compact.fn": {"A": [0, 1, 2], "B": [0, 1, "1/2"], "n": 2,
+                   "values": [0, 2, 1, 1, 0, 0, 2, 2, 1]},
 }
 
 CASES = [
@@ -157,6 +177,16 @@ CASES = [
     ["construct", "theorem1", "--m", "4", "--d", "1", "--n", "3", "--out",
      "imbalanced.part"],
     ["oracle", "metrics", "imbalanced.part", "--verify", "--out", "imbalanced.oracle.json"],
+    # the hand-written layouts of INPUTS, one run each
+    ["metrics", "compact.part", "--out", "compact.metrics.json"],
+    ["metrics", "indent4.part", "--out", "indent4.metrics.json"],
+    ["metrics", "dupassignment.part", "--out", "dupassignment.metrics.json"],
+    ["metrics", "dupm.part", "--out", "dupm.metrics.json"],
+    ["metrics", "bom.part"],
+    ["metrics", "leadingzero.part"],
+    ["metrics", "trailingcomma.part"],
+    ["metrics", "twodigit.part", "--out", "twodigit.metrics.json"],
+    ["fn", "verify", "compact.fn", "--out", "compact.verify.json"],
     ["report", "grid", "--m-range", "3:4", "--n-range", "2", "--d-range", "1:5",
      "--format", "csv"],
     ["report", "grid", "--m-range", "3,5", "--n-range", "3", "--d-range", "1",
@@ -180,7 +210,8 @@ def run_case(argv: list[str]) -> dict:
 
 def run_all() -> list[dict]:
     for name, doc in INPUTS.items():
-        Path(name).write_text(json.dumps(doc), encoding="utf-8")
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        Path(name).write_text(text, encoding="utf-8")
     return [run_case(argv) for argv in CASES]
 
 
