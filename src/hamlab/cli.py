@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import os
@@ -23,6 +24,7 @@ from . import oracle as oracle_mod
 from . import partitions as part_mod
 from .encoding import (
     int_token,
+    labelled_doc,
     rational_from_token,
     rational_to_token,
     value_token,
@@ -100,10 +102,19 @@ def _message(exc: ValueError) -> str:
                             "set the PYTHONINTMAXSTRDIGITS environment variable")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, labels: Optional[str] = None):
+    """The JSON document in the file at ``path``.  With ``labels``, a file
+    whose array under that key ``labelled_doc`` reads by stride comes back
+    with the labels as ``bytes``; any other file is read once and decoded as
+    a text-mode ``open`` decodes it (strict UTF-8, universal newlines), then
+    parsed by ``json.loads``, with the same errors."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        doc = labelled_doc(raw, labels) if labels else None
+        if doc is None:
+            doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+        return doc
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -218,12 +229,16 @@ def _print_header(args, caps) -> None:
 
 
 def _load_partition(path: str) -> part_mod.Partition:
-    return part_mod.Partition.from_doc(_load_json(path))
+    return part_mod.Partition.from_doc(_load_json(path, "assignment"))
+
+
+def _load_function(path: str) -> fn_mod.FiniteFunction:
+    return fn_mod.FiniteFunction.from_doc(_load_json(path, "values"))
 
 
 def _load_measured(path: str):
     """A partition or a vertex-set file, told apart by its keys."""
-    doc = _load_json(path)
+    doc = _load_json(path, "assignment")
     if isinstance(doc, dict) and "assignment" in doc:
         return part_mod.Partition.from_doc(doc)
     if isinstance(doc, dict) and "ranks" in doc:
@@ -386,7 +401,7 @@ def _cmd_fn(args, caps) -> int:
             raise VerificationFailure("tribes construction missed its guaranteed values")
         return 0
 
-    f = fn_mod.FiniteFunction.from_doc(_load_json(args.path))
+    f = _load_function(args.path)
     if args.subcommand == "interpolate":
         poly = fn_mod.interpolate(f, cap=cap)
         print(f"degree {poly.degree()}, {len(poly.terms)} terms")
@@ -665,6 +680,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (VerificationFailure, ContractViolationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

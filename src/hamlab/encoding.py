@@ -10,7 +10,7 @@ import re
 from array import array
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO, Union
 
 from .errors import InvalidInputError
 
@@ -59,8 +59,9 @@ def int_token(token) -> int:
 
 def int_tokens(tokens) -> Sequence[int]:
     """An array of integers from a file, checked by one scan of its item
-    types and returned as given, without a copy."""
-    if not set(map(type, tokens)) <= {int}:
+    types and returned as given, without a copy.  A ``bytes`` buffer, which
+    ``labelled_doc`` reads and which holds only ints, needs no scan."""
+    if type(tokens) is not bytes and not set(map(type, tokens)) <= {int}:
         bad = next(t for t in tokens if type(t) is not int)
         raise InvalidInputError(f"expected integers, got {bad!r}")
     return tokens
@@ -122,6 +123,86 @@ def _digit_lines(labels: bytes, sep: str) -> str:
     text[1::width] = b"," * (len(labels) - 1)
     text[2::width] = b"\n" * (len(labels) - 1)
     return text.decode("ascii")
+
+
+# label bytes from their ASCII digits: the inverse of _DIGIT_TEXT
+_DIGIT_LABELS = bytes.maketrans(b"0123456789", _DIGIT_BYTES)
+_JSON_SPACE = b" \t\n\r"
+# what may follow a label: a comma, then JSON whitespace
+_LABEL_SEPARATOR = re.compile(rb",[ \t\n\r]*")
+
+
+@functools.lru_cache(maxsize=None)
+def _array_start(key: str) -> re.Pattern:
+    """The quoted ``key``, its colon and the opening bracket of an array
+    (group 1), then the whitespace before the array's first item."""
+    name = re.escape(json.dumps(key).encode("ascii"))
+    return re.compile(rb"%s[ \t\n\r]*:[ \t\n\r]*(\[)[ \t\n\r]*" % name)
+
+
+def labelled_doc(raw: bytes, key: str) -> Optional[dict]:
+    """The JSON object held by the bytes ``raw`` when the array under its
+    ``key`` is a label array laid out by stride, with that array as a
+    ``bytes`` buffer of labels; ``None`` for any other file.
+
+    The array qualifies when its items are single digits with one uniform
+    separator: a comma plus JSON whitespace, as ``write_json`` writes it
+    (",\n    ") and as ``json.dumps`` does (", ").  Strided slices check the
+    separators and take the digits, the inverse of ``_digit_lines``; no list
+    of the items is built.  The rest of the file, with the array replaced by
+    ``[]``, is decoded as strict UTF-8 and parsed by ``json.loads``.
+
+    ``None`` comes back for a multi-digit or signed label, a leading zero, a
+    trailing comma, a file whose remainder does not decode or parse (a BOM,
+    say), a duplicate key in any object, and a cut array that is not the
+    top-level object's ``key``: that object must be the only one parsed with
+    ``key`` holding ``[]``.  A match whose opening quote follows a backslash
+    is refused too, since its key only ends in the name; any other match
+    starts a real key, because a raw quote inside a string would end it.
+    So every document returned is the one ``json.loads`` gives, with the
+    same ints in the array, and every other file can go to it unchanged.
+    """
+    found = _array_start(key).search(raw)
+    if found is None or raw[found.start() - 1:found.start()] == b"\\":
+        return None
+    # the labels and separators lie in raw[start:end]; they are sliced from
+    # raw itself, since a copy of the body would cost more than the slices
+    start = found.end()
+    stop = end = raw.find(b"]", start)
+    while end > start and raw[end - 1] in _JSON_SPACE:
+        end -= 1
+    if end <= start:  # no closing bracket, or an empty array
+        return None
+    separator = _LABEL_SEPARATOR.match(raw, start + 1, end)
+    # a label and its separator; a lone label is the whole body
+    width = (separator.end() if separator else end) - start
+    count, short = divmod(end - start + width - 1, width)
+    if short or any(raw[start + j:end:width].count(raw[start + j]) != count - 1
+                    for j in range(1, width)):
+        return None
+    digits = raw[start:end:width]
+    if digits.translate(None, b"0123456789"):
+        return None
+
+    emptied = []  # every object parsed with ``key`` holding []
+
+    def unique_pairs(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            raise ValueError("duplicate key")
+        if obj.get(key) == []:
+            emptied.append(obj)
+        return obj
+
+    remainder = raw[:found.start(1)] + b"[]" + raw[stop + 1:]
+    try:
+        doc = json.loads(remainder.decode("utf-8"), object_pairs_hook=unique_pairs)
+    except (ValueError, RecursionError):
+        return None
+    if len(emptied) != 1 or emptied[0] is not doc:
+        return None
+    doc[key] = digits.translate(_DIGIT_LABELS)
+    return doc
 
 
 def _key_token(key) -> str:

@@ -483,6 +483,21 @@ def test_corrupted_partition_file_exits_one(tmp_path, capsys):
     assert run(["metrics", bad]) == 1
 
 
+def test_running_out_of_memory_exits_one_in_one_line(tmp_path, monkeypatch, capsys):
+    # an input inside the caps may still need more memory than there is
+    fn, poly = tmp_path / "t.fn", tmp_path / "t.poly.json"
+    assert run(["fn", "lifted-tribes", "--m", 3, "--a", 0, "--s", 2, "--out", fn]) == 0
+
+    def exhausted(poly):
+        raise MemoryError
+
+    monkeypatch.setattr("hamlab.encoding.polynomial_text", exhausted)
+    capsys.readouterr()
+    assert run(["fn", "interpolate", fn, "--out", poly]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not poly.exists()
+
+
 def test_verification_failure_exits_two(tmp_path, capsys):
     # a hand-built partition that badly violates the degree-1 guarantee
     # cannot be produced by the library, so exercise exit 2 via fn verify on

@@ -1,16 +1,20 @@
-"""The JSON artifact writer: byte-identical to the stdlib's indented dump."""
+"""The JSON artifact writer, byte-identical to the stdlib's indented dump,
+and the label-array loader, which gives what ``json.load`` gives."""
 
 import io
 import json
+import os
+import tempfile
 from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamlab import FiniteFunction, GridPolynomial, interpolate
+from hamlab import FiniteFunction, GridPolynomial, InvalidInputError, Partition, interpolate
+from hamlab import cli
 from hamlab.cli import main
-from hamlab.encoding import polynomial_text, write_json, write_polynomial
+from hamlab.encoding import labelled_doc, polynomial_text, write_json, write_polynomial
 
 
 def encoded(doc) -> str:
@@ -195,3 +199,145 @@ def test_fn_interpolate_writes_the_same_bytes_with_and_without_out(tmp_path, cap
     text = poly.read_text(encoding="utf-8")
     assert capsys.readouterr().out == header + text
     assert text == reference(json.loads(text)) and '"-' in text and "/" in text
+
+
+# the label-array loader
+_BASE = {"m": 3, "n": 2, "assignment": [0, 1, 1, 1, 2, 2, 1, 0, 0]}
+
+
+@pytest.mark.parametrize("text", [
+    encoded(_BASE), json.dumps(_BASE), json.dumps(_BASE, indent=4),
+    json.dumps(_BASE, indent="\t"), json.dumps(_BASE, separators=(",", ":")),
+    json.dumps(_BASE).replace(", ", ",\r\n "),
+    '{"assignment": [7], "m": 1}', '{"assignment":[ 3,\n4 ]}',
+    # strings that hold brackets or the key itself
+    '{"note": "\\"assignment\\": [1, 2] []", "assignment": [0, 1], "x": ["[", "]"]}',
+    '{"x": {"values": [1, 2]}, "values": [0, 1], "assignment": [5, 6]}',
+])
+def test_label_arrays_load_by_stride(text):
+    expected = json.loads(text)
+    expected["assignment"] = bytes(expected["assignment"])
+    assert labelled_doc(text.encode("utf-8"), "assignment") == expected
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"assignment": [0, 0], "assignment": [0, 1]}',  # json keeps the last
+    b'{"m": "[0]", "assignment": [0, 1], "m": 3}',
+    b'{"x": {"k": 1, "k": 2}, "assignment": [0, 1]}',
+    "\ufeff{\"assignment\": [0, 1]}".encode("utf-8"),
+    b'{"assignment": [0, 1], "s": "\xff"}', b'{"assignment": [0, 1]} x',
+    b'{"assignment": [0, 01]}', b'{"assignment": [0, 1,]}', b'{"assignment": [0, 10]}',
+    b'{"assignment": [10, 1]}', b'{"assignment": [12]}', b'{"assignment": [-1, 1]}',
+    b'{"assignment": [0 , 1]}', b'{"assignment": [0,1, 2]}', b'{"assignment": [0, 1.0]}',
+    b'{"assignment": [0, true]}', b'{"assignment": []}', b'{"assignment": [ ]}',
+    b'{"assignment": [0, 1}', b'{"assignment": [[0], 1]}', b'{"assignment": "[0, 1]"}',
+    # the first array under the key is not the top-level object's
+    b'{"x": {"assignment": [0, 1]}, "assignment": [2]}',
+    b'{"x": {"assignment": [0, 1]}, "assignment": []}',
+    b'{"x": [{"assignment": [0, 1]}]}', b'[{"assignment": [0, 1]}]',
+    b'{"x": {"assignment": [[1, 2]]}, "assignment": [5, 6]}',
+    # a key that only ends in the name
+    b'{"\\"assignment": [0, 1], "assignment": []}',
+    b'{"assign\\u006dent": [0, 1]}',
+])
+def test_other_layouts_are_left_to_json_load(raw):
+    assert labelled_doc(raw, "assignment") is None
+
+
+def json_load_path(path: str):
+    """The CLI's loader before ``labelled_doc``: a text-mode open, then
+    ``json.load``, with the same messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise cli.UsageError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:
+        raise cli.UsageError(f"cannot read {path}: {cli._message(exc)}")
+
+
+_EXTRA_VALUES = st.one_of(
+    st.sampled_from(["[]", "[0]", "]", "[", "x[]y", '"assignment": [1]', '"values": [0, 1]', "\\",
+                     0, None, [], [[]], [0, 1]]),
+    # the key again, in nested objects
+    st.sampled_from([{"assignment": [0, 1]}, {"values": []}, [{"values": [1]}],
+                     {"assignment": []}, {"values": [0, 1, 1]}]),
+)
+# bytes to put in a file, or to put in place of one of its bytes
+_STRAY = st.sampled_from([
+    b" ", b"\t", b"\r", b"\n", b",", b"[", b"]", b"[]", b"0", b"01", b"-", b".", b'"', b"\\",
+    b"\xff", b"\xef\xbb\xbf", b"x", b"",
+])
+
+
+def render(pairs, indent, item_sep, key_sep) -> str:
+    """A JSON object in ``json.dumps``'s layout, from its (key, value)
+    pairs; a repeated key is written twice."""
+    newline = "" if indent is None else "\n" + indent
+    members = [json.dumps(key) + key_sep
+               + json.dumps(value, indent=indent, separators=(item_sep, key_sep))
+               .replace("\n", newline)
+               for key, value in pairs]
+    closing = "" if indent is None else "\n"
+    return "{" + newline + (item_sep + newline).join(members) + closing + "}"
+
+
+@st.composite
+def label_files(draw):
+    """The key of a partition's or a function's label array, and the bytes
+    of a file holding it: random layout and key order, extra and duplicate
+    keys, strings holding brackets, and stray bytes."""
+    if draw(st.booleans()):
+        key, m = "assignment", draw(st.sampled_from([2, 3, 4, 11, 12]))
+        n = draw(st.integers(1, 2 if m < 5 else 1))
+        fields, count, size = [("m", m), ("n", n)], m ** n, m
+    else:
+        key, domain = "values", draw(st.sampled_from([[0, 1], [0, 1, 2], [0, "1/2", 2]]))
+        codomain = list(range(draw(st.sampled_from([1, 2, 3, 11]))))
+        n = draw(st.integers(1, 3))
+        fields, count, size = [("A", domain), ("B", codomain), ("n", n)], len(domain) ** n, len(codomain)
+    labels = draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count))
+    flaw = draw(st.sampled_from(["none", "none", "none", "label", "length", "empty"]))
+    if flaw == "label":
+        labels[draw(st.integers(0, count - 1))] = size
+    elif flaw == "length":
+        labels.pop()
+    elif flaw == "empty":
+        labels = []
+    # extra keys: new ones, ones that end in the key, and duplicates
+    names = ["note", '"' + key, "\\" + key, key, fields[0][0]]
+    extras = draw(st.lists(st.tuples(st.sampled_from(names), _EXTRA_VALUES), max_size=2))
+    pairs = draw(st.permutations([*fields, (key, labels), *extras]))
+    layout = (draw(st.sampled_from([None, "", " ", "    ", "\t"])),
+              draw(st.sampled_from([",", ", ", " ,", ",  "])),
+              draw(st.sampled_from([":", ": ", " : "])))
+    raw = render(pairs, *layout).encode("utf-8")
+    if draw(st.booleans()):
+        raw = raw.replace(b"\n", b"\r\n")
+    edits = draw(st.lists(st.tuples(st.integers(0, len(raw)), _STRAY, st.booleans()),
+                          max_size=2))
+    for at, stray, replace in sorted(edits, key=lambda edit: edit[0], reverse=True):
+        raw = raw[:at] + stray + raw[at + replace:]
+    return key, raw
+
+
+def outcome(load, path):
+    try:
+        return "loaded", load(path)
+    except (cli.UsageError, InvalidInputError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(case=label_files())
+@settings(max_examples=400, deadline=None)
+def test_label_files_load_as_json_load_loads_them(case):
+    key, raw = case
+    if key == "assignment":
+        load, build = cli._load_partition, Partition.from_doc
+    else:
+        load, build = cli._load_function, FiniteFunction.from_doc
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "labels.json")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        assert outcome(load, path) == outcome(lambda p: build(json_load_path(p)), path)
