@@ -103,11 +103,9 @@ def _message(exc: ValueError) -> str:
 
 
 def _load_json(path: str, labels: Optional[str] = None):
-    """The JSON document in the file at ``path``.  With ``labels``, a file
-    whose array under that key ``labelled_doc`` reads by stride comes back
-    with the labels as ``bytes``; any other file is read once and decoded as
-    a text-mode ``open`` decodes it (strict UTF-8, universal newlines), then
-    parsed by ``json.loads``, with the same errors."""
+    """The JSON document in the file at ``path``, read once: by
+    ``labelled_doc`` with the array under the key ``labels``, else decoded
+    as a text-mode ``open`` decodes it and parsed by ``json.loads``."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()

@@ -128,52 +128,34 @@ def _digit_lines(labels: bytes, sep: str) -> str:
 # label bytes from their ASCII digits: the inverse of _DIGIT_TEXT
 _DIGIT_LABELS = bytes.maketrans(b"0123456789", _DIGIT_BYTES)
 _JSON_SPACE = b" \t\n\r"
-# what may follow a label: a comma, then JSON whitespace
-_LABEL_SEPARATOR = re.compile(rb",[ \t\n\r]*")
-
-
-@functools.lru_cache(maxsize=None)
-def _array_start(key: str) -> re.Pattern:
-    """The quoted ``key``, its colon and the opening bracket of an array
-    (group 1), then the whitespace before the array's first item."""
-    name = re.escape(json.dumps(key).encode("ascii"))
-    return re.compile(rb"%s[ \t\n\r]*:[ \t\n\r]*(\[)[ \t\n\r]*" % name)
 
 
 def labelled_doc(raw: bytes, key: str) -> Optional[dict]:
-    """The JSON object held by the bytes ``raw`` when the array under its
-    ``key`` is a label array laid out by stride, with that array as a
-    ``bytes`` buffer of labels; ``None`` for any other file.
+    """The JSON object in ``raw`` with the array under its ``key`` as a
+    ``bytes`` buffer of labels, when that array holds single digits with
+    one uniform separator, a comma plus JSON whitespace; else ``None``.
 
-    The array qualifies when its items are single digits with one uniform
-    separator: a comma plus JSON whitespace, as ``write_json`` writes it
-    (",\n    ") and as ``json.dumps`` does (", ").  Strided slices check the
-    separators and take the digits, the inverse of ``_digit_lines``; no list
-    of the items is built.  The rest of the file, with the array replaced by
-    ``[]``, is decoded as strict UTF-8 and parsed by ``json.loads``.
-
-    ``None`` comes back for a multi-digit or signed label, a leading zero, a
-    trailing comma, a file whose remainder does not decode or parse (a BOM,
-    say), a duplicate key in any object, and a cut array that is not the
-    top-level object's ``key``: that object must be the only one parsed with
-    ``key`` holding ``[]``.  A match whose opening quote follows a backslash
-    is refused too, since its key only ends in the name; any other match
-    starts a real key, because a raw quote inside a string would end it.
-    So every document returned is the one ``json.loads`` gives, with the
-    same ints in the array, and every other file can go to it unchanged.
+    Strided slices check the separators and take the digits, the inverse of
+    ``_digit_lines``.  ``json.loads`` parses the rest, with the array
+    replaced by ``[]``; any duplicate key, a remainder that does not decode
+    or parse, or a cut that is not the top-level object's own ``key`` gives
+    ``None``, so every file not returned can go to ``json.load`` unchanged.
     """
-    found = _array_start(key).search(raw)
+    # the quoted key, its colon, the array's "[" (group 1) and the space after it
+    found = re.search(rb'"%s"[ \t\n\r]*:[ \t\n\r]*(\[)[ \t\n\r]*' % key.encode(), raw)
+    # after a backslash the quote is escaped, and the key only ends in the name;
+    # any other match starts a key, since a raw quote cannot sit inside a string
     if found is None or raw[found.start() - 1:found.start()] == b"\\":
         return None
-    # the labels and separators lie in raw[start:end]; they are sliced from
-    # raw itself, since a copy of the body would cost more than the slices
+    # the labels lie in raw[start:end], sliced from raw itself: a copy of the
+    # body would cost more than the slices
     start = found.end()
     stop = end = raw.find(b"]", start)
     while end > start and raw[end - 1] in _JSON_SPACE:
         end -= 1
     if end <= start:  # no closing bracket, or an empty array
         return None
-    separator = _LABEL_SEPARATOR.match(raw, start + 1, end)
+    separator = re.compile(rb",[ \t\n\r]*").match(raw, start + 1, end)
     # a label and its separator; a lone label is the whole body
     width = (separator.end() if separator else end) - start
     count, short = divmod(end - start + width - 1, width)
@@ -184,7 +166,7 @@ def labelled_doc(raw: bytes, key: str) -> Optional[dict]:
     if digits.translate(None, b"0123456789"):
         return None
 
-    emptied = []  # every object parsed with ``key`` holding []
+    emptied = []  # every object parsed with ``key`` holding []: only the top-level one
 
     def unique_pairs(pairs: list) -> dict:
         obj = dict(pairs)

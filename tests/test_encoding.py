@@ -290,12 +290,14 @@ def label_files(draw):
     if draw(st.booleans()):
         key, m = "assignment", draw(st.sampled_from([2, 3, 4, 11, 12]))
         n = draw(st.integers(1, 2 if m < 5 else 1))
-        fields, count, size = [("m", m), ("n", n)], m ** n, m
+        fields = [("m", m), ("n", n)]
+        count, size = m ** n, m
     else:
         key, domain = "values", draw(st.sampled_from([[0, 1], [0, 1, 2], [0, "1/2", 2]]))
         codomain = list(range(draw(st.sampled_from([1, 2, 3, 11]))))
         n = draw(st.integers(1, 3))
-        fields, count, size = [("A", domain), ("B", codomain), ("n", n)], len(domain) ** n, len(codomain)
+        fields = [("A", domain), ("B", codomain), ("n", n)]
+        count, size = len(domain) ** n, len(codomain)
     labels = draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count))
     flaw = draw(st.sampled_from(["none", "none", "none", "label", "length", "empty"]))
     if flaw == "label":
