@@ -70,7 +70,9 @@ INPUTS = {
     # one coordinate whose polynomial has negative "p/q" coefficients
     "negative.fn": {"A": [0, "1/2", -3, 2], "B": [0, 1, "-2/3"], "n": 1,
                     "values": [2, 0, 1, 2]},
-    # one partition in the layouts a hand or another tool may write
+    # one partition in the layouts a hand or another tool may write (a
+    # trailing comma is left to test_encoding: its json error text differs
+    # on Python 3.13)
     "compact.part": _BASE,
     "indent4.part": json.dumps(_BASE, indent=4),
     # json keeps the last of two equal keys
@@ -79,7 +81,6 @@ INPUTS = {
     "dupm.part": f'{{"m": "[0]", "n": 2, "assignment": [{_BASE_LABELS}], "m": 3}}',
     "bom.part": "\ufeff" + json.dumps(_BASE),
     "leadingzero.part": '{"m": 3, "n": 2, "assignment": [0, 1, 01, 1, 2, 2, 1, 0, 0]}',
-    "trailingcomma.part": f'{{"m": 3, "n": 2, "assignment": [{_BASE_LABELS},]}}',
     # labels 10 and 11 in a compact file
     "twodigit.part": {"m": 12, "n": 1, "assignment": [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]},
     "compact.fn": {"A": [0, 1, 2], "B": [0, 1, "1/2"], "n": 2,
@@ -184,7 +185,6 @@ CASES = [
     ["metrics", "dupm.part", "--out", "dupm.metrics.json"],
     ["metrics", "bom.part"],
     ["metrics", "leadingzero.part"],
-    ["metrics", "trailingcomma.part"],
     ["metrics", "twodigit.part", "--out", "twodigit.metrics.json"],
     ["fn", "verify", "compact.fn", "--out", "compact.verify.json"],
     ["report", "grid", "--m-range", "3:4", "--n-range", "2", "--d-range", "1:5",

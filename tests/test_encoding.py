@@ -343,3 +343,19 @@ def test_label_files_load_as_json_load_loads_them(case):
         with open(path, "wb") as handle:
             handle.write(raw)
         assert outcome(load, path) == outcome(lambda p: build(json_load_path(p)), path)
+
+
+@pytest.mark.parametrize("text", [
+    # a trailing comma, whose json error text differs on Python 3.13
+    '{"m": 3, "n": 2, "assignment": [0, 1, 1, 1, 2, 2, 1, 0, 0,]}',
+    '{"m": 3, "n": 2, "assignment": [0, 1, 1, 1, 2, 2, 1, 0, 0],}',
+    '{"m": 3, "n": 2, "assignment": [0, 1, 01, 1, 2, 2, 1, 0, 0]}',
+    "\ufeff" + json.dumps(_BASE),
+])
+def test_refused_layouts_fail_as_json_load_fails(tmp_path, text):
+    path = tmp_path / "refused.part"
+    path.write_text(text, encoding="utf-8")
+    assert labelled_doc(path.read_bytes(), "assignment") is None
+    expected = outcome(lambda p: Partition.from_doc(json_load_path(p)), str(path))
+    assert expected[0] == "UsageError"
+    assert outcome(cli._load_partition, str(path)) == expected
