@@ -85,6 +85,18 @@ INPUTS = {
     "twodigit.part": {"m": 12, "n": 1, "assignment": [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]},
     "compact.fn": {"A": [0, 1, 2], "B": [0, 1, "1/2"], "n": 2,
                    "values": [0, 2, 1, 1, 0, 0, 2, 2, 1]},
+    # vertex sets a hand may write: duplicates collapse, order does not
+    # matter, and every rank lies in 0..m^n-1
+    "dupranks.vset": {"m": 3, "n": 2, "ranks": [0, 4, 4, 8, 0, 5]},
+    "unsorted.vset": {"m": 3, "n": 2, "ranks": [8, 0, 5, 4, 1]},
+    "empty.vset": {"m": 3, "n": 2, "ranks": []},
+    "negative.vset": {"m": 3, "n": 2, "ranks": [0, -1, 4]},
+    "pastend.vset": {"m": 3, "n": 2, "ranks": [0, 9, 4]},
+    # a graph past the vertex cap, and the same set with the rank 10^60,
+    # which lies below 3^99999999: the ranks are checked without computing
+    # that power, and only then the cap
+    "hugegraph.vset": {"m": 3, "n": 99999999, "ranks": [0, 1]},
+    "hugerank.vset": {"m": 3, "n": 99999999, "ranks": [0, 1, 10 ** 60]},
 }
 
 CASES = [
@@ -187,6 +199,23 @@ CASES = [
     ["metrics", "leadingzero.part"],
     ["metrics", "twodigit.part", "--out", "twodigit.metrics.json"],
     ["fn", "verify", "compact.fn", "--out", "compact.verify.json"],
+    # the hand-written vertex sets of INPUTS, measured and checked
+    ["metrics", "dupranks.vset", "--out", "dupranks.metrics.json"],
+    ["bounds", "check", "dupranks.vset"],
+    ["metrics", "unsorted.vset", "--out", "unsorted.metrics.json"],
+    ["bounds", "check", "unsorted.vset", "--format", "csv"],
+    ["metrics", "empty.vset", "--out", "empty.metrics.json"],
+    ["bounds", "check", "empty.vset"],
+    ["metrics", "negative.vset"],
+    ["bounds", "check", "negative.vset"],
+    ["metrics", "pastend.vset"],
+    ["bounds", "check", "pastend.vset"],
+    ["metrics", "hugegraph.vset"],
+    ["bounds", "check", "hugegraph.vset"],
+    ["metrics", "hugerank.vset"],
+    ["bounds", "check", "hugerank.vset"],
+    ["metrics", "unsorted.vset", "--cap-vertices", "8"],
+    ["bounds", "check", "unsorted.vset", "--cap-vertices", "8"],
     ["report", "grid", "--m-range", "3:4", "--n-range", "2", "--d-range", "1:5",
      "--format", "csv"],
     ["report", "grid", "--m-range", "3,5", "--n-range", "3", "--d-range", "1",
