@@ -234,13 +234,14 @@ def _load_function(path: str) -> fn_mod.FiniteFunction:
     return fn_mod.FiniteFunction.from_doc(_load_json(path, "values"))
 
 
-def _load_measured(path: str):
-    """A partition or a vertex-set file, told apart by its keys."""
+def _load_measured(path: str, cap: int):
+    """A partition or a vertex-set file, told apart by its keys; a vertex
+    set's graph is checked against the vertex ``cap`` as it loads."""
     doc = _load_json(path, "assignment")
     if isinstance(doc, dict) and "assignment" in doc:
         return part_mod.Partition.from_doc(doc)
     if isinstance(doc, dict) and "ranks" in doc:
-        return VertexSet.from_doc(doc)
+        return VertexSet.from_doc(doc, cap)
     raise UsageError(f"{path} is neither a partition nor a vertex-set document")
 
 
@@ -306,7 +307,7 @@ def _promise(args, partition, base, cap) -> tuple[int, int]:
 # ------------------------------------------------------------------ metrics
 
 def _cmd_metrics(args, caps) -> int:
-    loaded = _load_measured(args.path)
+    loaded = _load_measured(args.path, caps["vertices"])
     if isinstance(loaded, part_mod.Partition):
         metrics = part_mod.partition_metrics(loaded, cap=caps["vertices"])
         print(
@@ -328,7 +329,7 @@ def _cmd_metrics(args, caps) -> int:
 def _cmd_bounds(args, caps) -> int:
     cap = caps["vertices"]
     if args.subcommand == "check":
-        loaded = _load_measured(args.path)
+        loaded = _load_measured(args.path, cap)
         m, n = loaded.params.m, loaded.params.n
         if isinstance(loaded, part_mod.Partition):
             metrics = part_mod.partition_metrics(loaded, cap=cap)

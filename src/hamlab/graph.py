@@ -12,7 +12,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Collection, Iterator, Optional, Sequence, Union
 
 from .encoding import int_token, int_tokens
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, check_enumeration, power_exceeds
@@ -100,40 +100,71 @@ def hamming_distance(x: Digits, y: Digits) -> int:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """A subset of the vertices of a Hamming graph, carried as a rank set."""
+    """A subset of the vertices of a Hamming graph, carried as a membership
+    buffer: ``members[r]`` is 1 when the vertex of rank r belongs to the
+    set and 0 when it does not, for each rank r in 0..m^n-1.
+
+    Any 0/1 sequence of length m^n is accepted and stored as ``bytes``;
+    :meth:`from_ranks` builds the buffer from member ranks.
+    """
 
     params: GraphParams
-    ranks: frozenset[int]
+    members: bytes
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", frozenset(self.ranks))
-        if not self.ranks:
-            return
         m, n = self.params.m, self.params.n
-        low, high = min(self.ranks), max(self.ranks)
-        # a rank below m^n is valid without ever computing m^n for huge n
-        if low < 0 or not power_exceeds(m, n, high):
-            bad = low if low < 0 else high
-            raise InvalidInputError(f"member rank {bad} outside the {m}^{n} vertex ranks")
+        labels = _grid_labels(self.members, m, n, 2, ("members", "membership label"))
+        object.__setattr__(self, "members", labels)
+
+    @property
+    def ranks(self) -> frozenset[int]:
+        """The member ranks, built anew on every access."""
+        return frozenset(itertools.compress(range(len(self.members)), self.members))
 
     @property
     def size(self) -> int:
-        return len(self.ranks)
+        return self.members.count(1)
 
     def __contains__(self, r: int) -> bool:
-        return r in self.ranks
+        return 0 <= r < len(self.members) and self.members[r] == 1
 
     def to_doc(self) -> dict:
-        return {"m": self.params.m, "n": self.params.n, "ranks": sorted(self.ranks)}
+        # the buffer is in rank order, so the ranks come out sorted
+        ranks = list(itertools.compress(range(len(self.members)), self.members))
+        return {"m": self.params.m, "n": self.params.n, "ranks": ranks}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "VertexSet":
+    def from_ranks(
+        cls, params: GraphParams, ranks: Collection[int], cap: int = DEFAULT_VERTEX_CAP
+    ) -> "VertexSet":
+        """The set of the vertices of the given ranks, in any order; a
+        repeated rank counts once.
+
+        Every rank must lie in 0..m^n-1, which is checked without computing
+        a huge m^n.  Only then are the m^n vertices checked against ``cap``
+        and the buffer filled.
+        """
+        m, n = params.m, params.n
+        if ranks:
+            low, high = min(ranks), max(ranks)
+            if low < 0 or not power_exceeds(m, n, high):
+                bad = low if low < 0 else high
+                raise InvalidInputError(f"member rank {bad} outside the {m}^{n} vertex ranks")
+        check_enumeration(m, n, cap)
+        members = bytearray(m ** n)
+        for r in ranks:
+            members[r] = 1
+        return cls(params, members)
+
+    @classmethod
+    def from_doc(cls, doc: dict, cap: int = DEFAULT_VERTEX_CAP) -> "VertexSet":
+        """A vertex-set document, its ranks checked as by :meth:`from_ranks`."""
         try:
             params = GraphParams(int_token(doc["m"]), int_token(doc["n"]))
-            ranks = frozenset(int_tokens(doc["ranks"]))
+            ranks = int_tokens(doc["ranks"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed vertex-set document: {exc}") from exc
-        return cls(params, ranks)
+        return cls.from_ranks(params, ranks, cap)
 
 
 # _BIT_CHARS[b] maps a byte to b"1" when its bit b is set, else to b"0"
@@ -142,8 +173,6 @@ _BIT_CHARS = tuple(
 )
 # _PACK_CODES[b] is the type code of the narrowest array whose items hold b bits
 _PACK_CODES = tuple(next(c for c in "BHILQ" if array(c).itemsize * 8 >= b) for b in range(65))
-# _LABEL_BYTES[count] holds the byte labels 0..count-1, which the range check deletes
-_LABEL_BYTES = tuple(bytes(range(count)) for count in range(257))
 
 
 def _grid_labels(
@@ -168,7 +197,7 @@ def _grid_labels(
             if not isinstance(labels, (bytes, bytearray, list, tuple)):
                 labels = array(code, labels)
             packed = bytes(labels)
-            valid = not packed.translate(None, _LABEL_BYTES[count])
+            valid = not packed.translate(None, bytes(range(count)))
         else:
             items = list(labels) if isinstance(labels, (bytes, bytearray)) else labels
             packed = array(code, items)
@@ -292,10 +321,7 @@ def induced_max_degree(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> int:
     check_enumeration(params.m, params.n, cap)
     if vset.size <= 1:
         return 0
-    member = bytearray(params.vertex_count)
-    for r in vset.ranks:
-        member[r] = 1
-    return _same_label_degree_extremes(_label_planes(member, 1), params, among=1)[0][0]
+    return _same_label_degree_extremes(_label_planes(vset.members, 1), params, among=1)[0][0]
 
 
 def independence_number(params: GraphParams) -> int:

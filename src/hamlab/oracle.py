@@ -78,7 +78,7 @@ def min_max_degree_subsets(
     if not 0 <= k <= count:
         raise InvalidInputError(f"need 0 <= k <= {count}, got k={k}")
     if k == 0:
-        return 0, VertexSet(params, frozenset())
+        return 0, VertexSet(params, bytes(count))
     total = (
         math.comb(count - 1, k - 1) if fix_first_vertex else math.comb(count, k)
     )
@@ -108,7 +108,10 @@ def min_max_degree_subsets(
             witness = subset
             if best == 0:
                 break
-    return best, VertexSet(params, frozenset(witness))
+    members = bytearray(count)
+    for r in witness:
+        members[r] = 1
+    return best, VertexSet(params, members)
 
 
 def sigma_exact(m: int, n: int, budget: SearchBudget = SearchBudget()) -> int:

@@ -9,7 +9,6 @@ sizes from the balanced size m^(n-1).
 from __future__ import annotations
 
 import functools
-import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -271,11 +270,10 @@ def part_vertex_set(part: Partition, index: int) -> VertexSet:
         raise InvalidInputError(f"part index {index} outside 0..{part.params.m - 1}")
     a = part.assignment
     if isinstance(a, bytes):  # one translate marks the members
-        hits = a.translate(bytes(map(index.__eq__, range(256))))
+        members = a.translate(bytes(map(index.__eq__, range(256))))
     else:
-        hits = map(index.__eq__, a)
-    ranks = frozenset(itertools.compress(range(len(a)), hits))
-    return VertexSet(part.params, ranks)
+        members = bytes(map(index.__eq__, a))
+    return VertexSet(part.params, members)
 
 
 def low_degree_subgraph(m: int, n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> VertexSet:

@@ -184,7 +184,7 @@ def test_consistency_check_subgraph_pass():
 
 def test_consistency_check_full_vertex_set():
     params = GraphParams(3, 2)
-    everything = VertexSet(params, frozenset(range(9)))
+    everything = VertexSet.from_ranks(params, range(9))
     reports = check_subgraph(3, 2, everything.size, induced_max_degree(everything))
     assert {r.bound for r in reports} == {"markov", "cayley", "domination"}
     assert all(r.satisfied for r in reports)

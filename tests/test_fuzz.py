@@ -1,6 +1,8 @@
 """Hostile inputs: every file loader and the CLI entry point either succeed or
-fail cleanly (InvalidInputError from a loader; exit status 0, 1 or 2 from
-``main``), never with another exception, and within a bounded time."""
+fail cleanly (InvalidInputError from a loader, or ResourceLimitError from the
+vertex-set loader, which checks the graph against the vertex cap as it
+builds its membership buffer; exit status 0, 1 or 2 from ``main``), never
+with another exception, and within a bounded time."""
 
 import io
 import json
@@ -11,7 +13,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
-from hamlab import FiniteFunction, GridPolynomial, InvalidInputError, Partition, VertexSet
+from hamlab import (
+    FiniteFunction,
+    GridPolynomial,
+    InvalidInputError,
+    Partition,
+    ResourceLimitError,
+    VertexSet,
+)
 from hamlab.cli import main
 
 # tokens that may stand where a file expects an integer or a rational
@@ -88,10 +97,10 @@ def polynomial_docs(draw):
     return terms
 
 
-def loads_or_rejects(loader, doc) -> None:
+def loads_or_rejects(loader, doc, rejections=(InvalidInputError,)) -> None:
     try:
         loader(doc)
-    except InvalidInputError:
+    except rejections:
         pass
 
 
@@ -104,7 +113,7 @@ def test_partition_loader_fuzz(doc):
 @given(doc=st.one_of(vertex_set_docs(), json_trees))
 @settings(max_examples=150, deadline=None)
 def test_vertex_set_loader_fuzz(doc):
-    loads_or_rejects(VertexSet.from_doc, doc)
+    loads_or_rejects(VertexSet.from_doc, doc, (InvalidInputError, ResourceLimitError))
 
 
 @given(doc=st.one_of(function_docs(), json_trees))

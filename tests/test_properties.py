@@ -177,12 +177,42 @@ def test_induced_max_degree_matches_pairwise_count(case):
     params = GraphParams(m, n)
     flags = _labels(m, n, seed, 2)
     members = [unrank(r, params) for r, flag in enumerate(flags) if flag]
-    vset = VertexSet(params, frozenset(r for r, flag in enumerate(flags) if flag))
+    vset = VertexSet(params, flags)
     expected = max(
         (sum(1 for v in members if hamming_distance(u, v) == 1) for u in members),
         default=0,
     )
     assert induced_max_degree(vset) == expected
+
+
+@given(m=st.integers(min_value=1, max_value=4), n=st.integers(min_value=1, max_value=3),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_vertex_set_matches_a_rank_set(m, n, data):
+    # the membership buffer against a frozenset of the same ranks, which
+    # arrive with repeats and in any order
+    params = GraphParams(m, n)
+    size = m ** n
+    rank_lists = st.lists(st.integers(0, size - 1), max_size=2 * size)
+    ranks = data.draw(rank_lists)
+    reference = frozenset(ranks)
+    reordered = data.draw(st.permutations(ranks + ranks[:data.draw(st.integers(0, 3))]))
+    other = data.draw(rank_lists)
+    for vset in (VertexSet.from_ranks(params, ranks),
+                 VertexSet.from_doc({"m": m, "n": n, "ranks": ranks})):
+        assert vset.size == len(reference)
+        assert vset.to_doc() == {"m": m, "n": n, "ranks": sorted(reference)}
+        assert vset.ranks == reference
+        assert [r in vset for r in range(-1, size + 1)] == [
+            r in reference for r in range(-1, size + 1)]
+        twin = VertexSet.from_ranks(params, reordered)
+        assert twin == vset and hash(twin) == hash(vset)
+        assert (VertexSet.from_ranks(params, other) == vset) == (frozenset(other) == reference)
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+    part = Partition(params, labels)
+    for index in range(m):
+        members = [r for r, label in enumerate(labels) if label == index]
+        assert part_vertex_set(part, index) == VertexSet.from_ranks(params, members)
 
 
 @given(case=scan_strategy, codomain_size=st.integers(min_value=1, max_value=5))
