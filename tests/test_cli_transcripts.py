@@ -65,6 +65,8 @@ INPUTS = {
     "steps.fn": {"A": [0, "1/2", -3, "7/5", 2], "B": [0, 1, "-2/3"], "n": 3,
                  "values": [((i // 25 >= 4) + 2 * (i // 5 % 5 >= 3) + (i % 5 >= 2)) % 3
                             for i in range(125)]},
+    # one domain value: no pair to restrict to
+    "onevalue.fn": {"A": [5], "B": [0, 1], "n": 2, "values": [1]},
     # a table that is zero everywhere: the empty polynomial
     "zero.fn": {"A": [0, 1, 2], "B": [0, 1], "n": 2, "values": [0] * 9},
     # one coordinate whose polynomial has negative "p/q" coefficients
@@ -162,6 +164,7 @@ CASES = [
     ["fn", "restrict", "twovalued6.fn", "--out", "twovalued6.restrict.json"],
     ["fn", "restrict", "lastisthree.fn"],
     ["fn", "restrict", "steps.fn", "--out", "steps.restrict.json"],
+    ["fn", "restrict", "onevalue.fn", "--out", "onevalue.restrict.json"],
     ["oracle", "sigma", "--m", "2", "--n", "3"],
     ["oracle", "sigma", "--m", "3", "--n", "2", "--format", "records", "--out",
      "sigma.jsonl"],
