@@ -34,8 +34,12 @@ from .graph import (
     GraphParams,
     _digit_table,
     _grid_labels,
+    _indicator,
+    _interleaved,
+    _joined,
     _label_planes,
     _same_label_degree_extremes,
+    _take,
     unrank,
 )
 
@@ -361,29 +365,6 @@ def _chunks(tables: Iterable, point_count: int) -> Iterator[list]:
         yield chunk
 
 
-def _interleaved(labels: Sequence[Union[bytes, array]]) -> Union[bytes, bytearray, array]:
-    """One label buffer of T equal label buffers of one type, interleaved:
-    slot r*T + t holds labels[t][r].  On a grid it is a table with one more
-    axis, of size T, after the last; ``_grid_tensor`` transforms the grid
-    axes and leaves the batch axis leading, so the tensor of labels[t] is
-    block t of the result (see ``_block_maxima``)."""
-    count = len(labels)
-    if count == 1:
-        return labels[0]
-    first = labels[0]
-    batch = first * count if isinstance(first, array) else bytearray(len(first) * count)
-    for t, table in enumerate(labels):
-        batch[t::count] = table
-    return batch
-
-
-def _indicator(labels: Union[bytes, bytearray, array], value: int) -> bytes:
-    """The 0/1 labels of where a label buffer holds ``value``."""
-    if isinstance(labels, array):
-        return bytes(map(value.__eq__, labels))
-    return labels.translate(bytes(value) + b"\1" + bytes(255 - value))
-
-
 class _Slots(dict):
     """The packed slot of each label, ``ints[label]`` plus the bias, built on
     the label's first use, so label values a table never takes cost nothing."""
@@ -462,25 +443,9 @@ def _degrees(scales: _Scales, arity: int, labels: Sequence[Union[bytes, array]])
                          range(len(labels)))
 
 
-def degrees(domain, codomain, arity: int, tables: Iterable[Sequence[int]],
-            cap: int = DEFAULT_VERTEX_CAP) -> list[int]:
-    """Total degree of the interpolating polynomial of each value table (see
-    ``FiniteFunction``) on domain^arity -> codomain; 0 for constants.
-
-    The tables are drawn lazily and packed in chunks of at most
-    ``_CHUNK_SLOTS`` labels, one transform per chunk."""
-    domain, codomain = _alphabets(domain, codomain, arity)
-    check_enumeration(len(domain), arity, cap, "grid points")
-    scales, found = _scales(domain, codomain), []
-    for chunk in _chunks(tables, len(domain) ** arity):
-        found += _degrees(scales, arity,
-                          [_value_labels(table, domain, codomain, arity) for table in chunk])
-    return found
-
-
 def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Total degree of the interpolating polynomial; 0 for constants: the
-    one-table case of ``degrees``."""
+    one-table case of ``_degrees``."""
     check_enumeration(len(f.domain), f.arity, cap, "grid points")
     return _degrees(_scales(f.domain, f.codomain), f.arity, (f.values,))[0]
 
@@ -524,12 +489,7 @@ def _label_sensitivities(labels: Sequence[Union[bytes, array]], m: int, n: int,
     if not labels:
         return []
     params = GraphParams(m, n)
-    joined = labels[0]
-    if len(labels) > 1:
-        joined = b"".join(labels)
-        if isinstance(labels[0], array):
-            joined = array(labels[0].typecode, joined)
-    planes = _label_planes(joined, (count - 1).bit_length())
+    planes = _label_planes(_joined(labels), (count - 1).bit_length())
     return [(params.regular_degree - same, first) for same, first in
             _same_label_degree_extremes(planes, params, largest=False, blocks=len(labels))]
 
@@ -718,8 +678,7 @@ def _restrictions(scales: _Scales, arity: int,
             good[::2], good[1::2] = slices[0], slices[pair]
             kept.append(pair)
         ranks = _digit_table([(0, p * m ** (n - 1 - j)) for j, p in enumerate(kept)])
-        found.append(_Restriction(b, tuple(kept), target, total,
-                                  bytes(map(indicator.__getitem__, ranks))))
+        found.append(_Restriction(b, tuple(kept), target, total, _take(indicator, ranks)))
     return found
 
 

@@ -4,6 +4,11 @@ The Hamming graph on parameters (m, n) has vertex set {0..m-1}^n with edges
 between words that differ in exactly one coordinate.  Vertices are identified
 with their big-endian mixed-radix rank, so rank((2,3,0)) = 2*16 + 3*4 + 0 = 44
 for m=4, n=3; all file formats rely on this encoding.
+
+A labelling of the vertices (a partition's parts, a vertex set's membership,
+a function table's values) is a label buffer in rank order, built by
+``_grid_labels``.  The buffer's storage type is known to this module alone:
+the other modules go through its ``_``-prefixed label-buffer helpers.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Collection, Iterator, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from .encoding import int_token, int_tokens
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, check_enumeration, power_exceeds
@@ -117,11 +122,6 @@ class VertexSet:
         object.__setattr__(self, "members", labels)
 
     @property
-    def ranks(self) -> frozenset[int]:
-        """The member ranks, built anew on every access."""
-        return frozenset(itertools.compress(range(len(self.members)), self.members))
-
-    @property
     def size(self) -> int:
         return self.members.count(1)
 
@@ -151,10 +151,7 @@ class VertexSet:
                 bad = low if low < 0 else high
                 raise InvalidInputError(f"member rank {bad} outside the {m}^{n} vertex ranks")
         check_enumeration(m, n, cap)
-        members = bytearray(m ** n)
-        for r in ranks:
-            members[r] = 1
-        return cls(params, members)
+        return cls(params, _membership(m ** n, ranks))
 
     @classmethod
     def from_doc(cls, doc: dict, cap: int = DEFAULT_VERTEX_CAP) -> "VertexSet":
@@ -208,6 +205,49 @@ def _grid_labels(
         bad = next(a for a in labels if not 0 <= a < count)
         raise InvalidInputError(f"{names[1]} {bad} outside 0..{count - 1}")
     return packed
+
+
+def _indicator(labels: Union[bytes, bytearray, array], value: int) -> bytes:
+    """The 0/1 labels of where a label buffer holds ``value``."""
+    if isinstance(labels, array):
+        return bytes(map(value.__eq__, labels))
+    return labels.translate(bytes(value) + b"\1" + bytes(255 - value))
+
+
+def _membership(count: int, ranks: Iterable[int]) -> bytearray:
+    """The 0/1 labels of ranks 0..count-1, 1 at each of ``ranks``."""
+    members = bytearray(count)
+    for r in ranks:
+        members[r] = 1
+    return members
+
+
+def _take(labels: Union[bytes, bytearray, array], ranks: Iterable[int]) -> Union[bytes, array]:
+    """labels[r] for each r of ``ranks``, in a buffer of the labels' type."""
+    taken = map(labels.__getitem__, ranks)
+    return array(labels.typecode, taken) if isinstance(labels, array) else bytes(taken)
+
+
+def _joined(buffers: Sequence[Union[bytes, array]]) -> Union[bytes, array]:
+    """Label buffers of one type laid end to end, in that type."""
+    if len(buffers) == 1:
+        return buffers[0]
+    joined = b"".join(buffers)  # array buffers join as raw items
+    return array(buffers[0].typecode, joined) if isinstance(buffers[0], array) else joined
+
+
+def _interleaved(buffers: Sequence[Union[bytes, array]]) -> Union[bytes, bytearray, array]:
+    """One label buffer of T equal label buffers of one type, interleaved:
+    slot r*T + t holds buffers[t][r].  On a grid it is a table with one more
+    axis, of size T, after the last."""
+    count = len(buffers)
+    if count == 1:
+        return buffers[0]
+    first = buffers[0]
+    batch = first * count if isinstance(first, array) else bytearray(len(first) * count)
+    for t, table in enumerate(buffers):
+        batch[t::count] = table
+    return batch
 
 
 def _label_planes(labels: Union[bytes, bytearray, array], bits: int) -> list[int]:

@@ -35,7 +35,7 @@ from .functions import (
     boolean_restriction_witness,
     verify_sensitivity_bound,
 )
-from .graph import GraphParams, VertexSet, neighbors, rank, unrank
+from .graph import GraphParams, VertexSet, _membership, neighbors, rank, unrank
 from .partitions import Partition, PartitionMetrics
 
 
@@ -108,10 +108,7 @@ def min_max_degree_subsets(
             witness = subset
             if best == 0:
                 break
-    members = bytearray(count)
-    for r in witness:
-        members[r] = 1
-    return best, VertexSet(params, members)
+    return best, VertexSet(params, _membership(count, witness))
 
 
 def sigma_exact(m: int, n: int, budget: SearchBudget = SearchBudget()) -> int:

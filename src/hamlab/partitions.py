@@ -8,7 +8,6 @@ sizes from the balanced size m^(n-1).
 
 from __future__ import annotations
 
-import functools
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -26,9 +25,12 @@ from .graph import (
     VertexSet,
     _digit_table,
     _grid_labels,
+    _indicator,
+    _joined,
     _label_planes,
     _label_sizes,
     _same_label_degree_extremes,
+    _take,
     unrank,
 )
 
@@ -206,14 +208,12 @@ def lift_partition(
     # it, which rotates the head's window of base labels by `shift`
     span = m * tails[0][1]
     labels = base.assignment
-    pack = bytes if type(labels) is bytes else functools.partial(array, labels.typecode)
     rows = {}
     for head in set(head_table):
         shift = head % span
         window = labels[head - shift:head - shift + span]
-        rows[head] = pack(map((window[shift:] + window[:shift]).__getitem__, tail_table))
-    joined = b"".join(map(rows.__getitem__, head_table))  # array rows join as raw items
-    return Partition(target, joined if pack is bytes else array(labels.typecode, joined))
+        rows[head] = _take(window[shift:] + window[:shift], tail_table)
+    return Partition(target, _joined([rows[head] for head in head_table]))
 
 
 def _theorem_base(m: int, d: int, n: int) -> tuple[int, int, int]:
@@ -268,12 +268,7 @@ def part_vertex_set(part: Partition, index: int) -> VertexSet:
     """The vertex set of one part."""
     if not 0 <= index < part.params.m:
         raise InvalidInputError(f"part index {index} outside 0..{part.params.m - 1}")
-    a = part.assignment
-    if isinstance(a, bytes):  # one translate marks the members
-        members = a.translate(bytes(map(index.__eq__, range(256))))
-    else:
-        members = bytes(map(index.__eq__, a))
-    return VertexSet(part.params, members)
+    return VertexSet(part.params, _indicator(part.assignment, index))
 
 
 def low_degree_subgraph(m: int, n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> VertexSet:

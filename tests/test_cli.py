@@ -224,7 +224,12 @@ def test_usage_errors_exit_one(capsys):
                  ["metrics", "/definitely/not/a/file.json"],
                  ["report", "grid", "--m-range", "abc", "--n-range", 2, "--d-range", 1],
                  ["construct", "degree1", "--m", 3, "--n", 2, "--cap-vertices", 0],
-                 ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 1, "--cap-subsets", -1]):
+                 ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 1, "--cap-subsets", -1],
+                 ["fn", "tribes", "--s", 0],
+                 ["fn", "lifted-tribes", "--m", 1, "--a", 0, "--s", 1],
+                 ["fn", "lifted-tribes", "--m", 3, "--a", 5, "--s", 1],
+                 ["oracle", "functions", "--m", 2, "--b", 2, "--n", 1, "--samples", 0,
+                  "--seed", 1]):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -28,6 +28,7 @@ from hamlab import (
     unrank,
 )
 from hamlab.errors import item_count, power_exceeds
+from hamlab.graph import _indicator, _interleaved, _joined, _membership, _take
 
 
 def test_rank_mixed_radix_example():
@@ -236,3 +237,30 @@ def test_byte_labels_given_in_a_wide_array_are_converted_by_value():
     wide, narrow = (FiniteFunction((0, 1), range(256), 8, table)
                     for table in (array("H", values), values))
     assert wide == narrow and type(wide.values) is bytes
+
+
+def _storage(labels):
+    """The storage of a label buffer: its array type code, or "bytes"."""
+    return labels.typecode if isinstance(labels, array) else "bytes"
+
+
+@pytest.mark.parametrize("make_labels, count", [(bytes, 256), (lambda v: array("H", v), 300)],
+                         ids=["bytes", "array"])
+def test_label_buffer_helpers_keep_the_storage_and_the_labels(make_labels, count):
+    # each helper against a plain list of the same labels; labels 0 and
+    # count - 1 sit at either end of the storage type's range
+    rng = random.Random(count)
+    lists = [[rng.randrange(count) for _ in range(40)] for _ in range(3)]
+    lists[0][:2] = 0, count - 1
+    buffers = [make_labels(labels) for labels in lists]
+    ranks = [rng.randrange(40) for _ in range(60)]  # with repeats, in any order
+    for found, reference in ((_joined(buffers), sum(lists, [])),
+                             (_interleaved(buffers), [a for row in zip(*lists) for a in row]),
+                             (_take(buffers[0], ranks), [lists[0][r] for r in ranks])):
+        assert _storage(found) == _storage(buffers[0]) and list(found) == reference
+    # one buffer is its own join and its own interleaving
+    assert _joined(buffers[:1]) is buffers[0] and _interleaved(buffers[:1]) is buffers[0]
+    for value in (0, count - 1, lists[0][5]):
+        indicator = _indicator(buffers[0], value)
+        assert type(indicator) is bytes and indicator == bytes(a == value for a in lists[0])
+    assert _membership(40, ranks) == bytes(r in ranks for r in range(40))
