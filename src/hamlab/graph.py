@@ -7,8 +7,9 @@ for m=4, n=3; all file formats rely on this encoding.
 
 A labelling of the vertices (a partition's parts, a vertex set's membership,
 a function table's values) is a label buffer in rank order, built by
-``_grid_labels``.  The buffer's storage type is known to this module alone:
-the other modules go through its ``_``-prefixed label-buffer helpers.
+``_grid_labels``.  Apart from the JSON encoding, which reads and writes a
+buffer as an int array, no other module reads the buffer's storage type:
+they go through the ``_``-prefixed label-buffer helpers here.
 """
 
 from __future__ import annotations
@@ -207,8 +208,9 @@ def _grid_labels(
     return packed
 
 
-def _indicator(labels: Union[bytes, bytearray, array], value: int) -> bytes:
-    """The 0/1 labels of where a label buffer holds ``value``."""
+def _indicator(labels: Union[bytes, bytearray, array], value: int) -> Union[bytes, bytearray]:
+    """The 0/1 labels of where a label buffer holds ``value``: ``bytes``, or
+    a ``bytearray`` for a ``bytearray`` of labels."""
     if isinstance(labels, array):
         return bytes(map(value.__eq__, labels))
     return labels.translate(bytes(value) + b"\1" + bytes(255 - value))
