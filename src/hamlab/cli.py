@@ -8,14 +8,13 @@ mathematical claim fails to hold.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
-import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from io import StringIO
 from typing import Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -133,16 +132,13 @@ def _write_json(doc, path: Optional[str], write=write_json) -> None:
 def _emit_rows(
     rows: Iterable[dict], fieldnames: Sequence[str], fmt: str, path: Optional[str]
 ) -> None:
-    buffer = StringIO()
-    if fmt == "csv":
-        write_csv(rows, fieldnames, buffer)
-    else:
-        write_records(rows, buffer)
-    if path is None:
-        sys.stdout.write(buffer.getvalue())
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
+    """Write each row as it is produced, to stdout or to the file at ``path``."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as stream:
+        if fmt == "csv":
+            write_csv(rows, fieldnames, stream)
+        else:
+            write_records(rows, stream)
 
 
 def _env_default(name: str, fallback: int) -> int:
@@ -538,14 +534,21 @@ def _check_grid_size(args, cap: int) -> None:
 
 def _cmd_report(args, caps) -> int:
     cap = caps["vertices"]
-    for m in args.m_range:  # before any cell, so no cap check sees such an m
-        if m < 3:
-            raise InvalidInputError(f"need m >= 3, got {m}")
+    ranges = (args.m_range, args.n_range, args.d_range)
+    # before any cell, so no cap check sees such an m and no row precedes the
+    # error; a colon range ascends, so its first value is its least
+    for name, values, least in zip("mnd", ranges, (3, 1, 1)):
+        for value in values[:1] if isinstance(values, range) else values:
+            if value < least:
+                raise InvalidInputError(f"need {name} >= {least}, got {value}")
     any_fail = False
 
     def rows():  # one cell at a time, so no list of every row is held
         nonlocal any_fail
-        for m, n, d in itertools.product(args.m_range, args.n_range, args.d_range):
+        if not all(ranges):  # no cells: walk no range
+            return
+        for m, n, d in ((m, n, d) for m in args.m_range for n in args.n_range
+                        for d in args.d_range):
             if power_exceeds(m, n, cap):
                 yield {"m": m, "n": n, "d": d, **dict.fromkeys(GRID_FIELDS[3:-1]),
                        "verdict": "SKIPPED"}

@@ -40,6 +40,8 @@ from .graph import (
     _label_planes,
     _same_label_degree_extremes,
     _take,
+    neighbors,
+    rank,
     unrank,
 )
 
@@ -453,19 +455,11 @@ def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
 def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
     """Number of Hamming-distance-1 neighbors on which f takes a different
     value."""
-    m = len(f.domain)
-    base_rank = f.point_rank(point)
-    own = f.values[base_rank]
-    strides = [m ** (f.arity - 1 - j) for j in range(f.arity)]
-    index_of = {v: i for i, v in enumerate(f.domain)}
-    idxs = [index_of[Fraction(x)] for x in point]
-    count = 0
-    for j in range(f.arity):
-        start = base_rank - idxs[j] * strides[j]
-        for t in range(m):
-            if t != idxs[j] and f.values[start + t * strides[j]] != own:
-                count += 1
-    return count
+    params = GraphParams(len(f.domain), f.arity)
+    base = f.point_rank(point)
+    own = f.values[base]
+    return sum(f.values[rank(v, params)] != own
+               for v in neighbors(unrank(base, params), params))
 
 
 def sensitivity(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, Point]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -68,9 +69,10 @@ def min_max_degree_subsets(
     """Exact minimum of the induced maximum degree over all k-subsets, with
     the first optimal subset in enumeration order as witness.
 
-    ``fix_first_vertex`` restricts the search to subsets containing rank 0;
-    vertex-transitivity makes the minimum identical (the witness may differ),
-    which the test suite verifies against the unpruned search.
+    ``fix_first_vertex`` restricts the search to subsets containing rank 0.
+    The value and the witness are the unpruned ones: vertex-transitivity
+    gives an optimal subset through rank 0, and combinations order lists
+    every such subset first.
     """
     params = GraphParams(m, n)
     check_enumeration(m, n, budget.max_vertices)
@@ -79,17 +81,15 @@ def min_max_degree_subsets(
         raise InvalidInputError(f"need 0 <= k <= {count}, got k={k}")
     if k == 0:
         return 0, VertexSet(params, bytes(count))
-    total = (
-        math.comb(count - 1, k - 1) if fix_first_vertex else math.comb(count, k)
-    )
+    total = math.comb(count - 1, k - 1) if fix_first_vertex else math.comb(count, k)
     if total > budget.max_subsets:
         raise ResourceLimitError(f"{total} subsets exceed the budget {budget.max_subsets}")
     adjacent = _neighbor_masks(params)
     bits = [1 << r for r in range(count)]
-    if fix_first_vertex:
-        candidates = ((0,) + rest for rest in itertools.combinations(range(1, count), k - 1))
-    else:
-        candidates = itertools.combinations(range(count), k)
+    # combinations order lists the comb(count-1, k-1) subsets through rank 0
+    # first; islice refuses a stop past sys.maxsize, which no search reaches
+    candidates = itertools.islice(itertools.combinations(range(count), k),
+                                  min(total, sys.maxsize))
     best = count  # above any possible degree
     witness: tuple[int, ...] = ()
     for subset in candidates:

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,45 @@ def test_report_grid_empty_ranges(tmp_path):
     ]
 
 
+def test_report_grid_writes_rows_as_it_goes(tmp_path, capsys):
+    # 20,000 SKIPPED cells make a 0.5 MB file; no copy of it is held
+    grid_path = tmp_path / "g.csv"
+    tracemalloc.start()
+    try:
+        assert run(["report", "grid", "--m-range", "3:20002", "--n-range", 30,
+                    "--d-range", 1, "--format", "csv", "--out", grid_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert len(grid_path.read_text().splitlines()) == 20_001
+
+
+@pytest.mark.parametrize("ranges", [
+    ["--m-range", "3", "--n-range", "1:1000000000000", "--d-range", "5:3"],
+    ["--m-range", "3:1000000000000", "--n-range", "5:3", "--d-range", "1"],
+])
+def test_report_grid_without_cells_exits_at_once(ranges):
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "hamlab", "report", "grid", *ranges],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0 and done.stderr == ""
+
+
+def test_report_grid_rejects_a_bad_d_before_any_row(tmp_path, capsys):
+    grid_path = tmp_path / "bad.jsonl"
+    assert run(["report", "grid", "--m-range", 3, "--n-range", 2, "--d-range", "1,0",
+                "--out", grid_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need d >= 1, got 0\n"
+    assert all(line.startswith("# ") for line in captured.out.splitlines())
+    assert not grid_path.exists()
+    assert run(["report", "grid", "--m-range", 3, "--n-range", 2, "--d-range", "1,0"]) == 1
+    assert all(line.startswith("# ") for line in capsys.readouterr().out.splitlines())
+
+
 def test_report_header_shows_a_colon_range_as_given(capsys):
     args = build_parser().parse_args(["report", "grid", "--m-range", "3:1000000",
                                       "--n-range", "5:3", "--d-range", "1,4"])
@@ -229,10 +269,12 @@ def test_usage_errors_exit_one(capsys):
                  ["fn", "lifted-tribes", "--m", 1, "--a", 0, "--s", 1],
                  ["fn", "lifted-tribes", "--m", 3, "--a", 5, "--s", 1],
                  ["oracle", "functions", "--m", 2, "--b", 2, "--n", 1, "--samples", 0,
-                  "--seed", 1]):
+                  "--seed", 1],
+                 ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 5]):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert err == "error: need 0 <= k <= 4, got k=5\n"
 
 
 def test_cap_violation_exits_one(tmp_path, capsys):
@@ -390,6 +432,12 @@ def test_exponent_tokens_exit_one(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert run(["bounds", "upper", "--m", 3, "--n", 4, "--eps", "0.1"]) == 0
     assert "eps=1/10" in capsys.readouterr().out
+    for token, problem in (("1/0", "bad rational token '1/0': Fraction(1, 0)"),
+                           (0.5, "expected integer or 'p/q' string, got 0.5"),
+                           (True, "expected a rational token, got True")):
+        path.write_text(json.dumps({"A": [0, token], "B": [0, 1], "n": 1, "values": [0, 1]}))
+        assert run(["fn", "degree", path]) == 1
+        assert capsys.readouterr().err == f"error: malformed function document: {problem}\n"
 
 
 def test_bounds_upper_at_an_eps_below_the_float_range(capsys):

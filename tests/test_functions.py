@@ -211,6 +211,9 @@ def test_local_sensitivity_validates_point():
     f = tribes(1)
     with pytest.raises(InvalidInputError):
         local_sensitivity(f, (2,))
+    pair = FiniteFunction(ZERO_ONE, ZERO_ONE, 2, (0, 1, 1, 0))
+    with pytest.raises(InvalidInputError, match=r"^point has 1 coordinates, expected 2$"):
+        pair.point_rank((0,))
 
 
 def test_indicator_decomposition_identities():
@@ -405,6 +408,13 @@ def test_polynomial_doc_sorted_by_degree_then_exponents():
 def test_polynomial_doc_rejects_non_integer_exponents(exponents):
     with pytest.raises(InvalidInputError):
         GridPolynomial.from_doc([{"exponents": exponents, "coefficient": 1}])
+
+
+def test_polynomial_rejects_points_and_exponents_of_the_wrong_arity():
+    with pytest.raises(InvalidInputError, match=r"^bad exponent vector \(1,\)$"):
+        GridPolynomial(2, {(1,): 1})
+    with pytest.raises(InvalidInputError, match=r"^point has 1 coordinates, expected 2$"):
+        GridPolynomial(2, {(1, 0): 1}).evaluate((0,))
 
 
 def test_polynomial_drops_zero_coefficients():

@@ -67,9 +67,9 @@ def test_min_max_degree_witness_attains_minimum():
 
 def test_pruned_search_matches_unpruned():
     for m, n, k in [(2, 2, 3), (3, 2, 4), (2, 3, 5)]:
-        full = min_max_degree_subsets(m, n, k)[0]
-        pruned = min_max_degree_subsets(m, n, k, fix_first_vertex=True)[0]
-        assert full == pruned
+        full, pruned = (min_max_degree_subsets(m, n, k, fix_first_vertex=prune)
+                        for prune in (False, True))
+        assert (full[0], full[1].to_doc()["ranks"]) == (pruned[0], pruned[1].to_doc()["ranks"])
 
 
 def _reference_min_max_degree(m, n, k, fix_first_vertex):

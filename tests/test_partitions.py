@@ -362,3 +362,7 @@ def test_low_degree_subgraph_rejects_out_of_range():
         low_degree_subgraph(3, 2, 0)
     with pytest.raises(InvalidInputError):
         low_degree_subgraph(3, 2, 5)
+    with pytest.raises(InvalidInputError, match=r"^need m >= 3, got 2$"):
+        low_degree_subgraph(2, 3, 1)
+    with pytest.raises(InvalidInputError, match=r"^part index 3 outside 0\.\.2$"):
+        part_vertex_set(degree_one_partition(3, 2), 3)
