@@ -211,7 +211,7 @@ def test_report_grid_empty_ranges(tmp_path):
     ]
 
 
-def test_report_grid_writes_rows_as_it_goes(tmp_path, capsys):
+def test_report_grid_writes_rows_as_it_goes(tmp_path):
     # 20,000 SKIPPED cells make a 0.5 MB file; no copy of it is held
     grid_path = tmp_path / "g.csv"
     tracemalloc.start()
