@@ -119,6 +119,10 @@ CASES = [
     ["construct", "subgraph", "--m", "4", "--n", "3", "--d", "1", "--out", "sub.vset",
      "--verify", "--verbose"],
     ["construct", "subgraph", "--m", "3", "--n", "2", "--d", "3"],
+    # 756 member ranks across the ends of blocks of 1,000 ranks, and exactly
+    # 1,000 vertices written to stdout
+    ["construct", "subgraph", "--m", "3", "--n", "7", "--d", "2", "--out", "s7.vset"],
+    ["construct", "subgraph", "--m", "10", "--n", "3", "--d", "1"],
     ["metrics", "theorem.part", "--out", "theorem.metrics.json", "--verbose"],
     ["metrics", "sub.vset"],
     ["metrics", "wide.part", "--out", "wide.metrics.json"],
