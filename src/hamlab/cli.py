@@ -29,8 +29,9 @@ from .encoding import (
     value_token,
     write_csv,
     write_json,
-    write_polynomial,
     write_records,
+    write_terms,
+    write_vertex_set,
 )
 from .errors import (
     DEFAULT_FUNCTION_CAP,
@@ -266,7 +267,8 @@ def _cmd_construct(args, caps) -> int:
                 raise VerificationFailure(
                     f"subgraph degree {measured} exceeds the requested cap {args.d}"
                 )
-        _write_json(vset.to_doc(), args.out)
+        _write_json(vset.members, args.out,
+                    functools.partial(write_vertex_set, vset.params.m, vset.params.n))
         return 0
 
     if args.verify or args.verbose:
@@ -398,9 +400,9 @@ def _cmd_fn(args, caps) -> int:
 
     f = _load_function(args.path)
     if args.subcommand == "interpolate":
-        poly = fn_mod.interpolate(f, cap=cap)
-        print(f"degree {poly.degree()}, {len(poly.terms)} terms")
-        _write_json(poly, args.out, write_polynomial)
+        degree, count, terms = fn_mod._interpolant_terms(f, cap=cap)
+        print(f"degree {degree}, {count} terms")
+        _write_json(terms, args.out, functools.partial(write_terms, f.arity))
     elif args.subcommand == "degree":
         value = fn_mod.degree(f, cap=cap)
         print(f"degree {value}")
@@ -641,14 +643,24 @@ def _add_common(parser, fmt: bool, verify: bool) -> None:
         parser.set_defaults(verify=False)
 
 
+_ROWS = frozenset(row[:2] for row in _SUBCOMMANDS)
+
+
 @functools.cache
-def build_parser() -> _Parser:
-    """The argument parser, built on first use and shared by later calls:
-    parsing leaves it unchanged, and building it costs about 8 ms."""
+def build_parser(key: Optional[tuple[str, Optional[str]]] = None) -> _Parser:
+    """The argument parser, built on first use and shared by later calls
+    with the same ``key``: parsing leaves it unchanged.
+
+    A (command, subcommand) ``key`` of ``_SUBCOMMANDS`` builds that one
+    branch, which reads the command lines that name it as the full tree
+    does, in about 14 ``add_argument`` calls; without one the full tree
+    takes 276, 6 to 14 ms on a 2-vCPU VM."""
     parser = _Parser(prog="hamlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for command, subcommand, flags, extras, options in _SUBCOMMANDS:
+        if key is not None and (command, subcommand) != key:
+            continue
         if subcommand is None:
             sub = commands.add_parser(command, help=_COMMANDS[command][1])
             sub.set_defaults(subcommand=None)
@@ -665,8 +677,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parser_key(argv: Sequence[str]) -> Optional[tuple[str, Optional[str]]]:
+    """The row of ``_SUBCOMMANDS`` that the first two words of ``argv``
+    name, or the first word for a command without subcommands; ``None``
+    for any other command line (help, unknown or abbreviated names, options
+    before the command), which the full tree reads."""
+    words = tuple(argv[:2])
+    return next((key for key in (words, words[:1] + (None,)) if key in _ROWS), None)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_parser_key(argv))
     try:
         args = parser.parse_args(argv)
         caps = _resolve_caps(args)

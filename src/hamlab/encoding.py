@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import re
 from array import array
@@ -269,32 +270,73 @@ def write_json(doc, stream: Union[TextIO, str]) -> None:
     _write_chunks(out, stream)
 
 
-def polynomial_text(poly: "GridPolynomial") -> str:
-    """The artifact of a polynomial, byte for byte ``json.dumps(poly.to_doc(),
-    sort_keys=True, indent=2)`` plus a newline.
+def polynomial_text(arity: int, terms: Iterable[tuple[Sequence[int], int, int]]) -> str:
+    """The artifact of a polynomial on ``arity`` variables, byte for byte
+    ``json.dumps(poly.to_doc(), sort_keys=True, indent=2)`` plus a newline.
 
-    Each term fills one template, its coefficient followed by one exponent
-    per line, where the generic writer would build and walk two dicts and a
-    list per term.  A coefficient is an integer, or a "p/q" string.
+    ``terms`` are its nonzero terms in artifact order, by total degree and
+    then by exponent vector, as (exponents, numerator, denominator) triples
+    of coefficients in lowest terms with a positive denominator.  Each term
+    fills one template, its coefficient followed by one exponent per line,
+    where the generic writer would build and walk two dicts and a list per
+    term.  A coefficient is an integer, or a "p/q" string.
     """
-    if not poly.terms:
-        return "[]\n"
-    exponents = ",\n      ".join(["%d"] * poly.arity)
+    exponents = ",\n      ".join(["%d"] * arity)
     tail = (',\n    "exponents": ' + (f"[\n      {exponents}\n    ]" if exponents else "[]")
             + "\n  }")
     whole = '  {\n    "coefficient": %d' + tail
     ratio = '  {\n    "coefficient": "%d/%d"' + tail
-    out = []
-    for exps, coeff in poly.sorted_terms():
-        num, den = coeff.as_integer_ratio()
-        out.append(whole % (num, *exps) if den == 1 else ratio % (num, den, *exps))
-    return "[\n" + ",\n".join(out) + "\n]\n"
+    out = [whole % (num, *exps) if den == 1 else ratio % (num, den, *exps)
+           for exps, num, den in terms]
+    return "[\n" + ",\n".join(out) + "\n]\n" if out else "[]\n"
+
+
+def write_terms(arity: int, terms: Iterable[tuple[Sequence[int], int, int]],
+                stream: Union[TextIO, str]) -> None:
+    """A polynomial artifact of the terms (see ``polynomial_text``); like
+    ``write_json``, the whole text is built before a path is opened."""
+    _write_chunks([polynomial_text(arity, terms)], stream)
 
 
 def write_polynomial(poly: "GridPolynomial", stream: Union[TextIO, str]) -> None:
-    """A polynomial artifact, laid out by ``polynomial_text``; like
-    ``write_json``, the whole text is built before a path is opened."""
-    _write_chunks([polynomial_text(poly)], stream)
+    """The artifact of a polynomial, from its sorted terms (see
+    ``write_terms``)."""
+    write_terms(poly.arity, ((exps, coeff.numerator, coeff.denominator)
+                             for exps, coeff in poly.sorted_terms()), stream)
+
+
+# ranks per block of a vertex-set artifact: a block's ranks share their
+# leading digits and differ in their last three
+_RANK_BLOCK = 1000
+
+
+@functools.cache
+def _rank_suffixes(padded: bool) -> tuple[str, ...]:
+    """The text of 0..999, zero-padded to three digits when ``padded``: the
+    last three digits of a rank in a block after the first."""
+    return tuple(f"{r:03d}" if padded else str(r) for r in range(_RANK_BLOCK))
+
+
+def write_vertex_set(m: int, n: int, members: bytes, stream: Union[TextIO, str]) -> None:
+    """The artifact of the vertex set of the m^n-vertex graph whose 0/1
+    ``members`` are in rank order, byte for byte ``write_json`` of
+    ``VertexSet.to_doc``.
+
+    Each block q of 1,000 ranks is laid out by ``itertools.compress`` of
+    its members over ready-made rank suffixes, each joined after the block's
+    leading digits str(q) (none for q = 0), so no int is built per rank.
+    Like ``write_json``, the whole text is built before a path is opened.
+    """
+    sep = ",\n    "
+    out = ['{\n  "m": %d,\n  "n": %d,\n  "ranks": ' % (m, n)]
+    for q, block in enumerate(range(0, len(members), _RANK_BLOCK)):
+        head = str(q) if q else ""
+        ranks = (sep + head).join(itertools.compress(_rank_suffixes(q > 0),
+                                                     members[block:block + _RANK_BLOCK]))
+        if ranks:
+            out += (sep if len(out) > 1 else "[\n    ", head, ranks)
+    out.append("\n  ]\n}\n" if len(out) > 1 else "[]\n}\n")
+    _write_chunks(out, stream)
 
 
 def write_csv(rows: Iterable[dict], fieldnames: Sequence[str], stream: TextIO) -> None:

@@ -287,17 +287,20 @@ def _bias_run(width: int, count: int) -> int:
     return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
 
 
-def _slot_values(tensor: bytes, width: int) -> Iterator[int]:
-    """The integers packed by ``_grid_tensor``, in slot order."""
+def _slot_values(tensor: bytes, width: int, flags: bytes) -> Iterator[int]:
+    """The integers packed by ``_grid_tensor`` in the slots whose byte of
+    ``flags`` is nonzero, in slot order."""
     if width in _WORD_CODES:
         slots = array(_WORD_CODES[width], tensor)
         if sys.byteorder == "big":
             slots.byteswap()
+        kept = itertools.compress(slots, flags)
     else:
-        bounds = range(0, len(tensor) + 1, width)
-        slots = map(int.from_bytes, map(tensor.__getitem__, map(slice, bounds, bounds[1:])),
-                    itertools.repeat("little"))
-    return map((-1 << 8 * width - 1).__add__, slots)
+        starts = list(itertools.compress(range(0, len(tensor), width), flags))
+        kept = map(int.from_bytes, map(tensor.__getitem__, map(slice, starts,
+                                                                map(width.__add__, starts))),
+                   itertools.repeat("little"))
+    return map((-1 << 8 * width - 1).__add__, kept)
 
 
 def _nonzero_slots(tensor: bytes, width: int) -> bytes:
@@ -419,19 +422,41 @@ def _scaled_tensor(scales: _Scales, arity: int,
     return tensor, width, scales.scale * lagrange_scale ** arity, scales.stretch
 
 
+Term = tuple[Exponents, int, int]  # exponents, numerator, positive denominator
+
+
+def _interpolant_terms(f: FiniteFunction,
+                       cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, int, list[Term]]:
+    """The degree, the term count and the nonzero terms of the interpolant
+    of f (see ``interpolate``), by total degree and then by exponent vector,
+    each coefficient in lowest terms, with no Fraction built.
+
+    Tensor slot e holds the coefficient of the monomial whose exponent
+    vector is the big-endian index e, so the nonzero slots list their
+    vectors in lexicographic order, and a stable sort by degree gives the
+    artifact order."""
+    m, n = len(f.domain), f.arity
+    check_enumeration(m, n, cap, "grid points")
+    tensor, width, scale, stretch = _scaled_tensor(_scales(f.domain, f.codomain), n, f.values)
+    flags = _nonzero_slots(tensor, width)
+    exponents = list(itertools.compress(itertools.product(range(m), repeat=n), flags))
+    degrees = list(map(sum, exponents))
+    powers = [stretch ** k for k in range((m - 1) * n + 1)]
+    terms = []
+    for exps, d, c in zip(exponents, degrees, _slot_values(tensor, width, flags)):
+        c *= powers[d]  # the x^e coefficient is c * stretch^|e| over the scale
+        common = math.gcd(c, scale)
+        terms.append((exps, c // common, scale // common))
+    order = sorted(range(len(terms)), key=degrees.__getitem__)
+    return max(degrees, default=0), len(terms), [terms[i] for i in order]
+
+
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
-    coefficients."""
-    check_enumeration(len(f.domain), f.arity, cap, "grid points")
-    tensor, width, scale, stretch = _scaled_tensor(_scales(f.domain, f.codomain), f.arity,
-                                                   f.values)
-    powers = [stretch ** k for k in range((len(f.domain) - 1) * f.arity + 1)]
-    exponents = itertools.product(range(len(f.domain)), repeat=f.arity)
-    return GridPolynomial._exact(f.arity, {exps: Fraction(c * powers[sum(exps)], scale)
-                                           for exps, c in zip(exponents,
-                                                              _slot_values(tensor, width))
-                                           if c})
+    coefficients, built from ``_interpolant_terms``."""
+    _, _, terms = _interpolant_terms(f, cap)
+    return GridPolynomial._exact(f.arity, {exps: Fraction(num, den) for exps, num, den in terms})
 
 
 def _degrees(scales: _Scales, arity: int, labels: Sequence[Union[bytes, array]]) -> list[int]:
@@ -788,4 +813,4 @@ def lifted_tribes(
         for axis in (misses, [1 - x for x in misses])
     )
     met = _digit_table([first] + [later] * (tribe_count - 1))
-    return FiniteFunction(dom, _ZERO_ONE, width, tuple(int(c > 0) for c in met))
+    return FiniteFunction(dom, _ZERO_ONE, width, bytes(map(bool, met)))

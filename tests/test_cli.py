@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import hamlab
-from hamlab.cli import _print_header, build_parser, main
+from hamlab import cli
+from hamlab.cli import UsageError, _print_header, build_parser, main
 from hamlab.encoding import write_json
 
 SRC = Path(hamlab.__file__).resolve().parent.parent
@@ -256,6 +257,49 @@ def test_report_header_shows_a_colon_range_as_given(capsys):
     _print_header(args, {"vertices": 1, "subsets": 1, "functions": 1})
     params = capsys.readouterr().out.splitlines()[1]
     assert params == "# params: d-range=[1, 4] m-range=3:1000000 n-range=5:3"
+
+
+# a value of each argument type, for command lines built from the parser's rows
+_ARGUMENT_VALUES = {None: "p.json", int: "5", cli._rational: "1/2", cli._int_range: "3:4"}
+
+
+def _row_argv(row) -> list[str]:
+    """A valid command line of a row of ``_SUBCOMMANDS``, every option given."""
+    command, subcommand, flags, extras, options = row
+    argv = [command] + ([subcommand] if subcommand else [])
+    for flag in flags.split():
+        argv += [f"--{flag}", "3"]
+    for name, spec in extras:
+        value = [] if spec.get("action") == "store_true" else [_ARGUMENT_VALUES[spec.get("type")]]
+        argv += [name, *value] if name.startswith("--") else value
+    argv += ["--seed", "1", "--cap-vertices", "9", "--config", "c.json", "--out", "o.json",
+             "--verbose"]
+    argv += ["--format", "csv"] if "format" in options else []
+    return argv + (["--verify"] if "verify" in options else [])
+
+
+@pytest.mark.parametrize("row", cli._SUBCOMMANDS, ids=lambda row: " ".join(filter(None, row[:2])))
+def test_branch_parser_reads_its_row_as_the_full_parser_does(row):
+    key, argv = row[:2], _row_argv(row)
+    branch, full = build_parser(key), build_parser()
+    assert cli._parser_key(argv) == key
+    assert branch.parse_args(argv) == full.parse_args(argv)
+    words = argv[:1 + (key[1] is not None)]
+    malformed = [words, argv + ["--bogus"], argv + ["extra"], argv + ["--seed", "x"],
+                 argv + ["--format", "xml"]]
+    for bad in malformed:
+        with pytest.raises(UsageError) as from_branch:
+            branch.parse_args(bad)
+        with pytest.raises(UsageError) as from_full:
+            full.parse_args(bad)
+        assert str(from_branch.value) == str(from_full.value), bad
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["construct"], ["construct", "--help"],
+                                  ["constr", "theorem1"], ["construct", "theorem"],
+                                  ["--seed", "1", "metrics", "p.part"], ["theorem1"]])
+def test_other_command_lines_go_to_the_full_parser(argv):
+    assert cli._parser_key(argv) is None
 
 
 def test_usage_errors_exit_one(capsys):
@@ -541,7 +585,7 @@ def test_running_out_of_memory_exits_one_in_one_line(tmp_path, monkeypatch, caps
     fn, poly = tmp_path / "t.fn", tmp_path / "t.poly.json"
     assert run(["fn", "lifted-tribes", "--m", 3, "--a", 0, "--s", 2, "--out", fn]) == 0
 
-    def exhausted(poly):
+    def exhausted(arity, terms):
         raise MemoryError
 
     monkeypatch.setattr("hamlab.encoding.polynomial_text", exhausted)

@@ -11,10 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamlab import FiniteFunction, GridPolynomial, InvalidInputError, Partition, interpolate
+from hamlab import (FiniteFunction, GraphParams, GridPolynomial, InvalidInputError, Partition,
+                    VertexSet, interpolate)
 from hamlab import cli
 from hamlab.cli import main
-from hamlab.encoding import labelled_doc, polynomial_text, write_json, write_polynomial
+from hamlab.encoding import (labelled_doc, polynomial_text, write_json, write_polynomial,
+                             write_vertex_set)
+from hamlab.functions import _interpolant_terms
 
 
 def encoded(doc) -> str:
@@ -138,6 +141,10 @@ def test_cli_artifacts_reencode_to_their_own_bytes(tmp_path, capsys):
 
 
 # polynomial artifacts: the layout writer against the indented dump of to_doc
+def triples(poly: GridPolynomial) -> list:
+    return [(exps, c.numerator, c.denominator) for exps, c in poly.sorted_terms()]
+
+
 big_ints = st.one_of(st.integers(), st.integers(2 ** 63, 2 ** 200), st.integers(-2 ** 200, -2 ** 63))
 coefficients = st.one_of(
     big_ints.map(Fraction),
@@ -154,20 +161,31 @@ def polynomials(draw):
 
 
 @st.composite
-def interpolated(draw):
+def grid_functions(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     domain = draw(st.lists(st.fractions(max_denominator=9), min_size=m, max_size=m,
                            unique=True))
     codomain = draw(st.lists(coefficients, min_size=1, max_size=3, unique=True))
     values = draw(st.lists(st.integers(0, len(codomain) - 1), min_size=m ** n,
                            max_size=m ** n))
-    return interpolate(FiniteFunction(domain, codomain, n, values))
+    return FiniteFunction(domain, codomain, n, values)
+
+
+def interpolated():
+    return grid_functions().map(interpolate)
 
 
 @given(poly=st.one_of(polynomials(), interpolated()))
 @settings(max_examples=200, deadline=None)
 def test_polynomial_layout_matches_indented_dumps(poly):
-    assert polynomial_text(poly) == reference(poly.to_doc())
+    assert polynomial_text(poly.arity, triples(poly)) == reference(poly.to_doc())
+
+
+@given(f=grid_functions())
+@settings(max_examples=100, deadline=None)
+def test_interpolant_terms_are_the_sorted_terms_of_interpolate(f):
+    poly = interpolate(f)
+    assert _interpolant_terms(f) == (poly.degree(), len(poly.terms), triples(poly))
 
 
 @pytest.mark.parametrize("arity, terms", [
@@ -180,7 +198,7 @@ def test_polynomial_layout_edge_cases(arity, terms):
     poly = GridPolynomial(arity, terms)
     stream = io.StringIO()
     write_polynomial(poly, stream)
-    assert stream.getvalue() == polynomial_text(poly) == reference(poly.to_doc())
+    assert stream.getvalue() == polynomial_text(arity, triples(poly)) == reference(poly.to_doc())
 
 
 def test_fn_interpolate_writes_the_same_bytes_with_and_without_out(tmp_path, capsys,
@@ -199,6 +217,51 @@ def test_fn_interpolate_writes_the_same_bytes_with_and_without_out(tmp_path, cap
     text = poly.read_text(encoding="utf-8")
     assert capsys.readouterr().out == header + text
     assert text == reference(json.loads(text)) and '"-' in text and "/" in text
+    # the command writes the artifact of the library's polynomial
+    f = FiniteFunction.from_doc(json.loads(fn.read_text(encoding="utf-8")))
+    assert text == polynomial_text(f.arity, triples(interpolate(f)))
+
+
+# vertex-set artifacts: the rank-block writer against the indented dump of to_doc;
+# graphs of m^n below, equal to and above the 1,000 ranks of a block
+_VSET_GRIDS = ((3, 2), (31, 2), (10, 3), (11, 3), (3, 7))
+
+
+def vset_text(vset: VertexSet) -> tuple[str, str]:
+    """The artifact written to a stream and to a path."""
+    stream = io.StringIO()
+    write_vertex_set(vset.params.m, vset.params.n, vset.members, stream)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "s.vset")
+        write_vertex_set(vset.params.m, vset.params.n, vset.members, path)
+        with open(path, encoding="utf-8") as handle:
+            return stream.getvalue(), handle.read()
+
+
+@st.composite
+def vertex_sets(draw):
+    m, n = draw(st.sampled_from(_VSET_GRIDS))
+    count = m ** n
+    edges = [r for r in (0, 1, 998, 999, 1000, 1001, 1999, 2000, count - 1) if r < count]
+    ranks = draw(st.one_of(st.sets(st.integers(0, count - 1)), st.sets(st.sampled_from(edges)),
+                           st.just(range(count))))
+    return VertexSet.from_ranks(GraphParams(m, n), ranks)
+
+
+@given(vset=vertex_sets())
+@settings(max_examples=150, deadline=None)
+def test_vertex_set_layout_matches_indented_dumps(vset):
+    assert vset_text(vset) == (reference(vset.to_doc()),) * 2
+
+
+@pytest.mark.parametrize("m, n", _VSET_GRIDS)
+@pytest.mark.parametrize("pick", ["empty", "full", "zero", "block ends"])
+def test_vertex_set_layout_edge_cases(m, n, pick):
+    count = m ** n
+    ranks = {"empty": [], "full": range(count), "zero": [0],
+             "block ends": [r for r in (999, 1000, 1001) if r < count]}[pick]
+    vset = VertexSet.from_ranks(GraphParams(m, n), ranks)
+    assert vset_text(vset) == (reference(vset.to_doc()),) * 2
 
 
 # the label-array loader

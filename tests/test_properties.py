@@ -377,10 +377,13 @@ def _list_axes(table, matrices):
 
 
 def _unpacked(tensor, width):
-    """The packed tensor's integers; its nonzero flags must agree with them."""
-    values = list(_slot_values(tensor, width))
+    """The packed tensor's integers; its nonzero flags must agree with them,
+    and the integers of the flagged slots must be the nonzero ones."""
+    values = list(_slot_values(tensor, width, b"\1" * (len(tensor) // width)))
     assert len(values) * width == len(tensor)
-    assert [bool(b) for b in _nonzero_slots(tensor, width)] == [v != 0 for v in values]
+    flags = _nonzero_slots(tensor, width)
+    assert [bool(b) for b in flags] == [v != 0 for v in values]
+    assert list(_slot_values(tensor, width, flags)) == [v for v in values if v]
     return values
 
 
