@@ -422,14 +422,12 @@ def _scaled_tensor(scales: _Scales, arity: int,
     return tensor, width, scales.scale * lagrange_scale ** arity, scales.stretch
 
 
-Term = tuple[Exponents, int, int]  # exponents, numerator, positive denominator
-
-
-def _interpolant_terms(f: FiniteFunction,
-                       cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, int, list[Term]]:
+def _interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
+                       ) -> tuple[int, int, list[tuple[Exponents, int, int]]]:
     """The degree, the term count and the nonzero terms of the interpolant
     of f (see ``interpolate``), by total degree and then by exponent vector,
-    each coefficient in lowest terms, with no Fraction built.
+    as (exponents, numerator, denominator) triples of each coefficient in
+    lowest terms, with no Fraction built.
 
     Tensor slot e holds the coefficient of the monomial whose exponent
     vector is the big-endian index e, so the nonzero slots list their
