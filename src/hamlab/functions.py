@@ -423,16 +423,17 @@ def _scaled_tensor(scales: _Scales, arity: int,
 
 
 def _interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
-                       ) -> tuple[int, int, list[tuple[Exponents, int, int]]]:
-    """The degree, the term count and the nonzero terms of the interpolant
-    of f (see ``interpolate``), by total degree and then by exponent vector,
-    as (exponents, numerator, denominator) triples of each coefficient in
-    lowest terms, with no Fraction built.
+                       ) -> tuple[int, int, Iterator[tuple[Exponents, int, int]]]:
+    """The degree, the term count and an iterator of the nonzero terms of
+    the interpolant of f (see ``interpolate``), by total degree and then by
+    exponent vector, as (exponents, numerator, denominator) triples of each
+    coefficient in lowest terms, with no Fraction built.
 
     Tensor slot e holds the coefficient of the monomial whose exponent
     vector is the big-endian index e, so the nonzero slots list their
     vectors in lexicographic order, and a stable sort by degree gives the
-    artifact order."""
+    artifact order.  Each triple is built as it is drawn, so a writer that
+    draws one at a time holds no list of them."""
     m, n = len(f.domain), f.arity
     check_enumeration(m, n, cap, "grid points")
     tensor, width, scale, stretch = _scaled_tensor(_scales(f.domain, f.codomain), n, f.values)
@@ -440,13 +441,16 @@ def _interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
     exponents = list(itertools.compress(itertools.product(range(m), repeat=n), flags))
     degrees = list(map(sum, exponents))
     powers = [stretch ** k for k in range((m - 1) * n + 1)]
-    terms = []
-    for exps, d, c in zip(exponents, degrees, _slot_values(tensor, width, flags)):
-        c *= powers[d]  # the x^e coefficient is c * stretch^|e| over the scale
-        common = math.gcd(c, scale)
-        terms.append((exps, c // common, scale // common))
-    order = sorted(range(len(terms)), key=degrees.__getitem__)
-    return max(degrees, default=0), len(terms), [terms[i] for i in order]
+    slots = list(_slot_values(tensor, width, flags))
+    order = sorted(range(len(slots)), key=degrees.__getitem__)
+
+    def terms() -> Iterator[tuple[Exponents, int, int]]:
+        for i in order:
+            c = slots[i] * powers[degrees[i]]  # the x^e coefficient times the scale
+            common = math.gcd(c, scale)
+            yield exponents[i], c // common, scale // common
+
+    return max(degrees, default=0), len(order), terms()
 
 
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:

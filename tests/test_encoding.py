@@ -185,7 +185,8 @@ def test_polynomial_layout_matches_indented_dumps(poly):
 @settings(max_examples=100, deadline=None)
 def test_interpolant_terms_are_the_sorted_terms_of_interpolate(f):
     poly = interpolate(f)
-    assert _interpolant_terms(f) == (poly.degree(), len(poly.terms), triples(poly))
+    degree, count, terms = _interpolant_terms(f)
+    assert (degree, count, list(terms)) == (poly.degree(), len(poly.terms), triples(poly))
 
 
 @pytest.mark.parametrize("arity, terms", [
