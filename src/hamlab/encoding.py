@@ -10,13 +10,9 @@ import json
 import re
 from array import array
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .errors import InvalidInputError
-
-if TYPE_CHECKING:
-    from .functions import GridPolynomial
 
 
 def rational_to_token(value: Fraction) -> int | str:
@@ -84,18 +80,6 @@ def write_records(rows: Iterable[dict], stream: TextIO) -> None:
     for row in rows:
         stream.write(json.dumps(row, sort_keys=True))
         stream.write("\n")
-
-
-# the text of a scalar, for the exact types whose text needs no encoder
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-# item types a flat JSON array may hold; exact types, so subclasses of them
-# take the item-by-item path
-_SCALAR_TYPES = frozenset(_SCALAR_TEXT) | {float}
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,59 +172,6 @@ def labelled_doc(raw: bytes, key: str) -> Optional[dict]:
     return doc
 
 
-def _key_token(key) -> str:
-    # non-string keys become the text of their JSON value, as in the stdlib
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = _flat_encoder(0).encode(key)
-    return encode_basestring_ascii(key)
-
-
-def _json_chunks(doc, depth: int, out: list[str]) -> None:
-    """Append to ``out`` the 2-space indented encoding of ``doc``, whose
-    opening line sits ``depth`` indentation steps in."""
-    text = _SCALAR_TEXT.get(type(doc))
-    if text is not None:
-        out.append(text(doc))
-        return
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(doc, dict):
-        if not doc:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for key, value in sorted(doc.items()):
-            out += (sep, _key_token(key), ": ")
-            _json_chunks(value, depth + 1, out)
-            sep = "," + inner
-        out.append("\n" + "  " * depth + "}")
-    elif isinstance(doc, (bytes, array)):  # a label buffer: a flat array of ints
-        if type(doc) is bytes and doc and not doc.translate(None, _DIGIT_BYTES):
-            body = _digit_lines(doc, "," + inner)
-            out += ("[", inner, body, "\n" + "  " * depth + "]")
-        else:
-            _json_chunks(list(doc), depth, out)
-    elif isinstance(doc, (list, tuple)):
-        if not doc:
-            out.append("[]")
-        elif set(map(type, doc)) <= _SCALAR_TYPES:
-            # one C-encoder call lays out every item on its own line
-            flat = _flat_encoder(depth + 1).encode(doc)
-            out += ("[", inner, flat[1:-1], "\n" + "  " * depth + "]")
-        else:
-            sep = "[" + inner
-            for item in doc:
-                out.append(sep)
-                _json_chunks(item, depth + 1, out)
-                sep = "," + inner
-            out.append("\n" + "  " * depth + "]")
-    else:  # floats, subclasses of the scalar types, and what the stdlib rejects
-        out.append(_flat_encoder(0).encode(doc))
-
-
 def _write_chunks(chunks: list[str], stream: Union[TextIO, str]) -> None:
     """Write encoded text to ``stream``, or to a file opened only now when
     ``stream`` is a path."""
@@ -251,21 +182,60 @@ def _write_chunks(chunks: list[str], stream: Union[TextIO, str]) -> None:
         stream.writelines(chunks)
 
 
+# the string a label buffer is encoded as, and its JSON text, in whose place
+# the buffer's own layout is spliced
+_HOLE = "\0labels\0"
+_HOLE_TEXT = json.dumps(_HOLE)
+
+
+def _label_array(labels: Union[bytes, array], pad: str) -> tuple[str, ...]:
+    """The chunks of a flat array of the ints of ``labels``, whose opening
+    line is indented by ``pad``."""
+    if not labels:
+        return ("[]",)
+    inner = "\n" + pad + "  "
+    if type(labels) is bytes and not labels.translate(None, _DIGIT_BYTES):
+        body = _digit_lines(labels, "," + inner)
+    else:  # one C-encoder call lays out every item on its own line
+        body = _flat_encoder(len(pad) // 2 + 1).encode(list(labels))[1:-1]
+    return ("[", inner, body, "\n" + pad + "]")
+
+
 def write_json(doc, stream: Union[TextIO, str]) -> None:
     """One JSON artifact: sorted keys, 2-space indentation and one scalar per
     line, byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
     newline.
 
-    Arrays of scalars go through the C encoder in one call each, where
-    ``indent`` would make the stdlib fall back to its pure-Python encoder.
     A ``bytes`` or ``array`` value, which the stdlib rejects, is written as
-    the array of its ints; a ``bytes`` buffer of labels below 10 is laid out
-    straight from its bytes.  The whole document is encoded before anything
-    is written, and a ``stream`` given as a path is opened only then, so a
-    document that cannot be encoded leaves that file as it was.
+    the array of its ints.  The stdlib's encoder lays out everything else;
+    its ``default`` hook holds each buffer back and returns a placeholder
+    string, whose text the encoder yields as a chunk of its own right after
+    the hook call, and that chunk is replaced by the buffer's array, laid
+    out by ``_label_array`` at the indentation of the line it opens on.
+    The whole document is encoded before anything is written, and a
+    ``stream`` given as a path is opened only then, so a document that
+    cannot be encoded leaves that file as it was.
     """
+    pending = []  # the buffer whose placeholder the encoder yields next
+
+    def hold(value):
+        if not isinstance(value, (bytes, array)):
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            "is not JSON serializable")
+        pending.append(value)
+        return _HOLE
+
     out: list[str] = []
-    _json_chunks(doc, 0, out)
+    pad = ""  # the text after the last line break: at a placeholder, its indentation
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2, default=hold).iterencode(doc):
+        if pending and chunk == _HOLE_TEXT:
+            out += _label_array(pending.pop(), pad)
+            continue
+        if "\n" in chunk:
+            pad = chunk[chunk.rindex("\n") + 1:]
+        out.append(chunk)
+    if pending:
+        raise ValueError("a label buffer was not spliced into its JSON artifact")
     out.append("\n")
     _write_chunks(out, stream)
 
@@ -296,13 +266,6 @@ def write_terms(arity: int, terms: Iterable[tuple[Sequence[int], int, int]],
     """A polynomial artifact of the terms (see ``polynomial_text``); like
     ``write_json``, the whole text is built before a path is opened."""
     _write_chunks([polynomial_text(arity, terms)], stream)
-
-
-def write_polynomial(poly: "GridPolynomial", stream: Union[TextIO, str]) -> None:
-    """The artifact of a polynomial, from its sorted terms (see
-    ``write_terms``)."""
-    write_terms(poly.arity, ((exps, coeff.numerator, coeff.denominator)
-                             for exps, coeff in poly.sorted_terms()), stream)
 
 
 # ranks per block of a vertex-set artifact: a block's ranks share their

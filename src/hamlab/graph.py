@@ -14,6 +14,7 @@ they go through the ``_``-prefixed label-buffer helpers here.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import sys
 from array import array
@@ -267,10 +268,18 @@ def _label_planes(labels: Union[bytes, bytearray, array], bits: int) -> list[int
     ]
 
 
-def _label_sizes(planes: list[int], total: int, count: int) -> tuple[int, ...]:
-    """How many of the ranks 0..total-1 carry each label 0..count-1, read
-    from the labelling's bit planes (count <= 2 ** len(planes))."""
-    masks = [(1 << total) - 1]
+def _label_sizes(labels: Union[bytes, array], planes: list[int], count: int) -> tuple[int, ...]:
+    """How many entries of a label buffer carry each label 0..count-1.
+
+    Byte labels are counted from the buffer's bit planes (count <= 2 **
+    len(planes)), by splitting one mask per bit pattern; an ``array``,
+    which holds more than 256 labels, is counted item by item, since
+    its one mask per pattern would take len(labels) bits each.
+    """
+    if isinstance(labels, array):
+        counts = collections.Counter(labels)
+        return tuple(map(counts.__getitem__, range(count)))
+    masks = [(1 << len(labels)) - 1]
     for plane in reversed(planes):  # split every mask by the next lower bit
         split = []
         for mask in masks:

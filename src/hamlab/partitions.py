@@ -258,7 +258,7 @@ def partition_metrics(part: Partition, cap: int = DEFAULT_VERTEX_CAP) -> Partiti
     check_enumeration(m, n, cap)
     planes = _label_planes(part.assignment, (m - 1).bit_length())
     ((best, first),) = _same_label_degree_extremes(planes, params)
-    sizes = _label_sizes(planes, params.vertex_count, m)
+    sizes = _label_sizes(part.assignment, planes, m)
     balanced = m ** (n - 1)
     imbalance = sum(abs(s - balanced) for s in sizes)
     return PartitionMetrics(best, imbalance, sizes, unrank(first, params))

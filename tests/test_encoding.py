@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import types
 from array import array
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from hamlab import (FiniteFunction, GraphParams, GridPolynomial, InvalidInputErr
                     VertexSet, interpolate)
 from hamlab import cli
 from hamlab.cli import main
-from hamlab.encoding import (labelled_doc, polynomial_text, write_json, write_polynomial,
+from hamlab import encoding
+from hamlab.encoding import (labelled_doc, polynomial_text, write_json, write_terms,
                              write_vertex_set)
 from hamlab.functions import _interpolant_terms
 
@@ -116,6 +118,41 @@ def test_writer_rejects_what_the_stdlib_rejects():
         encoded([bytearray(b"\x01")])
 
 
+def test_writer_rejects_a_bytearray_with_the_stdlib_message():
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"a": bytearray(b"\x01")})
+    with pytest.raises(TypeError) as raised:
+        encoded({"a": bytearray(b"\x01")})
+    assert str(raised.value) == str(expected.value) == (
+        "Object of type bytearray is not JSON serializable")
+
+
+# the string a label buffer stands in for while the stdlib encodes the document
+_HOLE = "\0labels\0"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": _HOLE, "b": b"\x01\x02", "c": array("H", [300])},
+    {_HOLE: b"\x03", "z": [b"\x04", _HOLE]},
+    [_HOLE, b"\x05\x06", _HOLE, array("L", [7, 70000]), _HOLE],
+    _HOLE,
+    [b"\x01", {_HOLE: _HOLE}, [[_HOLE, b"\x0c"]]],
+    b"\x01\x02\x03", bytes(range(12)), array("H", [1, 2]), b"", array("L"),
+    {"a": {"b": b""}, "c": [[b"", array("H")]], "d": [{"e": array("L")}]},
+])
+def test_the_placeholder_string_is_written_as_a_string(doc):
+    assert encoded(doc) == reference(as_lists(doc))
+
+
+def test_an_unspliced_buffer_raises_and_leaves_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "a.part"
+    target.write_text("old", encoding="utf-8")
+    monkeypatch.setattr(encoding, "_HOLE_TEXT", '"no chunk is this"')
+    with pytest.raises(ValueError):
+        write_json({"m": 3, "assignment": b"\x00\x01\x02"}, str(target))
+    assert target.read_text(encoding="utf-8") == "old"
+
+
 def test_cli_artifacts_reencode_to_their_own_bytes(tmp_path, capsys):
     def run(*argv):
         assert main([str(a) for a in argv]) == 0
@@ -198,20 +235,22 @@ def test_interpolant_terms_are_the_sorted_terms_of_interpolate(f):
 def test_polynomial_layout_edge_cases(arity, terms):
     poly = GridPolynomial(arity, terms)
     stream = io.StringIO()
-    write_polynomial(poly, stream)
+    write_terms(poly.arity, triples(poly), stream)
     assert stream.getvalue() == polynomial_text(arity, triples(poly)) == reference(poly.to_doc())
 
 
 def test_fn_interpolate_writes_the_same_bytes_with_and_without_out(tmp_path, capsys,
                                                                  monkeypatch):
-    # the generic walker stays out of the polynomial path
-    def walker(*args):
-        raise AssertionError("fn interpolate went through the generic JSON walker")
+    # the generic writer's encoder stays out of the polynomial path
+    class Encoder:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("fn interpolate went through the generic JSON writer")
 
     fn, poly = tmp_path / "f.json", tmp_path / "p.json"
     fn.write_text(json.dumps({"A": [0, "1/2", -3, 2], "B": [0, 1, "-2/3"], "n": 2,
                               "values": [2, 0, 1, 2, 1, 1, 0, 2, 0, 2, 2, 1, 0, 0, 1, 2]}))
-    monkeypatch.setattr("hamlab.encoding._json_chunks", walker)
+    monkeypatch.setattr(encoding, "json", types.SimpleNamespace(JSONEncoder=Encoder,
+                                                               loads=json.loads))
     assert main(["fn", "interpolate", str(fn), "--out", str(poly)]) == 0
     header = capsys.readouterr().out
     assert main(["fn", "interpolate", str(fn)]) == 0

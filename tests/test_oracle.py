@@ -373,6 +373,9 @@ def test_brute_force_metrics_agrees_with_fast_path():
         Partition(GraphParams(3, 2), (0, 2, 0, 2, 2, 0, 0, 0, 2)),  # part 1 is empty
         Partition(GraphParams(3, 3), (1,) * 27),  # every vertex in one part
         Partition(GraphParams(6, 2), [(7 * r * r + r // 6) % 6 for r in range(36)]),
+        # more than 256 parts: labels in an array, some parts empty
+        Partition(GraphParams(300, 1), [r * r % 300 for r in range(300)]),
+        complete_graph_partition(1000, 2),
     ]
     for partition in cases:
         assert brute_force_metrics(partition) == partition_metrics(partition)
