@@ -116,15 +116,9 @@ def test_writer_rejects_what_the_stdlib_rejects():
         encoded({(1, 2): 0})
     with pytest.raises(TypeError):
         encoded([bytearray(b"\x01")])
-
-
-def test_writer_rejects_a_bytearray_with_the_stdlib_message():
-    with pytest.raises(TypeError) as expected:
-        json.dumps({"a": bytearray(b"\x01")})
-    with pytest.raises(TypeError) as raised:
+    # json's own message, as json.dumps raises it
+    with pytest.raises(TypeError, match="^Object of type bytearray is not JSON serializable$"):
         encoded({"a": bytearray(b"\x01")})
-    assert str(raised.value) == str(expected.value) == (
-        "Object of type bytearray is not JSON serializable")
 
 
 # the string a label buffer stands in for while the stdlib encodes the document
@@ -137,10 +131,10 @@ _HOLE = "\0labels\0"
     [_HOLE, b"\x05\x06", _HOLE, array("L", [7, 70000]), _HOLE],
     _HOLE,
     [b"\x01", {_HOLE: _HOLE}, [[_HOLE, b"\x0c"]]],
-    b"\x01\x02\x03", bytes(range(12)), array("H", [1, 2]), b"", array("L"),
+    # empty buffers two levels down
     {"a": {"b": b""}, "c": [[b"", array("H")]], "d": [{"e": array("L")}]},
 ])
-def test_the_placeholder_string_is_written_as_a_string(doc):
+def test_buffers_beside_the_placeholder_string(doc):
     assert encoded(doc) == reference(as_lists(doc))
 
 
