@@ -118,6 +118,8 @@ CASES = [
     ["construct", "theorem1", "--m", "4", "--d", "5", "--n", "2", "--verify"],
     ["construct", "subgraph", "--m", "4", "--n", "3", "--d", "1", "--out", "sub.vset",
      "--verify", "--verbose"],
+    ["construct", "subgraph", "--m", "4", "--n", "3", "--d", "1", "--out", "sub.vset",
+     "--verify"],
     ["construct", "subgraph", "--m", "3", "--n", "2", "--d", "3"],
     # 756 member ranks across the ends of blocks of 1,000 ranks, and exactly
     # 1,000 vertices written to stdout
@@ -139,11 +141,13 @@ CASES = [
     ["bounds", "check", "theorem.part", "--out", "check.jsonl"],
     ["bounds", "check", "sub.vset", "--format", "csv"],
     ["fn", "tribes", "--s", "2", "--out", "tribes.fn", "--verify", "--verbose"],
+    ["fn", "tribes", "--s", "2", "--out", "tribes.fn", "--verify"],
     ["fn", "lifted-tribes", "--m", "3", "--a", "0", "--s", "2", "--out", "lifted.fn",
      "--verify"],
     ["fn", "interpolate", "lifted.fn", "--out", "lifted.poly.json"],
     ["fn", "interpolate", "rational.fn"],
     ["fn", "degree", "lifted.fn", "--verbose"],
+    ["fn", "degree", "lifted.fn"],
     ["fn", "sensitivity", "rational.fn", "--out", "rational.sensitivity.json"],
     ["fn", "decompose", "tribes.fn"],
     ["fn", "restrict", "lifted.fn", "--out", "lifted.restrict.json"],
@@ -193,6 +197,7 @@ CASES = [
      "functions-chunks.json"],
     ["oracle", "metrics", "base.part", "--verify", "--verbose", "--out",
      "oracle.metrics.json"],
+    ["oracle", "metrics", "base.part", "--verify", "--out", "oracle.metrics.json"],
     # part sizes 16, 17, 16, 15: the all-pairs oracle on an imbalanced partition
     ["construct", "theorem1", "--m", "4", "--d", "1", "--n", "3", "--out",
      "imbalanced.part"],
