@@ -34,6 +34,7 @@ from .functions import (
     boolean_restriction_witness,
     degree,
     indicator_decomposition,
+    interpolant_terms,
     interpolate,
     lifted_tribes,
     local_sensitivity,

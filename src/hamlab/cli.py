@@ -160,7 +160,7 @@ def _config_int(config: dict, key: str) -> int:
 
 
 def _resolve_caps(args) -> dict:
-    config = _load_json(args.config) if getattr(args, "config", None) else {}
+    config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise UsageError(f"config {args.config} is not a JSON object")
 
@@ -171,15 +171,9 @@ def _resolve_caps(args) -> dict:
             return _config_int(config, config_key)
         return _env_default(env_name, fallback)
 
-    if args.command == "oracle" and args.subcommand != "metrics":
-        vertex_fallback = DEFAULT_ORACLE_VERTEX_CAP
-    elif args.command == "oracle":
-        vertex_fallback = DEFAULT_ORACLE_METRICS_CAP
-    else:
-        vertex_fallback = DEFAULT_VERTEX_CAP
     caps = {
-        "vertices": pick(getattr(args, "cap_vertices", None), "capVertices",
-                         ENV_CAP_VERTICES, vertex_fallback),
+        "vertices": pick(args.cap_vertices, "capVertices", ENV_CAP_VERTICES,
+                         _VERTEX_CAPS[args.command, args.subcommand]),
         "subsets": pick(getattr(args, "cap_subsets", None), "capSubsets",
                         ENV_CAP_SUBSETS, DEFAULT_SUBSET_CAP),
         "functions": pick(getattr(args, "cap_functions", None), "capFunctions",
@@ -400,7 +394,7 @@ def _cmd_fn(args, caps) -> int:
 
     f = _load_function(args.path)
     if args.subcommand == "interpolate":
-        degree, count, terms = fn_mod._interpolant_terms(f, cap=cap)
+        degree, count, terms = fn_mod.interpolant_terms(f, cap=cap)
         print(f"degree {degree}, {count} terms")
         _write_json(terms, args.out, functools.partial(write_terms, f.arity))
     elif args.subcommand == "degree":
@@ -589,30 +583,43 @@ _SAMPLES = ("--samples", {"type": int, "default": None})
 _RANGES = tuple((f"--{axis}-range", {"type": _int_range, "required": True}) for axis in "mnd")
 _FLAG_HELP = {"m": "alphabet size (domain 0..m-1)", "b": "range size (outputs 0..b-1)"}
 
+# the options a row may declare; every row takes --cap-vertices, --config
+# and --out
+_OPTIONS = {
+    "cap-subsets": {"type": int},
+    "cap-functions": {"type": int},
+    "seed": {"type": int},
+    "verbose": {"action": "store_true", "help": "print extra detail lines"},
+    "format": {"choices": FORMATS},
+    "verify": {"action": "store_true"},
+}
+
 # command, subcommand (None for a command without one), its required integer
-# flags, its other arguments, and which of --format and --verify it takes
+# flags, its other arguments, the options of _OPTIONS it reads, and its
+# default vertex cap
 _SUBCOMMANDS = (
-    ("construct", "degree1", "m n", (), "verify"),
-    ("construct", "complete", "m d", (), "verify"),
-    ("construct", "lift", "n d", (_BASE,), "verify"),
-    ("construct", "theorem1", "m d n", (), "verify"),
-    ("construct", "subgraph", "m n d", (), "verify"),
-    ("metrics", None, "", (_PATH,), ""),
-    ("bounds", "theorem1", "m d n", (), "format"),
-    ("bounds", "markov", "m n k", (), "format"),
-    ("bounds", "upper", "m n", (_EPS,), "format"),
-    ("bounds", "cayley", "m n", (), "format"),
-    ("bounds", "domination", "m n", (), "format"),
-    ("bounds", "check", "", (_PATH,), "format"),
-    *(("fn", name, "", (_PATH,), "")
+    ("construct", "degree1", "m n", (), "verbose verify", DEFAULT_VERTEX_CAP),
+    ("construct", "complete", "m d", (), "verbose verify", DEFAULT_VERTEX_CAP),
+    ("construct", "lift", "n d", (_BASE,), "verbose verify", DEFAULT_VERTEX_CAP),
+    ("construct", "theorem1", "m d n", (), "verbose verify", DEFAULT_VERTEX_CAP),
+    ("construct", "subgraph", "m n d", (), "verify", DEFAULT_VERTEX_CAP),
+    ("metrics", None, "", (_PATH,), "verbose", DEFAULT_VERTEX_CAP),
+    ("bounds", "theorem1", "m d n", (), "format", DEFAULT_VERTEX_CAP),
+    ("bounds", "markov", "m n k", (), "format", DEFAULT_VERTEX_CAP),
+    ("bounds", "upper", "m n", (_EPS,), "format", DEFAULT_VERTEX_CAP),
+    ("bounds", "cayley", "m n", (), "format", DEFAULT_VERTEX_CAP),
+    ("bounds", "domination", "m n", (), "format", DEFAULT_VERTEX_CAP),
+    ("bounds", "check", "", (_PATH,), "format", DEFAULT_VERTEX_CAP),
+    *(("fn", name, "", (_PATH,), "", DEFAULT_VERTEX_CAP)
       for name in ("interpolate", "degree", "sensitivity", "decompose", "restrict", "verify")),
-    ("fn", "tribes", "s", (), "verify"),
-    ("fn", "lifted-tribes", "m a s", (), "verify"),
-    ("oracle", "sigma", "m n", (), "format"),
-    ("oracle", "subsets", "m n k", (_PRUNE,), "format"),
-    ("oracle", "functions", "m b n", (_SAMPLES,), "format"),
-    ("oracle", "metrics", "", (_PATH,), "verify"),
-    ("report", "grid", "", _RANGES, "format"),
+    ("fn", "tribes", "s", (), "verify", DEFAULT_VERTEX_CAP),
+    ("fn", "lifted-tribes", "m a s", (), "verify", DEFAULT_VERTEX_CAP),
+    ("oracle", "sigma", "m n", (), "cap-subsets format", DEFAULT_ORACLE_VERTEX_CAP),
+    ("oracle", "subsets", "m n k", (_PRUNE,), "cap-subsets format", DEFAULT_ORACLE_VERTEX_CAP),
+    ("oracle", "functions", "m b n", (_SAMPLES,), "cap-functions seed format",
+     DEFAULT_ORACLE_VERTEX_CAP),
+    ("oracle", "metrics", "", (_PATH,), "verify", DEFAULT_ORACLE_METRICS_CAP),
+    ("report", "grid", "", _RANGES, "format", DEFAULT_VERTEX_CAP),
 )
 
 _COMMANDS = {
@@ -625,25 +632,16 @@ _COMMANDS = {
 }
 
 
-def _add_common(parser, fmt: bool, verify: bool) -> None:
-    parser.add_argument("--cap-vertices", type=int, default=None)
-    parser.add_argument("--cap-subsets", type=int, default=None)
-    parser.add_argument("--cap-functions", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", default=None, help="JSON file with default caps/seed/format")
-    parser.add_argument("--verbose", action="store_true", help="print extra detail lines")
-    parser.add_argument("--out", default=None, help="artifact output path")
-    if fmt:
-        parser.add_argument("--format", choices=FORMATS, default=None)
-    else:
-        parser.set_defaults(format=None)
-    if verify:
-        parser.add_argument("--verify", action="store_true")
-    else:
-        parser.set_defaults(verify=False)
+def _add_common(parser, options: str) -> None:
+    parser.add_argument("--cap-vertices", type=int)
+    parser.add_argument("--config", help="JSON file with default caps/seed/format")
+    parser.add_argument("--out", help="artifact output path")
+    for option in options.split():
+        parser.add_argument(f"--{option}", **_OPTIONS[option])
 
 
-_ROWS = frozenset(row[:2] for row in _SUBCOMMANDS)
+# each row's default vertex cap, by (command, subcommand)
+_VERTEX_CAPS = {row[:2]: row[5] for row in _SUBCOMMANDS}
 
 
 @functools.cache
@@ -653,12 +651,12 @@ def build_parser(key: Optional[tuple[str, Optional[str]]] = None) -> _Parser:
 
     A (command, subcommand) ``key`` of ``_SUBCOMMANDS`` builds that one
     branch, which reads the command lines that name it as the full tree
-    does, in about 14 ``add_argument`` calls; without one the full tree
-    takes 276, 6 to 14 ms on a 2-vCPU VM."""
+    does, in 7 to 13 ``add_argument`` calls; without one the full tree
+    takes 185, 4 to 5 ms on a 2-vCPU VM."""
     parser = _Parser(prog="hamlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for command, subcommand, flags, extras, options in _SUBCOMMANDS:
+    for command, subcommand, flags, extras, options, _ in _SUBCOMMANDS:
         if key is not None and (command, subcommand) != key:
             continue
         if subcommand is None:
@@ -673,7 +671,7 @@ def build_parser(key: Optional[tuple[str, Optional[str]]] = None) -> _Parser:
             sub.add_argument(f"--{flag}", type=int, required=True, help=_FLAG_HELP.get(flag))
         for name, spec in extras:
             sub.add_argument(name, **spec)
-        _add_common(sub, fmt="format" in options, verify="verify" in options)
+        _add_common(sub, options)
     return parser
 
 
@@ -683,7 +681,7 @@ def _parser_key(argv: Sequence[str]) -> Optional[tuple[str, Optional[str]]]:
     for any other command line (help, unknown or abbreviated names, options
     before the command), which the full tree reads."""
     words = tuple(argv[:2])
-    return next((key for key in (words, words[:1] + (None,)) if key in _ROWS), None)
+    return next((key for key in (words, words[:1] + (None,)) if key in _VERTEX_CAPS), None)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -422,8 +422,8 @@ def _scaled_tensor(scales: _Scales, arity: int,
     return tensor, width, scales.scale * lagrange_scale ** arity, scales.stretch
 
 
-def _interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
-                       ) -> tuple[int, int, Iterator[tuple[Exponents, int, int]]]:
+def interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
+                      ) -> tuple[int, int, Iterator[tuple[Exponents, int, int]]]:
     """The degree, the term count and an iterator of the nonzero terms of
     the interpolant of f (see ``interpolate``), by total degree and then by
     exponent vector, as (exponents, numerator, denominator) triples of each
@@ -456,8 +456,8 @@ def _interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
 def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
-    coefficients, built from ``_interpolant_terms``."""
-    _, _, terms = _interpolant_terms(f, cap)
+    coefficients, built from ``interpolant_terms``."""
+    _, _, terms = interpolant_terms(f, cap)
     return GridPolynomial._exact(f.arity, {exps: Fraction(num, den) for exps, num, den in terms})
 
 

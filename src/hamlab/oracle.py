@@ -114,7 +114,8 @@ def min_max_degree_subsets(
 def sigma_exact(m: int, n: int, budget: SearchBudget = SearchBudget()) -> int:
     """Graph sensitivity: minimum induced maximum degree over all subsets one
     larger than the independence number m^(n-1)."""
-    GraphParams(m, n)  # validates m and n before the budget and the power
+    if m < 2 or n < 1:  # before the budget and the power
+        raise InvalidInputError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     check_enumeration(m, n, budget.max_vertices)
     return min_max_degree_subsets(m, n, m ** (n - 1) + 1, budget=budget)[0]
 

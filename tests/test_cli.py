@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, headers, caps."""
 
+import argparse
 import builtins
 import dataclasses
 import json
@@ -261,21 +262,25 @@ def test_report_header_shows_a_colon_range_as_given(capsys):
 
 # a value of each argument type, for command lines built from the parser's rows
 _ARGUMENT_VALUES = {None: "p.json", int: "5", cli._rational: "1/2", cli._int_range: "3:4"}
+# a valid value of each option a row may declare
+_OPTION_VALUES = {"cap-subsets": ["7"], "cap-functions": ["7"], "seed": ["1"], "verbose": [],
+                  "format": ["csv"], "verify": []}
 
 
 def _row_argv(row) -> list[str]:
-    """A valid command line of a row of ``_SUBCOMMANDS``, every option given."""
-    command, subcommand, flags, extras, options = row
+    """A valid command line of a row of ``_SUBCOMMANDS``, every option it
+    declares given."""
+    command, subcommand, flags, extras, options, _ = row
     argv = [command] + ([subcommand] if subcommand else [])
     for flag in flags.split():
         argv += [f"--{flag}", "3"]
     for name, spec in extras:
         value = [] if spec.get("action") == "store_true" else [_ARGUMENT_VALUES[spec.get("type")]]
         argv += [name, *value] if name.startswith("--") else value
-    argv += ["--seed", "1", "--cap-vertices", "9", "--config", "c.json", "--out", "o.json",
-             "--verbose"]
-    argv += ["--format", "csv"] if "format" in options else []
-    return argv + (["--verify"] if "verify" in options else [])
+    argv += ["--cap-vertices", "9", "--config", "c.json", "--out", "o.json"]
+    for option in options.split():
+        argv += [f"--{option}", *_OPTION_VALUES[option]]
+    return argv
 
 
 @pytest.mark.parametrize("row", cli._SUBCOMMANDS, ids=lambda row: " ".join(filter(None, row[:2])))
@@ -285,14 +290,66 @@ def test_branch_parser_reads_its_row_as_the_full_parser_does(row):
     assert cli._parser_key(argv) == key
     assert branch.parse_args(argv) == full.parse_args(argv)
     words = argv[:1 + (key[1] is not None)]
+    undeclared = [argv + [f"--{option}", *values] for option, values in _OPTION_VALUES.items()
+                  if option not in row[4].split()]
     malformed = [words, argv + ["--bogus"], argv + ["extra"], argv + ["--seed", "x"],
-                 argv + ["--format", "xml"]]
+                 argv + ["--format", "xml"], *undeclared]
     for bad in malformed:
         with pytest.raises(UsageError) as from_branch:
             branch.parse_args(bad)
         with pytest.raises(UsageError) as from_full:
             full.parse_args(bad)
         assert str(from_branch.value) == str(from_full.value), bad
+    for bad in undeclared:
+        with pytest.raises(UsageError, match="^unrecognized arguments: "):
+            branch.parse_args(bad)
+
+
+# the options each subparser takes beside its own arguments: those it reads,
+# and --cap-vertices, --config and --out, which every subparser takes
+_TAKES = {
+    **{("construct", name): {"--verbose", "--verify"}
+       for name in ("degree1", "complete", "lift", "theorem1")},
+    ("construct", "subgraph"): {"--verify"},
+    ("metrics",): {"--verbose"},
+    **{("bounds", name): {"--format"}
+       for name in ("theorem1", "markov", "upper", "cayley", "domination", "check")},
+    **{("fn", name): set()
+       for name in ("interpolate", "degree", "sensitivity", "decompose", "restrict", "verify")},
+    ("fn", "tribes"): {"--verify"},
+    ("fn", "lifted-tribes"): {"--verify"},
+    ("oracle", "sigma"): {"--cap-subsets", "--format"},
+    ("oracle", "subsets"): {"--cap-subsets", "--format"},
+    ("oracle", "functions"): {"--cap-functions", "--seed", "--format"},
+    ("oracle", "metrics"): {"--verify"},
+    ("report", "grid"): {"--format"},
+}
+
+
+def _leaf_parsers(parser, words=()) -> dict:
+    """Each parser of the tree that takes no subcommand, by its command words."""
+    forks = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not forks:
+        return {words: parser}
+    return {key: leaf for name, sub in forks[0].choices.items()
+            for key, leaf in _leaf_parsers(sub, words + (name,)).items()}
+
+
+def test_each_subparser_takes_only_the_options_its_row_declares():
+    leaves = _leaf_parsers(build_parser())
+    assert leaves.keys() == _TAKES.keys()
+    total = 0
+    for command, subcommand, flags, extras, options, _ in cli._SUBCOMMANDS:
+        key = (command, subcommand) if subcommand else (command,)
+        taken = {flag for action in leaves[key]._actions
+                 if not isinstance(action, argparse._HelpAction)
+                 for flag in action.option_strings}
+        own = {f"--{flag}" for flag in flags.split()} | {
+            name for name, _ in extras if name.startswith("--")}
+        assert taken - own == {"--cap-vertices", "--config", "--out"} | _TAKES[key], key
+        assert {f"--{option}" for option in options.split()} == _TAKES[key], key
+        total += len(taken)
+    assert total == 145
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["construct"], ["construct", "--help"],
@@ -303,6 +360,7 @@ def test_other_command_lines_go_to_the_full_parser(argv):
 
 
 def test_usage_errors_exit_one(capsys):
+    errors = {}
     for argv in (["construct", "degree1", "--m", 1, "--n", 3],
                  ["nonsense"],
                  ["metrics", "/definitely/not/a/file.json"],
@@ -314,11 +372,16 @@ def test_usage_errors_exit_one(capsys):
                  ["fn", "lifted-tribes", "--m", 3, "--a", 5, "--s", 1],
                  ["oracle", "functions", "--m", 2, "--b", 2, "--n", 1, "--samples", 0,
                   "--seed", 1],
-                 ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 5]):
+                 ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 5],
+                 ["oracle", "sigma", "--m", 1, "--n", 2],
+                 ["fn", "degree", "f.fn", "--seed", 1]):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
-    assert err == "error: need 0 <= k <= 4, got k=5\n"
+        errors[" ".join(map(str, argv[:2]))] = err
+    assert errors["oracle subsets"] == "error: need 0 <= k <= 4, got k=5\n"
+    assert errors["oracle sigma"] == "error: need m >= 2 and n >= 1, got m=1, n=2\n"
+    assert errors["fn degree"] == "error: unrecognized arguments: --seed 1\n"
 
 
 def test_cap_violation_exits_one(tmp_path, capsys):
@@ -333,6 +396,11 @@ def test_env_cap_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HAMLAB_CAP_VERTICES", "2000")
     capsys.readouterr()
     assert run(["construct", "degree1", "--m", 6, "--n", 4]) == 0
+    # the variable reaches the header of construct, which has no --cap-subsets
+    monkeypatch.setenv("HAMLAB_CAP_SUBSETS", "7")
+    capsys.readouterr()
+    assert run(["construct", "theorem1", "--m", 3, "--d", 2, "--n", 2]) == 0
+    assert "# caps: vertices=2000 subsets=7 functions=1000000\n" in capsys.readouterr().out
     monkeypatch.setenv("HAMLAB_CAP_VERTICES", "x")
     capsys.readouterr()
     assert run(["construct", "degree1", "--m", 6, "--n", 4]) == 1
@@ -347,6 +415,14 @@ def test_config_file_defaults(tmp_path, capsys):
                 "--config", config_path]) == 1
     assert run(["construct", "degree1", "--m", 6, "--n", 4,
                 "--config", config_path, "--cap-vertices", 2000]) == 0
+    # capFunctions and seed reach the header of fn degree, which takes neither flag
+    fn_path = tmp_path / "f.fn"
+    fn_path.write_text(json.dumps({"A": [0, 1], "B": [0, 1], "n": 1, "values": [0, 1]}))
+    config_path.write_text(json.dumps({"capFunctions": 5, "seed": 4}))
+    capsys.readouterr()
+    assert run(["fn", "degree", fn_path, "--config", config_path]) == 0
+    out = capsys.readouterr().out
+    assert "# caps: vertices=10000000 subsets=1000000 functions=5\n# seed: 4\n" in out
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):

@@ -116,6 +116,9 @@ CASES = [
     ["construct", "theorem1", "--m", "3", "--d", "2", "--n", "4", "--out", "theorem.part",
      "--verify", "--verbose"],
     ["construct", "theorem1", "--m", "4", "--d", "5", "--n", "2", "--verify"],
+    # a --verbose that subgraph, tribes, fn degree and oracle metrics do not
+    # read exits 1 and writes nothing; each such line is followed by the same
+    # run without it
     ["construct", "subgraph", "--m", "4", "--n", "3", "--d", "1", "--out", "sub.vset",
      "--verify", "--verbose"],
     ["construct", "subgraph", "--m", "4", "--n", "3", "--d", "1", "--out", "sub.vset",

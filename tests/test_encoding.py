@@ -19,7 +19,7 @@ from hamlab.cli import main
 from hamlab import encoding
 from hamlab.encoding import (labelled_doc, polynomial_text, write_json, write_terms,
                              write_vertex_set)
-from hamlab.functions import _interpolant_terms
+from hamlab.functions import interpolant_terms
 
 
 def encoded(doc) -> str:
@@ -216,7 +216,7 @@ def test_polynomial_layout_matches_indented_dumps(poly):
 @settings(max_examples=100, deadline=None)
 def test_interpolant_terms_are_the_sorted_terms_of_interpolate(f):
     poly = interpolate(f)
-    degree, count, terms = _interpolant_terms(f)
+    degree, count, terms = interpolant_terms(f)
     assert (degree, count, list(terms)) == (poly.degree(), len(poly.terms), triples(poly))
 
 

@@ -163,8 +163,11 @@ extras = st.one_of(
     st.sampled_from([("--verbose",), ("--verify",), ("--out", OUT), ("--config", PATH)]),
     st.tuples(st.sampled_from(["--format", "--seed", "--samples", "--prune", "--bogus"]), values),
 )
-# tight caps keep every run small; they are checked before any work starts
-CAPS = ("--cap-vertices", "256", "--cap-subsets", "500", "--cap-functions", "50")
+# tight caps keep every run small; they are checked before any work starts,
+# and a command takes only the caps it reads
+CAPS = {("oracle", "sigma"): ("--cap-subsets", "500"),
+        ("oracle", "subsets"): ("--cap-subsets", "500"),
+        ("oracle", "functions"): ("--cap-functions", "50")}
 
 
 @st.composite
@@ -184,7 +187,7 @@ def argvs(draw):
             argv += [flag, draw(values)]
     for _ in range(draw(st.integers(0, 2))):
         argv += draw(extras)
-    return argv + list(CAPS)
+    return argv + ["--cap-vertices", "256", *CAPS.get(command, ())]
 
 
 file_texts = st.one_of(

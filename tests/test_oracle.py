@@ -164,6 +164,9 @@ def test_sigma_exact_values():
     assert sigma_exact(2, 2) == 2
     assert sigma_exact(2, 3) == 2
     assert sigma_exact(3, 2) == 1
+    for m in (1, 0):  # one vertex or none: no subset above the independence number
+        with pytest.raises(InvalidInputError, match=f"need m >= 2 and n >= 1, got m={m}, n=2"):
+            sigma_exact(m, 2)
 
 
 def test_sigma_hypercube_matches_ceil_sqrt():
