@@ -69,6 +69,9 @@ class VerificationFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # every parser, subparsers too: no abbreviated options
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # route usage problems to exit status 1
         raise UsageError(message)
 

@@ -2,7 +2,8 @@
 
 DEFAULT_VERTEX_CAP = 10_000_000
 # the oracles' defaults: subset and function searches grow exponentially in
-# the vertex count, the all-pairs metrics oracle quadratically
+# the vertex count; the metrics oracle's cap bounds its word table, one tuple
+# per vertex, and its (m-1)n neighbour lookups per vertex
 DEFAULT_ORACLE_VERTEX_CAP = 32
 DEFAULT_ORACLE_METRICS_CAP = 10_000
 DEFAULT_SUBSET_CAP = 1_000_000

@@ -1,9 +1,9 @@
 """Brute-force ground truth for tiny instances.
 
 Everything here recomputes quantities from the definitions: subset
-enumeration for graph sensitivity, same-part pair scans for partition metrics,
-full function-space sweeps for the sensitivity/degree inequality.  Results
-are the reference the fast paths and closed forms must match.
+enumeration for graph sensitivity, same-part neighbour counts for partition
+metrics, full function-space sweeps for the sensitivity/degree inequality.
+Results are the reference the fast paths and closed forms must match.
 """
 
 from __future__ import annotations
@@ -221,28 +221,18 @@ def _replay(f: FiniteFunction, ratio_key: Fraction, ok: bool) -> None:
 def brute_force_metrics(
     part: Partition, cap: int = DEFAULT_ORACLE_METRICS_CAP
 ) -> PartitionMetrics:
-    """Recompute partition metrics by scanning every pair of vertices in the
-    same part; must agree with the fast path."""
+    """Recompute partition metrics from the definitions: a vertex's degree
+    counts those of its (m-1)n Hamming neighbours that share its part, and
+    the witness is the lowest-rank vertex of maximum degree; must agree with
+    the fast path."""
     params = part.params
     check_enumeration(params.m, params.n, cap)
-    count = params.vertex_count
-    words = [unrank(r, params) for r in range(count)]
-    groups: list[list[int]] = [[] for _ in range(params.m)]  # the ranks of each part
-    for r, a in enumerate(part.assignment):
-        groups[a].append(r)
-    degrees = [0] * count
-    for group in groups:
-        for i, j in itertools.combinations(group, 2):
-            differing = 0
-            for a, b in zip(words[i], words[j]):
-                if a != b:
-                    differing += 1
-                    if differing > 1:
-                        break
-            if differing == 1:
-                degrees[i] += 1
-                degrees[j] += 1
-    sizes = [len(group) for group in groups]
+    words = [unrank(r, params) for r in range(params.vertex_count)]
+    label = dict(zip(words, part.assignment))  # in rank order, as words
+    degrees = [sum(label[v] == a for v in neighbors(w, params)) for w, a in label.items()]
+    sizes = [0] * params.m
+    for a in part.assignment:
+        sizes[a] += 1
     balanced = params.m ** (params.n - 1)
     max_degree = max(degrees)
     witness = words[degrees.index(max_degree)]

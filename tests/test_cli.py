@@ -292,15 +292,16 @@ def test_branch_parser_reads_its_row_as_the_full_parser_does(row):
     words = argv[:1 + (key[1] is not None)]
     undeclared = [argv + [f"--{option}", *values] for option, values in _OPTION_VALUES.items()
                   if option not in row[4].split()]
+    unread = [argv + ["--cap-v", "9"], *undeclared]  # an abbreviation is an unknown option
     malformed = [words, argv + ["--bogus"], argv + ["extra"], argv + ["--seed", "x"],
-                 argv + ["--format", "xml"], *undeclared]
+                 argv + ["--format", "xml"], *unread]
     for bad in malformed:
         with pytest.raises(UsageError) as from_branch:
             branch.parse_args(bad)
         with pytest.raises(UsageError) as from_full:
             full.parse_args(bad)
         assert str(from_branch.value) == str(from_full.value), bad
-    for bad in undeclared:
+    for bad in unread:
         with pytest.raises(UsageError, match="^unrecognized arguments: "):
             branch.parse_args(bad)
 
@@ -382,6 +383,12 @@ def test_usage_errors_exit_one(capsys):
     assert errors["oracle subsets"] == "error: need 0 <= k <= 4, got k=5\n"
     assert errors["oracle sigma"] == "error: need m >= 2 and n >= 1, got m=1, n=2\n"
     assert errors["fn degree"] == "error: unrecognized arguments: --seed 1\n"
+    # abbreviations of --cap-vertices, --verify and --prune are not read as them
+    for argv, unread in ((["construct", "degree1", "--m", 3, "--n", 2, "--cap", 5], "--cap 5"),
+                         (["fn", "tribes", "--s", 2, "--ver"], "--ver"),
+                         (["oracle", "subsets", "--m", 5, "--n", 2, "--k", 6, "--pr"], "--pr")):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {unread}\n", argv
 
 
 def test_cap_violation_exits_one(tmp_path, capsys):

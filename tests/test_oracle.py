@@ -15,6 +15,7 @@ from hamlab import (
     GraphParams,
     InvalidInputError,
     Partition,
+    PartitionMetrics,
     ResourceLimitError,
     SearchBudget,
     boolean_restriction_witness,
@@ -32,7 +33,7 @@ from hamlab import (
     unrank,
     verify_sensitivity_bound,
 )
-from hamlab import functions
+from hamlab import functions, graph, partitions
 from hamlab.cli import main
 
 
@@ -92,6 +93,28 @@ def _reference_min_max_degree(m, n, k, fix_first_vertex):
         if best is None or top < best:
             best, witness = top, subset
     return best, witness
+
+
+def _pair_scan_metrics(part):
+    """Partition metrics from every pair of vertices in the same part, with
+    the pair's distance taken by ``hamming_distance``; the witness is the
+    first vertex of maximum degree in rank order."""
+    params = part.params
+    words = [unrank(r, params) for r in range(params.vertex_count)]
+    groups = [[] for _ in range(params.m)]
+    for r, a in enumerate(part.assignment):
+        groups[a].append(r)
+    degrees = [0] * len(words)
+    for group in groups:
+        for i, j in itertools.combinations(group, 2):
+            if hamming_distance(words[i], words[j]) == 1:
+                degrees[i] += 1
+                degrees[j] += 1
+    sizes = tuple(map(len, groups))
+    balanced = params.m ** (params.n - 1)
+    top = max(degrees)
+    return PartitionMetrics(top, sum(abs(s - balanced) for s in sizes), sizes,
+                            words[degrees.index(top)])
 
 
 # every graph of at most 9 vertices, each k; and the 4-cube up to k = 9
@@ -382,6 +405,53 @@ def test_brute_force_metrics_agrees_with_fast_path():
     ]
     for partition in cases:
         assert brute_force_metrics(partition) == partition_metrics(partition)
+
+
+def _random_partitions(seed, count):
+    """Seeded labellings of grids of 16 to 343 vertices, drawn from all m
+    labels or from only a few, so that parts are large and degrees high."""
+    rng = random.Random(seed)
+    grids = [(m, n) for m in range(2, 8) for n in range(1, 9) if 16 <= m ** n <= 343]
+    for _ in range(count):
+        m, n = rng.choice(grids)
+        labels = rng.sample(range(m), rng.randint(1, m))
+        yield Partition(GraphParams(m, n), [rng.choice(labels) for _ in range(m ** n)])
+
+
+METRICS_CASES = {
+    "labellings": [Partition(GraphParams(m, n), labels) for m, n in ((2, 2), (2, 3), (3, 1))
+                   for labels in itertools.product(range(m), repeat=m ** n)],
+    "random": list(_random_partitions(2028, 24)),
+    "empty part": [Partition(GraphParams(4, 3), [r % 3 for r in range(64)])],
+    # labels in an array: most parts of one vertex and some empty, or seven
+    # parts of 142 or 143 vertices and 993 empty ones
+    "300 parts": [Partition(GraphParams(300, 1), [r * r % 300 for r in range(300)]),
+                  Partition(GraphParams(1000, 1), [r % 7 * 150 for r in range(1000)])],
+}
+
+
+@pytest.mark.parametrize("cases", METRICS_CASES.values(), ids=METRICS_CASES.keys())
+def test_brute_force_metrics_is_the_pair_scan(cases):
+    for partition in cases:
+        assert brute_force_metrics(partition) == _pair_scan_metrics(partition), partition
+
+
+def test_brute_force_metrics_reads_no_fast_path_kernel(monkeypatch):
+    cases = [*METRICS_CASES["random"][:4], *METRICS_CASES["300 parts"]]
+    expected = [partition_metrics(partition) for partition in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached a fast-path kernel")
+
+    for module in (graph, partitions):
+        for name in ("_label_planes", "_same_label_degree_extremes", "_label_sizes"):
+            monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        partition_metrics(cases[0])
+    assert [brute_force_metrics(partition) for partition in cases] == expected
+    # the cap's largest input, all 10^4 vertices of 10^4 in one part
+    one_part = brute_force_metrics(Partition(GraphParams(10, 4), bytes(10 ** 4)))
+    assert one_part == PartitionMetrics(36, 18_000, (10 ** 4,) + (0,) * 9, (0, 0, 0, 0))
 
 
 def test_brute_force_metrics_single_part_square():
