@@ -220,20 +220,22 @@ def _print_header(args, caps) -> None:
     print(f"# seed: {args.seed if getattr(args, 'seed', None) is not None else 'none'}")
 
 
-def _load_partition(path: str) -> part_mod.Partition:
-    return part_mod.Partition.from_doc(_load_json(path, "assignment"))
+def _load_partition(path: str, cap: int) -> part_mod.Partition:
+    """The partition file at ``path``, checked against the vertex ``cap``."""
+    return part_mod.Partition.from_doc(_load_json(path, "assignment"), cap)
 
 
-def _load_function(path: str) -> fn_mod.FiniteFunction:
-    return fn_mod.FiniteFunction.from_doc(_load_json(path, "values"))
+def _load_function(path: str, cap: int) -> fn_mod.FiniteFunction:
+    """The function file at ``path``, checked against the vertex ``cap``."""
+    return fn_mod.FiniteFunction.from_doc(_load_json(path, "values"), cap)
 
 
 def _load_measured(path: str, cap: int):
-    """A partition or a vertex-set file, told apart by its keys; a vertex
-    set's graph is checked against the vertex ``cap`` as it loads."""
+    """A partition or a vertex-set file, told apart by its keys, its graph
+    checked against the vertex ``cap`` as it loads."""
     doc = _load_json(path, "assignment")
     if isinstance(doc, dict) and "assignment" in doc:
-        return part_mod.Partition.from_doc(doc)
+        return part_mod.Partition.from_doc(doc, cap)
     if isinstance(doc, dict) and "ranks" in doc:
         return VertexSet.from_doc(doc, cap)
     raise UsageError(f"{path} is neither a partition nor a vertex-set document")
@@ -249,16 +251,16 @@ def _cmd_construct(args, caps) -> int:
     elif args.subcommand == "complete":
         partition = part_mod.complete_graph_partition(args.m, args.d, cap=cap)
     elif args.subcommand == "lift":
-        base = _load_partition(args.base)
+        base = _load_partition(args.base, cap)
         partition = part_mod.lift_partition(base, args.n, degree_cap=args.d, cap=cap)
     elif args.subcommand == "theorem1":
         partition = part_mod.theorem_partition(args.m, args.d, args.n, cap=cap)
-        print(f"achieved imbalance: {_promise(args, partition, base, cap)[1]}")
+        print(f"achieved imbalance: {_promise(args, partition, base)[1]}")
     else:  # subgraph
         vset = part_mod.low_degree_subgraph(args.m, args.n, args.d, cap=cap)
         print(f"subgraph size: {vset.size}")
         if args.verify:
-            measured = induced_max_degree(vset, cap=cap)
+            measured = induced_max_degree(vset)
             print(f"measured max degree: {measured}")
             if measured > args.d:
                 raise VerificationFailure(
@@ -269,14 +271,14 @@ def _cmd_construct(args, caps) -> int:
         return 0
 
     if args.verify or args.verbose:
-        metrics = part_mod.partition_metrics(partition, cap=cap)
+        metrics = part_mod.partition_metrics(partition)
         print(
             f"measured: max degree {metrics.max_degree}, imbalance {metrics.imbalance}"
         )
         if args.verbose:
             print(f"part sizes: {list(metrics.part_sizes)}")
         if args.verify:
-            degree_cap, expected = _promise(args, partition, base, cap)
+            degree_cap, expected = _promise(args, partition, base)
             if metrics.max_degree > degree_cap or metrics.imbalance != expected:
                 raise VerificationFailure(
                     f"{args.subcommand} construction measured (delta={metrics.max_degree}, "
@@ -286,7 +288,7 @@ def _cmd_construct(args, caps) -> int:
     return 0
 
 
-def _promise(args, partition, base, cap) -> tuple[int, int]:
+def _promise(args, partition, base) -> tuple[int, int]:
     """The degree cap and the imbalance a construct subcommand promises."""
     m, n = partition.params.m, partition.params.n
     if args.subcommand == "degree1":
@@ -294,7 +296,7 @@ def _promise(args, partition, base, cap) -> tuple[int, int]:
     if args.subcommand == "complete":
         return args.d, bounds_mod.complete_graph_imbalance(m, args.d)
     if args.subcommand == "lift":
-        base_imbalance = part_mod.partition_metrics(base, cap=cap).imbalance
+        base_imbalance = part_mod.partition_metrics(base).imbalance
         return args.d, bounds_mod.lift_imbalance(m, base.params.n, n, base_imbalance)
     return args.d, bounds_mod.theorem_imbalance_bound(m, args.d, n)[1]
 
@@ -304,7 +306,7 @@ def _promise(args, partition, base, cap) -> tuple[int, int]:
 def _cmd_metrics(args, caps) -> int:
     loaded = _load_measured(args.path, caps["vertices"])
     if isinstance(loaded, part_mod.Partition):
-        metrics = part_mod.partition_metrics(loaded, cap=caps["vertices"])
+        metrics = part_mod.partition_metrics(loaded)
         print(
             f"max degree {metrics.max_degree}, imbalance {metrics.imbalance}, "
             f"part sizes {list(metrics.part_sizes)}"
@@ -313,7 +315,7 @@ def _cmd_metrics(args, caps) -> int:
             print(f"degree witness: {list(metrics.witness)}")
         _write_json(metrics.to_doc(), args.out)
     else:
-        measured = induced_max_degree(loaded, cap=caps["vertices"])
+        measured = induced_max_degree(loaded)
         print(f"size {loaded.size}, max degree {measured}")
         _write_json({"size": loaded.size, "maxDegree": measured}, args.out)
     return 0
@@ -327,10 +329,10 @@ def _cmd_bounds(args, caps) -> int:
         loaded = _load_measured(args.path, cap)
         m, n = loaded.params.m, loaded.params.n
         if isinstance(loaded, part_mod.Partition):
-            metrics = part_mod.partition_metrics(loaded, cap=cap)
+            metrics = part_mod.partition_metrics(loaded)
             reports = bounds_mod.check_partition(m, n, metrics.part_sizes, metrics.max_degree)
         else:
-            max_degree = induced_max_degree(loaded, cap=cap)
+            max_degree = induced_max_degree(loaded)
             reports = bounds_mod.check_subgraph(m, n, loaded.size, max_degree)
         return _emit_bound_reports(args, reports)
 
@@ -382,8 +384,8 @@ def _cmd_fn(args, caps) -> int:
             return 0
         m = len(f.domain)
         expected_degree, expected_sensitivity = bounds_mod.tribes_degree_sensitivity(m, args.s)
-        measured_degree = fn_mod.degree(f, cap=cap)
-        measured_sensitivity, _ = fn_mod.sensitivity(f, cap=cap)
+        measured_degree = fn_mod.degree(f)
+        measured_sensitivity, _ = fn_mod.sensitivity(f)
         ok = (measured_degree, measured_sensitivity) == (expected_degree, expected_sensitivity)
         print(
             f"degree {measured_degree} (expected {expected_degree}), "
@@ -395,17 +397,17 @@ def _cmd_fn(args, caps) -> int:
             raise VerificationFailure("tribes construction missed its guaranteed values")
         return 0
 
-    f = _load_function(args.path)
+    f = _load_function(args.path, cap)
     if args.subcommand == "interpolate":
-        degree, count, terms = fn_mod.interpolant_terms(f, cap=cap)
+        degree, count, terms = fn_mod.interpolant_terms(f)
         print(f"degree {degree}, {count} terms")
         _write_json(terms, args.out, functools.partial(write_terms, f.arity))
     elif args.subcommand == "degree":
-        value = fn_mod.degree(f, cap=cap)
+        value = fn_mod.degree(f)
         print(f"degree {value}")
         _write_json({"degree": value}, args.out)
     elif args.subcommand == "sensitivity":
-        value, witness = fn_mod.sensitivity(f, cap=cap)
+        value, witness = fn_mod.sensitivity(f)
         print(f"sensitivity {value} at {tuple(map(str, witness))}")
         _write_json(
             {"sensitivity": value, "witness": [rational_to_token(x) for x in witness]},
@@ -420,9 +422,9 @@ def _cmd_fn(args, caps) -> int:
         print(f"{len(components)} indicator components")
         _write_json(doc, args.out)
     elif args.subcommand == "restrict":
-        witness = fn_mod.boolean_restriction_witness(f, cap=cap)
-        f_sensitivity, _ = fn_mod.sensitivity(f, cap=cap)
-        g_degree, g_sensitivity, holds = witness.check(f_sensitivity, cap=cap)
+        witness = fn_mod.boolean_restriction_witness(f)
+        f_sensitivity, _ = fn_mod.sensitivity(f)
+        g_degree, g_sensitivity, holds = witness.check(f_sensitivity)
         doc = witness.to_doc()
         doc["degree"] = g_degree
         doc["sensitivity"] = g_sensitivity
@@ -434,7 +436,7 @@ def _cmd_fn(args, caps) -> int:
         if not holds:
             raise VerificationFailure("restriction certificate failed its guarantees")
     else:  # verify
-        report = fn_mod.verify_sensitivity_bound(f, cap=cap)
+        report = fn_mod.verify_sensitivity_bound(f)
         verdict = "PASS" if report.holds else "FAIL"
         print(
             f"sensitivity {report.sensitivity}, degree {report.degree}, "
@@ -501,7 +503,7 @@ def _cmd_oracle(args, caps) -> int:
             raise VerificationFailure(f"{report.violations} functions violated a bound")
         return 0
     # metrics
-    partition = _load_partition(args.path)
+    partition = _load_partition(args.path, caps["vertices"])
     metrics = oracle_mod.brute_force_metrics(partition, cap=caps["vertices"])
     print(
         f"max degree {metrics.max_degree}, imbalance {metrics.imbalance}, "
@@ -510,7 +512,7 @@ def _cmd_oracle(args, caps) -> int:
     if args.out:
         _write_json(metrics.to_doc(), args.out)
     if args.verify:
-        fast = part_mod.partition_metrics(partition, cap=caps["vertices"])
+        fast = part_mod.partition_metrics(partition)
         if fast != metrics:
             raise VerificationFailure("fast-path metrics disagree with the brute-force oracle")
         print("fast path agrees with the oracle")
@@ -554,7 +556,7 @@ def _cmd_report(args, caps) -> int:
                 continue
             paper, achieved = bounds_mod.theorem_imbalance_bound(m, d, n)
             partition = part_mod.theorem_partition(m, d, n, cap=cap)
-            metrics = part_mod.partition_metrics(partition, cap=cap)
+            metrics = part_mod.partition_metrics(partition)
             if metrics.max_degree > d or metrics.imbalance != achieved:
                 verdict = "FAIL"
             elif Fraction(achieved) >= paper:

@@ -51,14 +51,17 @@ def item_count(values) -> int:
 
 
 def check_enumeration(base: int, exponent: int, cap: int, what: str = "vertices") -> None:
-    """Raise before enumerating base**exponent items past the cap, or words
-    of more than cap letters: with one value per letter the count stays 1
-    while the work still grows with the word length."""
+    """Raise before building or loading base**exponent items past the cap,
+    or words of more letters than the cap has bits: on a one-value alphabet
+    the count stays 1 while the work grows with the word length, and for
+    base >= 2 a count within the cap already keeps the length below that.
+    Measuring an object already in memory needs no check."""
     if power_exceeds(base, exponent, cap):
         raise ResourceLimitError(
             f"enumerating {base}^{exponent} {what} exceeds the configured cap of {cap}"
         )
-    if exponent > cap:
+    if exponent > cap.bit_length():
         raise ResourceLimitError(
-            f"enumerating {what} of {exponent} coordinates exceeds the configured cap of {cap}"
+            f"enumerating {what} of {exponent} coordinates exceeds the limit of "
+            f"{cap.bit_length()} that the configured cap of {cap} sets"
         )

@@ -133,7 +133,8 @@ class FiniteFunction:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "FiniteFunction":
+    def from_doc(cls, doc: dict, cap: int = DEFAULT_VERTEX_CAP) -> "FiniteFunction":
+        """A function document, its |A|^n grid points checked against ``cap``."""
         try:
             domain = tuple(rational_from_token(v) for v in doc["A"])
             codomain = tuple(rational_from_token(v) for v in doc["B"])
@@ -141,6 +142,7 @@ class FiniteFunction:
             values = int_tokens(doc["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed function document: {exc}") from exc
+        check_enumeration(len(domain), arity, cap, "grid points")
         return cls(domain, codomain, arity, values)
 
 
@@ -422,8 +424,7 @@ def _scaled_tensor(scales: _Scales, arity: int,
     return tensor, width, scales.scale * lagrange_scale ** arity, scales.stretch
 
 
-def interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
-                      ) -> tuple[int, int, Iterator[tuple[Exponents, int, int]]]:
+def interpolant_terms(f: FiniteFunction) -> tuple[int, int, Iterator[tuple[Exponents, int, int]]]:
     """The degree, the term count and an iterator of the nonzero terms of
     the interpolant of f (see ``interpolate``), by total degree and then by
     exponent vector, as (exponents, numerator, denominator) triples of each
@@ -435,7 +436,6 @@ def interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
     artifact order.  Each triple is built as it is drawn, so a writer that
     draws one at a time holds no list of them."""
     m, n = len(f.domain), f.arity
-    check_enumeration(m, n, cap, "grid points")
     tensor, width, scale, stretch = _scaled_tensor(_scales(f.domain, f.codomain), n, f.values)
     flags = _nonzero_slots(tensor, width)
     exponents = list(itertools.compress(itertools.product(range(m), repeat=n), flags))
@@ -453,11 +453,11 @@ def interpolant_terms(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
     return max(degrees, default=0), len(order), terms()
 
 
-def interpolate(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> GridPolynomial:
+def interpolate(f: FiniteFunction) -> GridPolynomial:
     """The unique polynomial agreeing with f on every grid point, with
     per-variable degree at most len(domain)-1 and exact rational
     coefficients, built from ``interpolant_terms``."""
-    _, _, terms = interpolant_terms(f, cap)
+    _, _, terms = interpolant_terms(f)
     return GridPolynomial._exact(f.arity, {exps: Fraction(num, den) for exps, num, den in terms})
 
 
@@ -472,10 +472,9 @@ def _degrees(scales: _Scales, arity: int, labels: Sequence[Union[bytes, array]])
                          range(len(labels)))
 
 
-def degree(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def degree(f: FiniteFunction) -> int:
     """Total degree of the interpolating polynomial; 0 for constants: the
     one-table case of ``_degrees``."""
-    check_enumeration(len(f.domain), f.arity, cap, "grid points")
     return _degrees(_scales(f.domain, f.codomain), f.arity, (f.values,))[0]
 
 
@@ -489,7 +488,7 @@ def local_sensitivity(f: FiniteFunction, point: Sequence) -> int:
                for v in neighbors(unrank(base, params), params))
 
 
-def sensitivity(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, Point]:
+def sensitivity(f: FiniteFunction) -> tuple[int, Point]:
     """Maximum local sensitivity and the first point (in rank order)
     attaining it.
 
@@ -497,7 +496,6 @@ def sensitivity(f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, 
     its own value, so the first point of least same-value degree attains it.
     """
     m = len(f.domain)
-    check_enumeration(m, f.arity, cap, "grid points")
     ((value, first),) = _label_sensitivities((f.values,), m, f.arity, len(f.codomain))
     return value, tuple(f.domain[i] for i in unrank(first, GraphParams(m, f.arity)))
 
@@ -557,15 +555,15 @@ class RestrictionWitness:
             "g": self.boolean_function.to_doc(),
         }
 
-    def check(self, f_sensitivity: int, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, int, bool]:
+    def check(self, f_sensitivity: int) -> tuple[int, int, bool]:
         """Degree and sensitivity of the Boolean function, and whether the
         certificate holds: degree at least the target support, sensitivity at
         most ``f_sensitivity`` (that of the restricted function f), and
         sensitivity squared at least the target, as the Boolean sensitivity
         theorem demands."""
         g = self.boolean_function
-        g_degree = degree(g, cap=cap)
-        g_sensitivity, _ = sensitivity(g, cap=cap)
+        g_degree = degree(g)
+        g_sensitivity, _ = sensitivity(g)
         return g_degree, g_sensitivity, _certified(self.target_support, g_degree, g_sensitivity,
                                                    f_sensitivity)
 
@@ -598,9 +596,7 @@ class _Restriction(NamedTuple):
     table: bytes  # the Boolean table g, as 0/1 labels
 
 
-def boolean_restriction_witness(
-    f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
-) -> RestrictionWitness:
+def boolean_restriction_witness(f: FiniteFunction) -> RestrictionWitness:
     """Reduce f to a Boolean function while certifying a degree floor: the
     one-table case of ``_restrictions``.
 
@@ -613,7 +609,6 @@ def boolean_restriction_witness(
     m, n = len(f.domain), f.arity
     if m < 2:
         raise InvalidInputError("need at least two domain values to restrict")
-    check_enumeration(m, n, cap, "grid points")
     (found,) = _restrictions(_scales(f.domain, f.codomain), n, (f.values,))
     return RestrictionWitness(
         f.codomain[found.value],
@@ -762,13 +757,11 @@ class SensitivityBoundReport:
         }
 
 
-def verify_sensitivity_bound(
-    f: FiniteFunction, cap: int = DEFAULT_VERTEX_CAP
-) -> SensitivityBoundReport:
+def verify_sensitivity_bound(f: FiniteFunction) -> SensitivityBoundReport:
     """Check s(f)^2 * (m-1) >= deg(f) in exact integers and report the ratio
     of s(f) to the degree-based floor."""
-    s, witness = sensitivity(f, cap=cap)
-    d = degree(f, cap=cap)
+    s, witness = sensitivity(f)
+    d = degree(f)
     m = len(f.domain)
     holds = _bound_holds(s, d, m)
     ratio = None if d == 0 else math.sqrt(_squared_ratio(s, d, m))

@@ -363,16 +363,14 @@ def _same_label_degree_extremes(
     return found
 
 
-def induced_max_degree(vset: VertexSet, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def induced_max_degree(vset: VertexSet) -> int:
     """Maximum number of in-set neighbors over the members of the set.
 
     0 for empty or singleton sets.
     """
-    params = vset.params
-    check_enumeration(params.m, params.n, cap)
     if vset.size <= 1:
         return 0
-    return _same_label_degree_extremes(_label_planes(vset.members, 1), params, among=1)[0][0]
+    return _same_label_degree_extremes(_label_planes(vset.members, 1), vset.params, among=1)[0][0]
 
 
 def independence_number(params: GraphParams) -> int:

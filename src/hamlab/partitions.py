@@ -56,12 +56,14 @@ class Partition:
         return {"m": self.params.m, "n": self.params.n, "assignment": self.assignment}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "Partition":
+    def from_doc(cls, doc: dict, cap: int = DEFAULT_VERTEX_CAP) -> "Partition":
+        """A partition document, its m^n vertices checked against ``cap``."""
         try:
             params = GraphParams(int_token(doc["m"]), int_token(doc["n"]))
             assignment = int_tokens(doc["assignment"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed partition document: {exc}") from exc
+        check_enumeration(params.m, params.n, cap)
         return cls(params, assignment)
 
 
@@ -182,7 +184,7 @@ def lift_partition(
     target = GraphParams(m, n)
     check_enumeration(m, n, cap)
     widest = -(-n // n_base)
-    base_degree = partition_metrics(base, cap=cap).max_degree
+    base_degree = partition_metrics(base).max_degree
     if base_degree * widest > degree_cap:
         raise ContractViolationError(
             f"lift would only guarantee degree {base_degree * widest}, "
@@ -250,12 +252,11 @@ def theorem_partition(m: int, d: int, n: int, cap: int = DEFAULT_VERTEX_CAP) -> 
     return lift_partition(base, n, degree_cap=d, cap=cap)
 
 
-def partition_metrics(part: Partition, cap: int = DEFAULT_VERTEX_CAP) -> PartitionMetrics:
+def partition_metrics(part: Partition) -> PartitionMetrics:
     """Exact maximum degree, imbalance, and part sizes, with a witness vertex
     attaining the maximum degree (first such vertex in rank order)."""
     params = part.params
     m, n = params.m, params.n
-    check_enumeration(m, n, cap)
     planes = _label_planes(part.assignment, (m - 1).bit_length())
     ((best, first),) = _same_label_degree_extremes(planes, params)
     sizes = _label_sizes(part.assignment, planes, m)

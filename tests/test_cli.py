@@ -360,7 +360,9 @@ def test_other_command_lines_go_to_the_full_parser(argv):
     assert cli._parser_key(argv) is None
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
+    one_value = tmp_path / "one-value.part"
+    one_value.write_text(json.dumps({"m": 1, "n": 25, "assignment": [0]}))
     errors = {}
     for argv in (["construct", "degree1", "--m", 1, "--n", 3],
                  ["nonsense"],
@@ -375,7 +377,8 @@ def test_usage_errors_exit_one(capsys):
                   "--seed", 1],
                  ["oracle", "subsets", "--m", 2, "--n", 2, "--k", 5],
                  ["oracle", "sigma", "--m", 1, "--n", 2],
-                 ["fn", "degree", "f.fn", "--seed", 1]):
+                 ["fn", "degree", "f.fn", "--seed", 1],
+                 ["metrics", one_value]):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -383,6 +386,9 @@ def test_usage_errors_exit_one(capsys):
     assert errors["oracle subsets"] == "error: need 0 <= k <= 4, got k=5\n"
     assert errors["oracle sigma"] == "error: need m >= 2 and n >= 1, got m=1, n=2\n"
     assert errors["fn degree"] == "error: unrecognized arguments: --seed 1\n"
+    assert errors[f"metrics {one_value}"] == (
+        "error: enumerating vertices of 25 coordinates exceeds the limit of 24 that the "
+        "configured cap of 10000000 sets\n")
     # abbreviations of --cap-vertices, --verify and --prune are not read as them
     for argv, unread in ((["construct", "degree1", "--m", 3, "--n", 2, "--cap", 5], "--cap 5"),
                          (["fn", "tribes", "--s", 2, "--ver"], "--ver"),
@@ -395,6 +401,20 @@ def test_cap_violation_exits_one(tmp_path, capsys):
     assert run(["construct", "degree1", "--m", 6, "--n", 4,
                 "--cap-vertices", 100]) == 1
     assert "cap" in capsys.readouterr().err
+    # files of 81 points, refused as they load
+    part, fn = tmp_path / "p.part", tmp_path / "t.fn"
+    assert run(["construct", "theorem1", "--m", 3, "--d", 2, "--n", 4, "--out", part]) == 0
+    assert run(["fn", "lifted-tribes", "--m", 3, "--a", 0, "--s", 2, "--out", fn]) == 0
+    capsys.readouterr()
+    for argv, what in ((["metrics", part], "vertices"),
+                       (["bounds", "check", part], "vertices"),
+                       (["construct", "lift", "--base", part, "--n", 4, "--d", 2], "vertices"),
+                       (["oracle", "metrics", part], "vertices"),
+                       (["fn", "degree", fn], "grid points"),
+                       (["fn", "restrict", fn], "grid points")):
+        assert run([*argv, "--cap-vertices", 80]) == 1
+        assert capsys.readouterr().err == (
+            f"error: enumerating 3^4 {what} exceeds the configured cap of 80\n"), argv
 
 
 def test_env_cap_override(tmp_path, monkeypatch, capsys):

@@ -201,7 +201,7 @@ CASES = [
     ["oracle", "metrics", "base.part", "--verify", "--verbose", "--out",
      "oracle.metrics.json"],
     ["oracle", "metrics", "base.part", "--verify", "--out", "oracle.metrics.json"],
-    # part sizes 16, 17, 16, 15: the all-pairs oracle on an imbalanced partition
+    # part sizes 16, 17, 16, 15: the neighbour-count oracle on an imbalanced partition
     ["construct", "theorem1", "--m", "4", "--d", "1", "--n", "3", "--out",
      "imbalanced.part"],
     ["oracle", "metrics", "imbalanced.part", "--verify", "--out", "imbalanced.oracle.json"],

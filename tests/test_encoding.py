@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamlab import (FiniteFunction, GraphParams, GridPolynomial, InvalidInputError, Partition,
-                    VertexSet, interpolate)
+from hamlab import (DEFAULT_VERTEX_CAP, FiniteFunction, GraphParams, GridPolynomial,
+                    InvalidInputError, Partition, VertexSet, interpolate)
 from hamlab import cli
 from hamlab.cli import main
 from hamlab import encoding
@@ -439,7 +439,8 @@ def test_label_files_load_as_json_load_loads_them(case):
         path = os.path.join(workdir, "labels.json")
         with open(path, "wb") as handle:
             handle.write(raw)
-        assert outcome(load, path) == outcome(lambda p: build(json_load_path(p)), path)
+        assert (outcome(lambda p: load(p, DEFAULT_VERTEX_CAP), path)
+                == outcome(lambda p: build(json_load_path(p)), path))
 
 
 @pytest.mark.parametrize("text", [
@@ -455,4 +456,4 @@ def test_refused_layouts_fail_as_json_load_fails(tmp_path, text):
     assert labelled_doc(path.read_bytes(), "assignment") is None
     expected = outcome(lambda p: Partition.from_doc(json_load_path(p)), str(path))
     assert expected[0] == "UsageError"
-    assert outcome(cli._load_partition, str(path)) == expected
+    assert outcome(lambda p: cli._load_partition(p, DEFAULT_VERTEX_CAP), str(path)) == expected

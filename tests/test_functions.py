@@ -83,10 +83,12 @@ def test_interpolation_uniqueness():
     assert interpolate(f).terms == poly.terms
 
 
-def test_interpolate_respects_cap():
-    f = FiniteFunction((0, 1, 2), ZERO_ONE, 2, (0,) * 9)
-    with pytest.raises(ResourceLimitError):
-        interpolate(f, cap=8)
+def test_function_documents_respect_the_cap():
+    doc = FiniteFunction((0, 1, 2), ZERO_ONE, 2, (0,) * 9).to_doc()
+    with pytest.raises(ResourceLimitError, match=r"^enumerating 3\^2 grid points exceeds the "
+                                                 r"configured cap of 8$"):
+        FiniteFunction.from_doc(doc, cap=8)
+    assert FiniteFunction.from_doc(doc, cap=9).point_count == 9
 
 
 def test_finite_function_validation():

@@ -1,5 +1,6 @@
 """Vertex encoding, adjacency, and induced-degree checks."""
 
+import functools
 import itertools
 import random
 import time
@@ -7,6 +8,9 @@ from array import array
 
 import pytest
 
+import hamlab.functions
+import hamlab.graph
+import hamlab.partitions
 from hamlab import (
     FiniteFunction,
     GraphParams,
@@ -27,7 +31,7 @@ from hamlab import (
     sensitivity,
     unrank,
 )
-from hamlab.errors import item_count, power_exceeds
+from hamlab.errors import check_enumeration, item_count, power_exceeds
 from hamlab.graph import _indicator, _interleaved, _joined, _membership, _take
 
 
@@ -122,11 +126,12 @@ def test_induced_max_degree_matches_naive_double_loop():
         assert induced_max_degree(vset) == naive
 
 
-def test_induced_max_degree_respects_cap():
-    params = GraphParams(3, 2)
-    vset = VertexSet.from_ranks(params, [0, 1])
-    with pytest.raises(ResourceLimitError):
-        induced_max_degree(vset, cap=4)
+def test_vertex_set_documents_respect_the_cap():
+    doc = {"m": 3, "n": 2, "ranks": [0, 1]}
+    with pytest.raises(ResourceLimitError, match=r"^enumerating 3\^2 vertices exceeds the "
+                                                 r"configured cap of 8$"):
+        VertexSet.from_doc(doc, cap=8)
+    assert induced_max_degree(VertexSet.from_doc(doc, cap=9)) == 1
 
 
 def _brute_force_independence(params):
@@ -205,17 +210,68 @@ def test_item_count_counts_ranges_from_their_bounds():
     assert item_count([0, 1, 2]) == 3
 
 
+def one_value_docs(n: int) -> list:
+    """The loader and the document of a one-value partition, function and
+    vertex set on words of n letters."""
+    return [(Partition.from_doc, {"m": 1, "n": n, "assignment": [0]}),
+            (FiniteFunction.from_doc, {"A": [0], "B": [0], "n": n, "values": [0]}),
+            (VertexSet.from_doc, {"m": 1, "n": n, "ranks": [0]})]
+
+
 def test_one_value_grids_fail_the_cap_on_their_word_length():
     # one point, but the work still grows with n
     n, cap = 10 ** 4, 1000
-    f = FiniteFunction([0], [0], n, [0])
     part = Partition(GraphParams(1, n), [0])
-    for call in (lambda: degree(f, cap=cap), lambda: sensitivity(f, cap=cap),
-                 lambda: partition_metrics(part, cap=cap),
+    for call in (*(functools.partial(load, doc, cap) for load, doc in one_value_docs(n)),
                  lambda: lift_partition(Partition(GraphParams(1, 1), [0]), n, 1, cap=cap),
                  lambda: brute_force_metrics(part, cap=cap)):
         with pytest.raises(ResourceLimitError):
             call()
+    # measuring an object already built takes no cap
+    assert partition_metrics(part).max_degree == 0
+    f = FiniteFunction([0], [0], n, [0])
+    assert degree(f) == 0 and sensitivity(f)[0] == 0
+
+
+def test_one_value_words_stop_at_the_bit_length_of_the_cap():
+    # the default cap of 10^7 has 24 bits
+    for load, doc in one_value_docs(24):
+        load(doc)
+    for load, doc in one_value_docs(25):
+        with pytest.raises(ResourceLimitError, match=r"^enumerating (vertices|grid points) of 25 "
+                                                     r"coordinates exceeds the limit of 24 that "
+                                                     r"the configured cap of 10000000 sets$"):
+            load(doc)
+
+
+def test_counts_within_the_cap_pass_on_alphabets_of_two_to_twelve_values():
+    # for m >= 2, m^n <= cap keeps n below the cap's bit length, so only the
+    # count decides
+    rng = random.Random(29)
+    caps = [1, 2, 3, 80, 81, 10 ** 7, *(m ** k for m in range(2, 13) for k in (1, 5, 13)),
+            *(rng.randrange(1, 10 ** 15) for _ in range(200))]
+    for cap, m in itertools.product(caps, range(2, 13)):
+        n = 1
+        while m ** n <= cap:
+            check_enumeration(m, n, cap)
+            n += 1
+        with pytest.raises(ResourceLimitError, match=rf"^enumerating {m}\^{n} vertices "):
+            check_enumeration(m, n, cap)
+
+
+def test_documents_over_the_cap_are_refused_before_their_labels_are_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a label buffer was built")
+
+    # partitions and functions hold their own reference to the builder
+    for module in (hamlab.graph, hamlab.partitions, hamlab.functions):
+        monkeypatch.setattr(module, "_grid_labels", refuse)
+    docs = [(Partition.from_doc, {"m": 3, "n": 4, "assignment": [0] * 81}),
+            (FiniteFunction.from_doc, {"A": [0, 1, 2], "B": [0], "n": 4, "values": [0] * 81}),
+            (VertexSet.from_doc, {"m": 3, "n": 4, "ranks": [0, 80]})]
+    for load, doc in docs:
+        with pytest.raises(ResourceLimitError, match=r"^enumerating 3\^4 "):
+            load(doc, 80)
 
 
 def test_graph_params_validation():
