@@ -43,6 +43,7 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     ResourceLimitError,
+    SearchBudget,
     item_count,
     power_exceeds,
 )
@@ -460,13 +461,16 @@ def _emit_oracle(args, report: bounds_mod.BoundsReport, doc: dict) -> None:
 
 
 def _cmd_oracle(args, caps) -> int:
-    budget = oracle_mod.SearchBudget(
+    # imported here so that no other command loads the search
+    from . import search
+
+    budget = SearchBudget(
         max_vertices=caps["vertices"],
         max_subsets=caps["subsets"],
         max_functions=caps["functions"],
     )
     if args.subcommand == "sigma":
-        value = oracle_mod.sigma_exact(args.m, args.n, budget=budget)
+        value = search.sigma(args.m, args.n, budget=budget)
         print(f"sigma = {value}")
         report = bounds_mod.sigma_report(args.m, args.n, value)
         _emit_oracle(args, report, {"m": args.m, "n": args.n, "sigma": value})
@@ -474,7 +478,7 @@ def _cmd_oracle(args, caps) -> int:
             raise VerificationFailure(f"measured sigma {value} != closed form {report.value}")
         return 0
     if args.subcommand == "subsets":
-        value, witness = oracle_mod.min_max_degree_subsets(
+        value, witness = search.min_max_degree_subsets(
             args.m, args.n, args.k, budget=budget, fix_first_vertex=args.prune
         )
         print(f"min max degree over size-{args.k} subsets = {value}")

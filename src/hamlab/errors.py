@@ -1,5 +1,7 @@
 """Exception types and enumeration guard rails shared across the package."""
 
+from dataclasses import dataclass
+
 DEFAULT_VERTEX_CAP = 10_000_000
 # the oracles' defaults: subset and function searches grow exponentially in
 # the vertex count; the metrics oracle's cap bounds its word table, one tuple
@@ -24,6 +26,19 @@ class ContractViolationError(RuntimeError):
 
 class BoundNotApplicableError(ValueError):
     """A bound formula was evaluated outside its valid range."""
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Hard limits enforced before any enumeration begins."""
+
+    max_vertices: int = DEFAULT_ORACLE_VERTEX_CAP
+    max_subsets: int = DEFAULT_SUBSET_CAP
+    max_functions: int = DEFAULT_FUNCTION_CAP
+
+    def __post_init__(self) -> None:
+        if min(self.max_vertices, self.max_subsets, self.max_functions) <= 0:
+            raise InvalidInputError("budget limits must be positive")
 
 
 def power_exceeds(base: int, exponent: int, limit: int) -> bool:

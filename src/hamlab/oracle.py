@@ -18,12 +18,10 @@ from typing import Optional
 
 from .errors import (
     ContractViolationError,
-    DEFAULT_FUNCTION_CAP,
     DEFAULT_ORACLE_METRICS_CAP,
-    DEFAULT_ORACLE_VERTEX_CAP,
-    DEFAULT_SUBSET_CAP,
     InvalidInputError,
     ResourceLimitError,
+    SearchBudget,
     check_enumeration,
     item_count,
     power_exceeds,
@@ -38,19 +36,6 @@ from .functions import (
 )
 from .graph import GraphParams, VertexSet, _membership, neighbors, rank, unrank
 from .partitions import Partition, PartitionMetrics
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Hard limits enforced before any enumeration begins."""
-
-    max_vertices: int = DEFAULT_ORACLE_VERTEX_CAP
-    max_subsets: int = DEFAULT_SUBSET_CAP
-    max_functions: int = DEFAULT_FUNCTION_CAP
-
-    def __post_init__(self) -> None:
-        if min(self.max_vertices, self.max_subsets, self.max_functions) <= 0:
-            raise InvalidInputError("budget limits must be positive")
 
 
 def _neighbor_masks(params: GraphParams) -> list[int]:

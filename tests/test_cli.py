@@ -734,7 +734,7 @@ _TAMPERED_RUNS = {
                     lambda checked: (*checked[:2], False)),
     "fn verify": (["fn", "verify", "t.fn"], "hamlab.functions.sensitivity",
                   lambda found: (0, found[1])),
-    "oracle sigma": (["oracle", "sigma", "--m", 3, "--n", 2], "hamlab.oracle.sigma_exact",
+    "oracle sigma": (["oracle", "sigma", "--m", 3, "--n", 2], "hamlab.search.sigma",
                      lambda sigma: sigma + 1),
     "oracle functions": (["oracle", "functions", "--m", 2, "--b", 2, "--n", 1],
                          "hamlab.oracle.exhaustive_function_check", _replace(violations=1)),
