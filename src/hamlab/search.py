@@ -38,7 +38,8 @@ def _neighbor_masks(m: int, n: int) -> list[int]:
     return masks
 
 
-def _first_best_subset(adjacent: list[int], k: int, first_stop: int) -> tuple[int, tuple[int, ...]]:
+def _first_best_subset(adjacent: list[int], k: int,
+                       first_stop: int) -> tuple[int, tuple[int, ...]]:
     """The least induced maximum degree over the k-subsets of the ranks of
     ``adjacent`` whose least rank is below ``first_stop``, and the first
     subset in combinations order that attains it."""
@@ -53,7 +54,8 @@ def _first_best_subset(adjacent: list[int], k: int, first_stop: int) -> tuple[in
         ends the search."""
         nonlocal best, witness
         leaf = len(chosen) + 1 == k
-        next_stop = count - k + len(chosen) + 2  # k - len(chosen) - 2 ranks follow
+        # the rank after v leaves room for the k - len(chosen) - 2 after it
+        next_stop = count - k + len(chosen) + 2
         for v in range(start, stop):
             shared = adjacent[v] & members
             raised = []
