@@ -16,6 +16,7 @@ the independent reference the tests hold this search to.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import InvalidInputError, ResourceLimitError, SearchBudget, check_enumeration
 from .graph import GraphParams, VertexSet, _membership
@@ -42,52 +43,73 @@ def _first_best_subset(adjacent: list[int], k: int,
                        first_stop: int) -> tuple[int, tuple[int, ...]]:
     """The least induced maximum degree over the k-subsets of the ranks of
     ``adjacent`` whose least rank is below ``first_stop``, and the first
-    subset in combinations order that attains it."""
+    subset in combinations order that attains it.
+
+    The walk is a loop over an explicit stack, not a recursion, so no k is
+    too deep for it.  Where the ranks left are exactly the ones the subset
+    still needs, that one subset is checked whole, as the flat enumeration
+    checks each, instead of a rank at a time.
+    """
     count = len(adjacent)
     degrees = [0] * count  # for each chosen rank, its count of chosen neighbours
     chosen: list[int] = []
+    raised_by: list[list[int]] = []  # for each chosen rank, the chosen ranks it raised
+    stack = []  # for each shallower depth, its (next rank, stop, members, top)
     best, witness = count, ()  # above any possible degree
-
-    def extend(start: int, stop: int, members: int, top: int) -> bool:
-        """Try each next rank in start..stop-1 after ``chosen``, whose
-        induced maximum degree is ``top``; True once a subset of degree 0
-        ends the search."""
-        nonlocal best, witness
-        leaf = len(chosen) + 1 == k
-        # the rank after v leaves room for the k - len(chosen) - 2 after it
-        next_stop = count - k + len(chosen) + 2
-        for v in range(start, stop):
-            shared = adjacent[v] & members
-            raised = []
-            high = max(top, shared.bit_count())
-            while shared:
-                low = shared & -shared
-                shared ^= low
-                u = low.bit_length() - 1
-                raised.append(u)
-                if degrees[u] >= high:
-                    high = degrees[u] + 1
-            if high >= best:  # every subset through this prefix does as badly
-                continue
-            if leaf:
-                best, witness = high, (*chosen, v)
-                if best == 0:
-                    return True
+    last = count - k  # the last rank that can start a subset
+    # try ranks v..stop-1 after ``chosen``, whose members bitmask is
+    # ``members`` and induced maximum degree ``top``
+    v, stop, members, top = 0, first_stop, 0, 0
+    while True:
+        if v >= stop or top >= best:  # no rank left, or none can do better
+            if not stack:
+                break
+            v, stop, members, top = stack.pop()
+            chosen.pop()
+            for u in raised_by.pop():
+                degrees[u] -= 1
+            continue
+        if v == last + len(chosen):  # the subset must take every rank from v on
+            full = members | -1 << v
+            high = top
+            for u in chain(chosen, range(v, count)):
+                degree = (adjacent[u] & full).bit_count()
+                if degree > high:
+                    high = degree
+                    if high >= best:
+                        break
             else:
-                for u in raised:
-                    degrees[u] += 1
-                degrees[v] = len(raised)
-                chosen.append(v)
-                if extend(v + 1, next_stop, members | 1 << v, high):
-                    return True
-                chosen.pop()
-                for u in raised:
-                    degrees[u] -= 1
-            if top >= best:  # so does every later sibling
-                return False
-        return False
-
-    extend(0, first_stop, 0, 0)
+                best, witness = high, (*chosen, *range(v, count))
+                if best == 0:
+                    break
+            v += 1
+            continue
+        shared = adjacent[v] & members
+        raised = []
+        high = max(top, shared.bit_count())
+        while shared:
+            low = shared & -shared
+            shared ^= low
+            u = low.bit_length() - 1
+            raised.append(u)
+            if degrees[u] >= high:
+                high = degrees[u] + 1
+        if high >= best:  # every subset through this prefix does as badly
+            v += 1
+        elif len(chosen) + 1 == k:
+            best, witness = high, (*chosen, v)
+            if best == 0:
+                break
+            v += 1
+        else:
+            for u in raised:
+                degrees[u] += 1
+            degrees[v] = len(raised)
+            stack.append((v + 1, stop, members, top))
+            chosen.append(v)
+            raised_by.append(raised)
+            # the rank after v leaves room for the k - len(chosen) - 1 after it
+            v, stop, members, top = v + 1, last + len(chosen) + 1, members | 1 << v, high
     return best, witness
 
 

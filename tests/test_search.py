@@ -13,6 +13,7 @@ import pytest
 
 import hamlab
 from hamlab import InvalidInputError, ResourceLimitError, SearchBudget, oracle, search
+from hamlab.cli import main
 from hamlab.errors import DEFAULT_SUBSET_CAP
 
 from test_oracle import _reference_min_max_degree
@@ -25,27 +26,38 @@ def _ranks(found):
     return value, tuple(witness.to_doc()["ranks"])
 
 
-@pytest.mark.parametrize("fix_first_vertex", [False, True], ids=["unpruned", "pruned"])
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
-def test_every_k_matches_the_flat_enumeration_and_the_pairwise_reference(m, n,
-                                                                         fix_first_vertex):
-    count = m ** n
-    for k in range(count + 1):
-        if math.comb(count, k) > DEFAULT_SUBSET_CAP:
-            continue
-        found = _ranks(search.min_max_degree_subsets(m, n, k,
-                                                     fix_first_vertex=fix_first_vertex))
-        assert found == _ranks(oracle.min_max_degree_subsets(
-            m, n, k, fix_first_vertex=fix_first_vertex)), k
-        assert found == _reference_min_max_degree(m, n, k, fix_first_vertex), k
+# every k within the default budget on each graph of at most 16 vertices,
+# and the benchmark's own input
+_CASES = [(m, n, k) for m, n in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+          for k in range(m ** n + 1) if math.comb(m ** n, k) <= DEFAULT_SUBSET_CAP]
+_CASES.append((5, 2, 6))
 
 
 @pytest.mark.parametrize("fix_first_vertex", [False, True], ids=["unpruned", "pruned"])
-def test_the_benchmark_input_matches_the_flat_enumeration(fix_first_vertex):
-    found = _ranks(search.min_max_degree_subsets(5, 2, 6, fix_first_vertex=fix_first_vertex))
-    assert found == _ranks(oracle.min_max_degree_subsets(5, 2, 6,
+@pytest.mark.parametrize("m, n, k", _CASES)
+def test_values_and_witnesses_match_the_flat_enumeration_and_the_pairwise_reference(
+        m, n, k, fix_first_vertex):
+    found = _ranks(search.min_max_degree_subsets(m, n, k, fix_first_vertex=fix_first_vertex))
+    assert found == _ranks(oracle.min_max_degree_subsets(m, n, k,
                                                          fix_first_vertex=fix_first_vertex))
-    assert found[0] == 1
+    assert found == _reference_min_max_degree(m, n, k, fix_first_vertex)
+
+
+@pytest.mark.parametrize("fix_first_vertex", [False, True], ids=["unpruned", "pruned"])
+@pytest.mark.parametrize("m, n, k", [(32, 2, 1024), (32, 2, 1023), (2, 10, 1023)])
+def test_subsets_deeper_than_the_recursion_limit_match_the_flat_enumeration(
+        m, n, k, fix_first_vertex):
+    assert k > sys.getrecursionlimit()
+    budget = SearchBudget(max_vertices=1024)
+    found = _ranks(search.min_max_degree_subsets(m, n, k, budget, fix_first_vertex))
+    assert found == _ranks(oracle.min_max_degree_subsets(m, n, k, budget, fix_first_vertex))
+
+
+@pytest.mark.parametrize("k, value", [(1024, 62), (1023, 62)])
+def test_the_cli_runs_a_subset_search_deeper_than_the_recursion_limit(capsys, k, value):
+    argv = ["oracle", "subsets", "--m", "32", "--n", "2", "--k", str(k), "--cap-vertices", "1024"]
+    assert main(argv) == 0
+    assert f"min max degree over size-{k} subsets = {value}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
